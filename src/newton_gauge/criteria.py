@@ -29,6 +29,7 @@ arithmetic; no rationals are compared except in tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -114,10 +115,17 @@ class AlphaSplit:
     kind = "AlphaSplit"
 
     def satisfied_by_degrees(self, d1: int, d2: int) -> bool:
-        return any(
-            ((self.total - a1) * d1 - a1 * d2) % self.modulus == 0
-            for a1 in range(1, self.total)
-        )
+        # The condition is a1*(d1+d2) == total*d1 (mod modulus); its
+        # solutions form one class mod modulus/g, so test the least
+        # positive one against total-1.
+        a = (d1 + d2) % self.modulus
+        b = self.total * d1 % self.modulus
+        g = math.gcd(a, self.modulus)
+        if b % g != 0:
+            return False
+        period = self.modulus // g
+        least = b // g * pow(a // g, -1, period) % period or period
+        return least <= self.total - 1
 
 
 Clause = Union[Irreducible, DegreeZeroFactor, FactorDegreeMultipleOf, AlphaSplit]

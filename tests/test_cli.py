@@ -208,6 +208,21 @@ def test_sweep_validates_primes(capsys):
     assert "comma-separated" in err
 
 
+def test_sweep_rejects_empty_corpus_arguments(capsys):
+    code, _, err = _run(capsys, "sweep", "--min-degree", "5", "--max-degree", "3")
+    assert code == EXIT_BAD_INPUT
+    assert "min_degree (5) must not exceed max_degree (3)" in err
+    code, _, err = _run(capsys, "sweep", "--min-degree", "0", "--max-degree", "1")
+    assert code == EXIT_BAD_INPUT
+    assert "min_degree must be at least 2" in err
+    code, _, err = _run(capsys, "sweep", "--coeff-bound", "0")
+    assert code == EXIT_BAD_INPUT
+    assert "coeff_bound must be at least 1" in err
+    code, _, err = _run(capsys, "sweep", "--sample", "0")
+    assert code == EXIT_BAD_INPUT
+    assert "sample must be at least 1" in err
+
+
 def test_sweep_violations_exit_4(capsys, monkeypatch):
     from newton_gauge.oracle import SweepSummary, Violation
 

@@ -190,6 +190,28 @@ def test_clause_semantics():
     assert AlphaSplit(3, 3).satisfied_by_degrees(1, 5)  # a1=1: 2*1-5=-3
 
 
+def test_alpha_split_closed_form_matches_the_loop():
+    for modulus in range(1, 13):
+        for total in range(41):
+            clause = AlphaSplit(modulus, total)
+            for d1 in range(13):
+                for d2 in range(13):
+                    by_loop = any(
+                        ((total - a1) * d1 - a1 * d2) % modulus == 0
+                        for a1 in range(1, total)
+                    )
+                    assert clause.satisfied_by_degrees(d1, d2) == by_loop, (
+                        d1, d2, modulus, total,
+                    )
+
+
+def test_alpha_split_huge_total_is_immediate():
+    # the loop would run 10^12 times; the congruence answers at once
+    assert AlphaSplit(1, 10**12).satisfied_by_degrees(3, 4)
+    assert not AlphaSplit(7, 10**12).satisfied_by_degrees(3, 4)  # 7 | d1+d2, 7 !| total*d1
+    assert AlphaSplit(7, 10**12 + 1).satisfied_by_degrees(2, 3)  # least a1 = 5
+
+
 def test_certificate_validation():
     with pytest.raises(ValueError, match="unknown theorem tag"):
         Certificate("T9", None, ())

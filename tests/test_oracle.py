@@ -29,8 +29,19 @@ from newton_gauge.oracle import (
     sweep_family,
     verify_certificate,
 )
-from newton_gauge.oracle import _spot_check
-from newton_gauge.polynomial import AnalysisInput, Polynomial, parse_polynomial
+from newton_gauge.oracle import (
+    _Budget,
+    _allowed_factor_degrees,
+    _modular_factor_degrees,
+    _spot_check,
+)
+from newton_gauge.polynomial import (
+    AnalysisInput,
+    InvalidInputError,
+    Polynomial,
+    content_and_primitive,
+    parse_polynomial,
+)
 
 
 def _poly(text):
@@ -181,6 +192,81 @@ def test_kronecker_agrees_with_sympy():
         lead, factors = _sympy_factors(f)
         assert w.sign * w.content == lead
         assert [g.coeffs for g in w.factors] == factors
+
+
+# ---------------------------------------------------------------------------
+# modular degree analysis
+
+
+def _subset_sums(degrees):
+    sums = {0}
+    for e in degrees:
+        sums |= {s + e for s in sums}
+    return sums
+
+
+def test_degree_analysis_keeps_every_true_factor_degree():
+    rng = random.Random(1729)
+    irreducible_proofs = 0
+    for i in range(80):
+        n = rng.randint(6, 10)
+        if i % 2:
+            m = rng.randint(1, n - 1)
+            f = Polynomial(
+                [rng.randint(-4, 4) for _ in range(m)] + [rng.choice([1, 2, -3])]
+            ) * Polynomial(
+                [rng.randint(-4, 4) for _ in range(n - m)] + [rng.choice([1, -1, 5])]
+            )
+        else:
+            f = Polynomial(
+                [rng.choice([-3, -1, 1, 2])]
+                + [rng.randint(-9, 9) for _ in range(n - 1)]
+                + [rng.choice([1, 2, 3, -6])]
+            )
+        _, prim = content_and_primitive(f)
+        _, factors = _sympy_factors(prim)
+        allowed = _allowed_factor_degrees(prim, _Budget(10**9))
+        assert _subset_sums(len(cs) - 1 for cs in factors) <= allowed, str(f)
+        irreducible_proofs += allowed == {0, prim.degree}
+    assert irreducible_proofs > 0  # the analysis does prune
+
+
+def test_degree_analysis_falls_back_without_a_usable_prime():
+    f = _poly("(x^3+x+1)^2")
+    assert list(_modular_factor_degrees(f, _Budget(10**9))) == []
+    assert _allowed_factor_degrees(f, _Budget(10**9)) == frozenset(range(7))
+    assert _factor_strings(kronecker_factor(f)) == ["x^3+x+1", "x^3+x+1"]
+
+
+def test_degree_analysis_skips_primes_dividing_the_leading_coefficient():
+    f = _poly("(30x^3+x+1)(x^3-x+7)")
+    used = [q for q, _ in _modular_factor_degrees(f, _Budget(10**9))]
+    assert used and not any(30 % q == 0 for q in used)
+    assert {0, 3, 6} <= _allowed_factor_degrees(f, _Budget(10**9))
+    assert kronecker_factor(f).factor_degrees == (3, 3)
+
+
+def test_degree_analysis_proves_irreducibility_within_budget():
+    f = _poly("x^10+x^3+x+3")
+    assert _allowed_factor_degrees(f, _Budget(10**9)) == {0, 10}
+    # the full Kronecker search spends 203,332 candidates on this input
+    assert _factor_strings(kronecker_factor(f, budget=20000)) == ["x^10+x^3+x+3"]
+
+
+def test_degree_analysis_uses_more_primes_from_degree_eight():
+    # the first five usable primes leave {0, 4, 6, 10}; the sixth
+    # (19: degrees 5, 5) proves irreducibility
+    f = _poly("2x^10-2x^9+2x^8+3x^7+x^6-3x^5-3x^4+x^3+3x^2-9x-6")
+    assert _allowed_factor_degrees(f, _Budget(10**9)) == {0, 10}
+    assert kronecker_factor(f, budget=20000).factors == (f,)
+
+
+def test_degree_analysis_is_charged_to_the_budget():
+    meter = _Budget(10**9)
+    _allowed_factor_degrees(_poly("x^6+2x^3+8"), meter)
+    assert meter.spent > 0
+    with pytest.raises(OracleBudgetError):
+        kronecker_factor(_poly("x^6+2x^3+8"), budget=2)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +423,18 @@ def test_sweep_sampled_counts_budget_errors():
     # tiny budget: most factorizations die, but that is not a violation
     assert summary.budget_errors > 0
     assert summary.passed
+
+
+def test_sweep_rejects_empty_corpus_arguments():
+    with pytest.raises(InvalidInputError, match="min_degree"):
+        sweep(3, 2, [2], min_degree=4)
+    with pytest.raises(InvalidInputError, match="min_degree must be at least 2"):
+        sweep(3, 2, [2], min_degree=0)
+    with pytest.raises(InvalidInputError, match="coeff_bound"):
+        sweep(3, 0, [2])
+    with pytest.raises(InvalidInputError, match="sample"):
+        sweep(3, 2, [2], sample=0)
+    assert sweep(3, 1, [2], min_degree=3, sample=1).total == 1
 
 
 def test_sweep_family_example2():
