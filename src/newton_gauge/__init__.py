@@ -29,7 +29,6 @@ from .newton import (
     ValuationPoint,
     lower_convex_hull,
     newton_index,
-    newton_index_of_product,
     newton_polygon,
     slope_table,
     valuation_points,
@@ -53,11 +52,10 @@ from .polynomial import (
     Polynomial,
     content_and_primitive,
     format_polynomial,
-    multiply,
     parse_polynomial,
 )
 from .report import analysis_report, load_schema, sweep_report
-from .valuation import INFINITY, Slope, Valuation, gcd_nonneg, p_adic_valuation, validate_prime
+from .valuation import Slope, p_adic_valuation, validate_prime
 
 __version__ = "0.1.0"
 
@@ -70,7 +68,6 @@ __all__ = [
     "DegreeZeroFactor",
     "FactorDegreeMultipleOf",
     "FactorizationWitness",
-    "INFINITY",
     "InvalidInputError",
     "Irreducible",
     "NewtonPolygon",
@@ -80,7 +77,6 @@ __all__ = [
     "Slope",
     "SlopeTable",
     "SweepSummary",
-    "Valuation",
     "ValuationPoint",
     "VerificationReport",
     "WitnessIntegrityError",
@@ -94,13 +90,10 @@ __all__ = [
     "dumas_degree_sets",
     "find_dominant_index",
     "format_polynomial",
-    "gcd_nonneg",
     "kronecker_factor",
     "load_schema",
     "lower_convex_hull",
-    "multiply",
     "newton_index",
-    "newton_index_of_product",
     "newton_polygon",
     "p_adic_valuation",
     "parse_polynomial",

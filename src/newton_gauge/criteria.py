@@ -35,7 +35,6 @@ from typing import Optional, Union
 
 from .newton import NewtonPolygon, SlopeTable, newton_polygon, slope_table
 from .polynomial import AnalysisInput
-from .valuation import gcd_nonneg
 
 __all__ = [
     "CriteriaParameters",
@@ -158,14 +157,6 @@ class Certificate:
         return self.theorem != "none"
 
     @property
-    def theorem_a(self) -> bool:
-        return self.theorem == "TA"
-
-    @property
-    def theorem_b(self) -> bool:
-        return self.theorem == "TB"
-
-    @property
     def base_theorem(self) -> str:
         """The tag with the d = 1 specializations folded back in."""
         return {"TA": "T1", "TB": "T2"}.get(self.theorem, self.theorem)
@@ -188,7 +179,7 @@ def compute_parameters(inp: AnalysisInput, s: int) -> CriteriaParameters:
     v0 = next(e.valuation for e in table.entries if e.index == 0)
     c_s = vn - vs
     c_n = vn - v0
-    d = gcd_nonneg(vs - vn, n - s)
+    d = math.gcd(vs - vn, n - s)
     u = n * c_s - (n - s) * c_n
     return CriteriaParameters(
         n=n, s=s, c_s=c_s, c_n=c_n, d=d, u=u, modulus=(n - s) // d
@@ -298,7 +289,7 @@ def dumas_degree_sets(inp: AnalysisInput) -> tuple[tuple[int, int], ...]:
     n = inp.degree
     achievable = {0}
     for edge in polygon.edges:
-        g = gcd_nonneg(edge.rise, edge.width)
+        g = math.gcd(edge.rise, edge.width)
         e = edge.width // g
         achievable = {a + k * e for a in achievable for k in range(g + 1)}
     return tuple(sorted({(min(a, n - a), max(a, n - a)) for a in achievable}))

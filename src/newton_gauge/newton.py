@@ -32,7 +32,6 @@ __all__ = [
     "newton_polygon",
     "slope_table",
     "newton_index",
-    "newton_index_of_product",
 ]
 
 
@@ -125,10 +124,6 @@ class NewtonPolygon:
             for k in range(len(self.vertices) - 1)
         )
 
-    @property
-    def slopes(self) -> tuple[Slope, ...]:
-        return tuple(edge.slope for edge in self.edges)
-
 
 def lower_convex_hull(points: Sequence[ValuationPoint]) -> NewtonPolygon:
     """Lower convex hull of points sorted by index, as a NewtonPolygon.
@@ -176,10 +171,6 @@ class SlopeTable:
         best = self.newton_index
         return tuple(e.index for e in self.entries if e.slope == best)
 
-    @property
-    def mapping(self) -> dict[int, Slope]:
-        return {e.index: e.slope for e in self.entries}
-
     def slope_at(self, i: int) -> Optional[Slope]:
         for entry in self.entries:
             if entry.index == i:
@@ -217,12 +208,3 @@ def newton_index(f: Polynomial, p: int) -> Slope:
         raise ValueError("newton index of a monomial is undefined")
     return _slope_table_of(f, p).newton_index
 
-
-def newton_index_of_product(f: Polynomial, g: Polynomial, p: int) -> Slope:
-    """e(f*g) computed directly from the expanded product.
-
-    Test hook for the identity e(f*g) = max(e(f), e(g)); the product is
-    validated as a regular analysis input first.
-    """
-    product = f * g
-    return slope_table(AnalysisInput(product, p)).newton_index

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import os
 import random
@@ -76,6 +75,7 @@ __all__ = [
     "DEFAULT_BUDGET",
     "MAX_ORACLE_DEGREE",
     "MAX_ORACLE_COEFF",
+    "MAX_EXHAUSTIVE_POLYNOMIALS",
     "BUDGET_ENV_VAR",
     "oracle_budget",
     "exact_divide",
@@ -91,6 +91,9 @@ __all__ = [
 DEFAULT_BUDGET = 10**7
 MAX_ORACLE_DEGREE = 12
 MAX_ORACLE_COEFF = 10**9
+# About ten times the acceptance corpus (degrees 2-5, |a_i| <= 3: 100,800
+# polynomials); larger corpora are for --sample.
+MAX_EXHAUSTIVE_POLYNOMIALS = 10**6
 BUDGET_ENV_VAR = "NEWTON_GAUGE_BUDGET"
 
 
@@ -617,7 +620,6 @@ def verify_certificate(
     if not cert.applies:
         raise ValueError("cannot verify a certificate that asserts nothing")
     content_val = p_adic_valuation(witness.content, p)
-    assert isinstance(content_val, int)
     factors = witness.factors
     assert factors, "a nonconstant polynomial has at least one factor"
 
@@ -679,13 +681,10 @@ def check_dumas_consistency(
 
 @dataclass(frozen=True)
 class Violation:
-    """One failed check, with a single-line JSON reproduction bundle."""
+    """One failed check; its detail is a JSON-ready reproduction bundle."""
 
     kind: str
     detail: dict
-
-    def bundle(self) -> str:
-        return json.dumps({"kind": self.kind, **self.detail}, sort_keys=True)
 
 
 @dataclass
@@ -725,6 +724,24 @@ def exhaustive_polynomials(
                     yield Polynomial((a0, *middle, an))
 
 
+def _capped_corpus_size(max_degree: int, coeff_bound: int, min_degree: int) -> int:
+    """Size of the exhaustive corpus, (2B)^2 (2B+1)^(n-1) polynomials of
+    degree n, or MAX_EXHAUSTIVE_POLYNOMIALS + 1 once it passes the cap.
+
+    A degree holds at least 4*3^(n-1) polynomials, so the loop stops
+    after a dozen degrees however large max_degree is.
+    """
+    cap = MAX_EXHAUSTIVE_POLYNOMIALS
+    size, per_degree = 0, (2 * coeff_bound) ** 2
+    for n in range(1, max_degree + 1):
+        if n >= min_degree:
+            size += per_degree
+        if size > cap or per_degree > cap:
+            return cap + 1
+        per_degree *= 2 * coeff_bound + 1
+    return size
+
+
 def sampled_polynomials(
     max_degree: int, coeff_bound: int, count: int, seed: int, min_degree: int = 2
 ) -> list[Polynomial]:
@@ -741,10 +758,6 @@ def sampled_polynomials(
     return out
 
 
-def _slope_of(analysis: Analysis, i: int):
-    return analysis.table.slope_at(i)
-
-
 def _identity_violations(analysis: Analysis) -> list[Violation]:
     """Exact identities that must hold whenever parameters exist."""
     cert = analysis.certificate
@@ -757,8 +770,8 @@ def _identity_violations(analysis: Analysis) -> list[Violation]:
         "prime": analysis.input.prime,
         "theorem": cert.theorem,
     }
-    m_s = _slope_of(analysis, params.s)
-    m_0 = _slope_of(analysis, 0)
+    m_s = analysis.table.slope_at(params.s)
+    m_0 = analysis.table.slope_at(0)
     if params.u != params.n * (params.n - params.s) * (m_s - m_0):
         out.append(Violation("identity-integrality", {**repro, "u": params.u}))
     reduced = (params.c_s // params.d) * params.n - (
@@ -816,11 +829,7 @@ def _spot_check(f: Polynomial, witness: FactorizationWitness, budget: Optional[i
 def _certificate_detail(cert: Certificate) -> dict:
     detail = {"theorem": cert.theorem, "notes": list(cert.notes)}
     if cert.params is not None:
-        p = cert.params
-        detail["params"] = {
-            "n": p.n, "s": p.s, "c_s": p.c_s, "c_n": p.c_n,
-            "d": p.d, "u": p.u, "modulus": p.modulus,
-        }
+        detail["params"] = dict(vars(cert.params))
     return detail
 
 
@@ -944,7 +953,8 @@ def sweep(
     factorization; exact identities run on every entry, deep
     self-checks on a 1% deterministic slice.  Raises InvalidInputError,
     naming the argument, when the corpus would be empty or would hold
-    polynomials of degree below 2.
+    polynomials of degree below 2, and before enumerating an exhaustive
+    corpus of more than MAX_EXHAUSTIVE_POLYNOMIALS polynomials.
     """
     if min_degree < 2:
         raise InvalidInputError(f"min_degree must be at least 2, got {min_degree}")
@@ -956,6 +966,15 @@ def sweep(
         raise InvalidInputError(f"coeff_bound must be at least 1, got {coeff_bound}")
     if sample is not None and sample < 1:
         raise InvalidInputError(f"sample must be at least 1, got {sample}")
+    if sample is None and (
+        _capped_corpus_size(max_degree, coeff_bound, min_degree) > MAX_EXHAUSTIVE_POLYNOMIALS
+    ):
+        raise InvalidInputError(
+            f"the exhaustive corpus of degrees {min_degree}-{max_degree} with"
+            f" coeff_bound {coeff_bound} holds more than"
+            f" {MAX_EXHAUSTIVE_POLYNOMIALS} polynomials; use --sample to draw"
+            " a random subset"
+        )
     corpus = {
         "min_degree": min_degree,
         "max_degree": max_degree,

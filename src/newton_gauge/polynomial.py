@@ -18,6 +18,11 @@ Juxtaposition of two integer literals ("2 3") is a syntax error.  The
 canonical formatter emits descending powers with no spaces, writes ``*``
 only between an integer coefficient and ``x`` ("2*x^3"), and omits unit
 coefficients and the exponent 1, so ``parse(format(f)) == f``.
+
+Before expanding a product or power, the parser raises
+:class:`ParseError` at its operator when the result would pass degree
+``MAX_PARSED_EXPONENT`` or could hold a coefficient of more than
+``MAX_PARSED_COEFF_DIGITS`` digits.
 """
 
 from __future__ import annotations
@@ -35,13 +40,18 @@ __all__ = [
     "InvalidInputError",
     "parse_polynomial",
     "format_polynomial",
-    "multiply",
     "content_and_primitive",
 ]
 
-# Dense storage makes x^k cost O(k) memory; cap parsed exponents so a CLI
-# typo cannot allocate gigabytes.
+# Dense storage makes x^k cost O(k) memory; cap parsed exponents and
+# degrees so a CLI typo cannot allocate gigabytes.
 MAX_PARSED_EXPONENT = 10**6
+# Integer literals, products and powers whose coefficients could pass
+# this many digits are rejected.  A sum of k terms adds at most log10(k)
+# digits, so every parsed coefficient stays below Python's 4,300-digit
+# limit on int-to-str conversion and can be printed.
+MAX_PARSED_COEFF_DIGITS = 4000
+_COEFF_LIMIT = 10**MAX_PARSED_COEFF_DIGITS
 
 
 class ParseError(ValueError):
@@ -129,7 +139,17 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return multiply(self, other)
+        """Exact convolution product."""
+        if self.is_zero or other.is_zero:
+            return Polynomial()
+        a, b = self.coeffs, other.coeffs
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai == 0:
+                continue
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+        return Polynomial(out)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -155,20 +175,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
-
-
-def multiply(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact convolution product of two polynomials."""
-    if f.is_zero or g.is_zero:
-        return Polynomial()
-    a, b = f.coeffs, g.coeffs
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return Polynomial(out)
 
 
 def content_and_primitive(f: Polynomial) -> tuple[int, Polynomial]:
@@ -202,6 +208,10 @@ def _tokenize(text: str) -> list[tuple[str, Union[int, str], int]]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_PARSED_COEFF_DIGITS:
+                raise ParseError(
+                    f"integer literal longer than {MAX_PARSED_COEFF_DIGITS} digits", i
+                )
             tokens.append((_TOK_INT, int(text[i:j]), i))
             i = j
         elif ch == "x":
@@ -216,6 +226,32 @@ def _tokenize(text: str) -> list[tuple[str, Union[int, str], int]]:
             raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append((_TOK_END, "", n))
     return tokens
+
+
+def _norm1(f: Polynomial) -> int:
+    """Sum of the coefficients' magnitudes; it bounds every coefficient."""
+    return sum(abs(c) for c in f.coeffs)
+
+
+def _power_reaches_limit(norm: int, k: int) -> bool:
+    """Whether norm**k >= _COEFF_LIMIT, from bit lengths where they decide."""
+    bits = _COEFF_LIMIT.bit_length()
+    if k * norm.bit_length() < bits:
+        return False
+    if k * (norm.bit_length() - 1) >= bits:
+        return True
+    return norm**k >= _COEFF_LIMIT
+
+
+def _check_expansion(degree: int, too_wide: bool, at: int) -> None:
+    """Refuse a product or power before expanding it when its degree, or
+    the bound on its coefficients, passes the parser's limits."""
+    if degree > MAX_PARSED_EXPONENT:
+        raise ParseError(f"degree {degree} exceeds the limit {MAX_PARSED_EXPONENT}", at)
+    if too_wide:
+        raise ParseError(
+            f"coefficients could exceed the limit of {MAX_PARSED_COEFF_DIGITS} digits", at
+        )
 
 
 class _Parser:
@@ -254,15 +290,16 @@ class _Parser:
     def term(self) -> Polynomial:
         poly = self.factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, at = self.peek()
             if kind == _TOK_OP and value == "*":
                 self.advance()
-                poly = poly * self.factor()
-            elif kind == _TOK_X or (kind == _TOK_OP and value == "("):
-                # Juxtaposition: implicit multiplication before 'x' or '('.
-                poly = poly * self.factor()
-            else:
+            elif not (kind == _TOK_X or (kind == _TOK_OP and value == "(")):
                 return poly
+            # Otherwise juxtaposition: implicit multiplication before 'x' or '('.
+            rhs = self.factor()
+            too_wide = _norm1(poly) * _norm1(rhs) >= _COEFF_LIMIT
+            _check_expansion(poly.degree + rhs.degree, too_wide, at)
+            poly = poly * rhs
 
     def factor(self) -> Polynomial:
         kind, value, _ = self.peek()
@@ -270,10 +307,12 @@ class _Parser:
             self.advance()
             return -self.factor()
         poly = self.atom()
-        kind2, value2, _ = self.peek()
+        kind2, value2, at = self.peek()
         if kind2 == _TOK_OP and value2 == "^":
             self.advance()
-            return poly ** self.exponent()
+            k = self.exponent()
+            _check_expansion(poly.degree * k, _power_reaches_limit(_norm1(poly), k), at)
+            return poly**k
         return poly
 
     def atom(self) -> Polynomial:

@@ -16,11 +16,9 @@ from typing import Optional
 
 from .criteria import Analysis, Certificate, find_dominant_index
 from .oracle import FactorizationWitness, SweepSummary, VerificationReport
-from .valuation import Slope
 
 __all__ = [
     "SCHEMA_VERSION",
-    "fraction_str",
     "certificate_dict",
     "verification_dict",
     "analysis_report",
@@ -33,11 +31,6 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def fraction_str(value: Slope) -> str:
-    """Exact lowest-terms string, "p/q" or "p" when the denominator is 1."""
-    return str(value)
-
-
 def _clause_dict(clause) -> dict:
     out = {"kind": clause.kind}
     for key in ("modulus", "total"):
@@ -47,23 +40,11 @@ def _clause_dict(clause) -> dict:
 
 
 def certificate_dict(cert: Certificate) -> dict:
-    params = None
-    if cert.params is not None:
-        p = cert.params
-        params = {
-            "n": p.n,
-            "s": p.s,
-            "c_s": p.c_s,
-            "c_n": p.c_n,
-            "d": p.d,
-            "u": p.u,
-            "modulus": p.modulus,
-        }
     return {
         "theorem": cert.theorem,
-        "theorem_a": cert.theorem_a,
-        "theorem_b": cert.theorem_b,
-        "parameters": params,
+        "theorem_a": cert.theorem == "TA",
+        "theorem_b": cert.theorem == "TB",
+        "parameters": None if cert.params is None else dict(vars(cert.params)),
         "clauses": [_clause_dict(c) for c in cert.clauses],
         "notes": list(cert.notes),
     }
@@ -113,11 +94,11 @@ def analysis_report(
                 {
                     "index": e.index,
                     "valuation": e.valuation,
-                    "slope": fraction_str(e.slope),
+                    "slope": str(e.slope),
                 }
                 for e in table.entries
             ],
-            "newton_index": fraction_str(table.newton_index),
+            "newton_index": str(table.newton_index),
             "index_of_max": list(table.index_of_max),
             "dominant_index": dominant,
         },

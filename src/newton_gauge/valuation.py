@@ -1,10 +1,10 @@
-"""Exact arithmetic substrate: p-adic valuations of integers, gcd, primality.
+"""Exact arithmetic substrate: p-adic valuations of integers and primality.
 
-Valuations of nonzero integers are plain non-negative ints; the valuation
-of 0 is the distinguished :data:`INFINITY` singleton, which compares
-greater than every finite valuation.  Slopes built from valuations are
-``fractions.Fraction`` values, which are always kept in lowest terms with
-a positive denominator, so rational comparisons are exact.
+Valuations are plain non-negative ints and are defined for nonzero
+integers only: every caller skips zero coefficients.  Slopes built from
+valuations are ``fractions.Fraction`` values, which are always kept in
+lowest terms with a positive denominator, so rational comparisons are
+exact.
 
 Everything here is a pure function over immutable values and is safe to
 call concurrently.
@@ -12,17 +12,11 @@ call concurrently.
 
 from __future__ import annotations
 
-import functools
-import math
 from fractions import Fraction
-from typing import Union
 
 __all__ = [
-    "INFINITY",
-    "Valuation",
     "Slope",
     "p_adic_valuation",
-    "gcd_nonneg",
     "validate_prime",
 ]
 
@@ -30,50 +24,20 @@ __all__ = [
 # by the Fraction constructor.
 Slope = Fraction
 
-
-@functools.total_ordering
-class _Infinity:
-    """Valuation of zero.  Greater than every int and equal only to itself."""
-
-    _instance = None
-    __slots__ = ()
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __eq__(self, other):
-        return other is self
-
-    def __lt__(self, other):
-        return False
-
-    def __hash__(self):
-        return hash("newton_gauge.INFINITY")
-
-    def __repr__(self):
-        return "INFINITY"
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
+# Miller-Rabin with the first twelve prime bases is deterministic below
+# 3.3 * 10^24 (Sorenson and Webster, 2017); the cap keeps well inside it.
+MAX_PRIME = 2**64
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-INFINITY = _Infinity()
-
-Valuation = Union[int, _Infinity]
-
-
-def p_adic_valuation(n: int, p: int) -> Valuation:
-    """Largest exponent e with p**e dividing n; INFINITY for n == 0.
+def p_adic_valuation(n: int, p: int) -> int:
+    """Largest exponent e with p**e dividing n, for n != 0.
 
     The caller is responsible for p being prime (see :func:`validate_prime`);
     for composite p the result is merely the divisibility exponent.
     """
     if n == 0:
-        return INFINITY
+        raise ValueError("the valuation of 0 is undefined")
     n = abs(n)
     e = 0
     while n % p == 0:
@@ -82,28 +46,31 @@ def p_adic_valuation(n: int, p: int) -> Valuation:
     return e
 
 
-def gcd_nonneg(a: int, b: int) -> int:
-    """Greatest common divisor of |a| and |b|.
-
-    Defined on absolute values so the result is always positive even when
-    one argument is a (possibly negative) valuation difference.
-    """
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
-
-
 def validate_prime(p: int) -> bool:
-    """True iff p is prime, by trial division (fine at desk scale)."""
+    """True iff p is prime, for 2 <= p < MAX_PRIME.
+
+    Trial division by the small primes, then Miller-Rabin with each of
+    them as a base, which is exact in this range.
+    """
     if p < 2:
         raise ValueError(f"{p} is not a valid prime candidate (need p >= 2)")
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if p >= MAX_PRIME:
+        raise ValueError(f"{p} is not a valid prime candidate (need p < 2^64)")
+    for q in _SMALL_PRIMES:
+        if p % q == 0:
+            return p == q
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True

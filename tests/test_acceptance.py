@@ -85,7 +85,7 @@ def test_criterion_1_steep_family_parameters(capsys):
                 params is not None and params.d == d - 1,
                 params is not None and params.modulus == d + 1,
                 cert.base_theorem == "T2",
-                cert.theorem_b == (d == 2),
+                (cert.theorem == "TB") == (d == 2),
             ]
             if not all(checks):
                 failures.append((d, p, checks))

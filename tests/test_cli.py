@@ -126,6 +126,26 @@ def test_composite_prime_is_rejected(capsys):
     assert "4 is not prime" in err
 
 
+def test_large_primes_are_checked_or_rejected(capsys):
+    code, _, err = _run(capsys, "analyze", "--poly", "x^2+x+1", "--prime", "10000000000000061")
+    assert code == EXIT_OK, err
+    code, _, err = _run(capsys, "analyze", "--poly", "x^2+x+1", "--prime", "10000000000000063")
+    assert code == EXIT_BAD_INPUT
+    assert "10000000000000063 is not prime" in err
+    code, _, err = _run(capsys, "analyze", "--poly", "x^2+x+1", "--prime", str(2**64 + 1))
+    assert code == EXIT_BAD_INPUT
+    assert "is not a valid prime candidate (need p < 2^64)" in err
+
+
+def test_oversized_parsed_polynomials_are_rejected(capsys):
+    code, _, err = _run(capsys, "analyze", "--poly", "x^2+x+2^20000", "--prime", "2")
+    assert code == EXIT_BAD_INPUT
+    assert "limit of 4000 digits at position 7" in err
+    code, _, err = _run(capsys, "analyze", "--poly", "(x^1000)^2000+1", "--prime", "2")
+    assert code == EXIT_BAD_INPUT
+    assert "degree 2000000 exceeds the limit" in err
+
+
 def test_parse_error_is_rejected(capsys):
     code, _, err = _run(capsys, "analyze", "--poly", "x^^2", "--prime", "2")
     assert code == EXIT_BAD_INPUT
@@ -221,6 +241,12 @@ def test_sweep_rejects_empty_corpus_arguments(capsys):
     code, _, err = _run(capsys, "sweep", "--sample", "0")
     assert code == EXIT_BAD_INPUT
     assert "sample must be at least 1" in err
+
+
+def test_sweep_rejects_an_oversized_exhaustive_corpus(capsys):
+    code, _, err = _run(capsys, "sweep", "--max-degree", "7", "--no-verify")
+    assert code == EXIT_BAD_INPUT
+    assert "holds more than 1000000 polynomials; use --sample" in err
 
 
 def test_sweep_violations_exit_4(capsys, monkeypatch):

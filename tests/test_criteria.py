@@ -98,7 +98,6 @@ def test_u_matches_slope_gap_identity():
 def test_theorem1_interior_dominant_gcd_above_one():
     cert = check_theorem1(_inp("512x^5+512x^2+2x+1", 2))
     assert cert.theorem == "T1"
-    assert not cert.theorem_a
     assert cert.base_theorem == "T1"
     assert cert.params.modulus == 1
     assert cert.clauses == (
@@ -111,7 +110,6 @@ def test_theorem1_interior_dominant_gcd_above_one():
 def test_theorem1_tight_case_is_tagged():
     cert = check_theorem1(_inp("x^2+2x+8", 2))
     assert cert.theorem == "TA"
-    assert cert.theorem_a
     assert cert.base_theorem == "T1"
     assert (cert.params.d, cert.params.u, cert.params.modulus) == (1, 1, 1)
 
@@ -139,7 +137,6 @@ def test_theorem1_rejections_carry_reasons():
 def test_theorem2_coprime_case_is_tagged():
     cert = check_theorem2(_inp("x^6+2x^3+8", 2))
     assert cert.theorem == "TB"
-    assert cert.theorem_b
     assert cert.base_theorem == "T2"
     assert (cert.params.d, cert.params.u, cert.params.modulus) == (1, 3, 3)
     assert cert.clauses[3] == AlphaSplit(3, 3)
@@ -148,7 +145,6 @@ def test_theorem2_coprime_case_is_tagged():
 def test_theorem2_even_gcd_case():
     cert = check_theorem2(_inp("x^12+4x^4+16", 2))
     assert cert.theorem == "T2"
-    assert not cert.theorem_b
     assert (cert.params.d, cert.params.u, cert.params.modulus) == (2, 8, 4)
     assert cert.clauses == (
         Irreducible(),

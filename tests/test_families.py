@@ -61,7 +61,7 @@ def test_example1_matches_expected_parameters():
                 assert table.slope_at(0) == expected["m_0"]
                 cert = analyze(inp).certificate
                 assert cert.base_theorem == expected["theorem"]
-                assert not cert.theorem_a  # d = n-1 > 1
+                assert cert.theorem != "TA"  # d = n-1 > 1
 
 
 def test_example1_expected_values():
@@ -98,4 +98,4 @@ def test_example2_matches_expected_parameters():
             assert table.slope_at(0) == expected["m_0"]
             cert = analyze(inp).certificate
             assert cert.theorem == expected["theorem"]
-            assert cert.theorem_b == (d == 2)
+            assert (cert.theorem == "TB") == (d == 2)

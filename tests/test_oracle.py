@@ -437,6 +437,21 @@ def test_sweep_rejects_empty_corpus_arguments():
     assert sweep(3, 1, [2], min_degree=3, sample=1).total == 1
 
 
+def test_sweep_rejects_an_oversized_exhaustive_corpus():
+    from newton_gauge.oracle import MAX_EXHAUSTIVE_POLYNOMIALS, _capped_corpus_size
+
+    for args in ((2, 1, 2), (4, 2, 3), (4, 3, 2), (3, 3, 3)):
+        assert _capped_corpus_size(*args) == sum(1 for _ in exhaustive_polynomials(*args))
+    # The acceptance corpus: degrees 2-5, |a_i| <= 3.
+    assert _capped_corpus_size(5, 3, 2) == 100_800 <= MAX_EXHAUSTIVE_POLYNOMIALS
+    oversized = ((7, 3, 2), (10**9, 1, 2), (10**9, 1, 10**9), (3, 10**6, 2))
+    for max_degree, coeff_bound, min_degree in oversized:
+        assert _capped_corpus_size(max_degree, coeff_bound, min_degree) == MAX_EXHAUSTIVE_POLYNOMIALS + 1
+        with pytest.raises(InvalidInputError, match="use --sample"):
+            sweep(max_degree, coeff_bound, [2], min_degree=min_degree, verify=False)
+    assert sweep(6, 3, [2], sample=3, verify=False).total == 3
+
+
 def test_sweep_family_example2():
     summary = sweep_family("example2", [2], [2, 3])
     assert summary.passed

@@ -5,12 +5,12 @@ import pytest
 from newton_gauge.polynomial import (
     AnalysisInput,
     InvalidInputError,
+    MAX_PARSED_COEFF_DIGITS,
     MAX_PARSED_EXPONENT,
     ParseError,
     Polynomial,
     content_and_primitive,
     format_polynomial,
-    multiply,
     parse_polynomial,
 )
 
@@ -66,6 +66,36 @@ def test_parse_errors_carry_positions():
         parse_polynomial("")
 
 
+def test_parse_rejects_products_and_powers_past_the_degree_limit():
+    with pytest.raises(ParseError, match="degree 2000000 exceeds the limit 1000000 at position 8"):
+        parse_polynomial("(x^1000)^2000+1")
+    with pytest.raises(ParseError, match="degree 1000001 exceeds the limit 1000000 at position 9"):
+        parse_polynomial("x^1000000*x")
+    with pytest.raises(ParseError, match="degree 1000001 exceeds the limit"):
+        parse_polynomial("x^1000000(x+1)")
+    assert parse_polynomial("(x^1000)^1000+1").degree == MAX_PARSED_EXPONENT
+
+
+def test_parse_rejects_coefficients_past_the_digit_limit():
+    assert MAX_PARSED_COEFF_DIGITS < 4300
+    with pytest.raises(ParseError, match=f"limit of {MAX_PARSED_COEFF_DIGITS} digits at position 7"):
+        parse_polynomial("x^2+x+2^20000")
+    with pytest.raises(ParseError, match="integer literal longer than .* at position 6"):
+        parse_polynomial("x^2+x+" + "9" * 4301)
+    with pytest.raises(ParseError, match="integer literal longer than"):
+        parse_polynomial("1" + "0" * MAX_PARSED_COEFF_DIGITS)
+    with pytest.raises(ParseError, match="digits at position 9"):
+        parse_polynomial("(10^2000)(10^2000)")
+    with pytest.raises(ParseError, match="digits at position 5"):
+        parse_polynomial("(x+1)^20000")
+    widest = parse_polynomial("9" * MAX_PARSED_COEFF_DIGITS + "x^2+1")
+    assert len(str(widest.leading_coefficient)) == MAX_PARSED_COEFF_DIGITS
+    assert len(str(parse_polynomial("2^13287").constant_term)) == MAX_PARSED_COEFF_DIGITS
+    # The analyze-bigval benchmark's largest coefficient: 3*7^2000, 1,691 digits.
+    f = parse_polynomial("3*7^2000*x^59+2")
+    assert f.leading_coefficient == 3 * 7**2000
+
+
 def test_parse_error_position_attribute():
     with pytest.raises(ParseError) as info:
         parse_polynomial("x^2 @ 1")
@@ -98,7 +128,8 @@ def test_arithmetic():
     assert f - g == parse_polynomial("x^2-x+2")
     assert f * g == parse_polynomial("x^3-x^2+x-1")
     assert g**3 == parse_polynomial("x^3-3*x^2+3*x-1")
-    assert multiply(Polynomial(), f).is_zero
+    assert (Polynomial() * f).is_zero
+    assert (f * Polynomial()).is_zero
     assert f(2) == 5
     assert g(1) == 0
 

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -11,7 +10,6 @@ from newton_gauge.report import (
     SCHEMA_VERSION,
     analysis_report,
     certificate_dict,
-    fraction_str,
     load_schema,
     render_analysis_text,
     render_sweep_text,
@@ -32,11 +30,10 @@ def _verified_report(text, p):
     return analysis_report(analysis, verification_dict(witness, outcome))
 
 
-def test_fraction_str_exact():
-    assert fraction_str(Fraction(-1, 3)) == "-1/3"
-    assert fraction_str(Fraction(4)) == "4"
-    assert fraction_str(Fraction(9, 5)) == "9/5"
-    assert fraction_str(Fraction(6, 4)) == "3/2"
+def test_report_slopes_are_exact_fractions():
+    table = analysis_report(_analysis("64x^4+4x^3+128x+1", 2))["slope_table"]
+    assert [e["slope"] for e in table["entries"]] == ["3/2", "-1/3", "4"]
+    assert table["newton_index"] == "4"
 
 
 def test_analysis_report_content():
