@@ -6,7 +6,10 @@ for each candidate degree k evaluate at the fixed points 0, 1, -1, 2,
 -2, ..., enumerate divisor tuples of the values, interpolate each tuple
 to a candidate factor and trial-divide.  Slow but transparently
 correct, and entirely independent of the polygon code it is used to
-check.
+check.  The divisors come from a pure-Python factorization of each
+value: trial division by the primes below 1000, then deterministic
+Miller-Rabin (:func:`valuation.is_prime`) on the cofactor and
+Pollard-Brent rho (Brent, BIT 1980) to split it when composite.
 
 From degree 6 on, a modular degree analysis prunes that search first
 (Knuth, TAOCP Vol. 2, 4.6.2; Musser, JACM 1975).  For small primes q
@@ -62,7 +65,7 @@ from .polynomial import (
     Polynomial,
     content_and_primitive,
 )
-from .valuation import p_adic_valuation
+from .valuation import is_prime, p_adic_valuation
 
 __all__ = [
     "OracleBudgetError",
@@ -135,12 +138,88 @@ class _Budget:
             )
 
 
+# After trial division by the primes below _TRIAL_BOUND, a cofactor below
+# _TRIAL_BOUND**2 is prime: a composite one would have a smaller factor.
+_TRIAL_BOUND = 1000
+_TRIAL_PRIMES = tuple(
+    q for q in range(2, _TRIAL_BOUND) if all(q % r for r in range(2, math.isqrt(q) + 1))
+)
+# Rho steps whose differences are multiplied together between two gcds.
+_RHO_BATCH = 128
+
+
+def _rho_factor(n: int) -> int:
+    """A nontrivial factor of the odd composite n (Brent, BIT 1980).
+
+    Iterates y -> y^2 + c mod n with Brent's cycle detection and one gcd
+    per _RHO_BATCH steps, backtracking step by step when a batch
+    overshoots to n.  Tries c = 1, 2, ... in turn, so the result is
+    deterministic.
+    """
+    for c in itertools.count(1):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = math.gcd(acc, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(x - saved, n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> dict[int, int]:
+    """Prime factorization {prime: exponent} of n >= 1."""
+    out: dict[int, int] = {}
+    for q in _TRIAL_PRIMES:
+        if q * q > n:
+            break
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            out[q] = e
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < _TRIAL_BOUND**2 or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho_factor(m)
+            pending += [d, m // d]
+    return out
+
+
 @functools.lru_cache(maxsize=65536)
 def _divisors(n: int) -> tuple[int, ...]:
-    """Positive divisors of |n| in ascending order (n != 0)."""
-    import sympy
+    """Positive divisors of |n| in ascending order (empty for n = 0).
 
-    return tuple(sympy.divisors(abs(n)))
+    Built from the prime factorization of |n|.  The oracle's limits keep
+    every argument below 10^19: rational-root candidates divide an input
+    coefficient (at most 10^9), and interpolation values are g(x) at
+    |x| <= 3 for a factor g of the input f, so |g(x)| <= 3^12 |g|_1 <=
+    6^12 |f|_2 by Mignotte's bound.  Miller-Rabin is exact far beyond
+    that; a cofactor past its range raises RuntimeError.
+    """
+    if n == 0:
+        return ()
+    divs = [1]
+    for q, e in sorted(_prime_factors(abs(n)).items()):
+        divs = [d * q**i for i in range(e + 1) for d in divs]
+    return tuple(sorted(divs))
 
 
 @dataclass(frozen=True)
@@ -863,41 +942,37 @@ def _sweep_entry(
         if witness_failed:
             summary.budget_errors += 1
             continue
-        repro = {
-            "polynomial": str(f),
-            "prime": p,
-            "certificate": _certificate_detail(cert),
-            "witness": {
-                "sign": witness.sign,
-                "content": witness.content,
-                "factors": [str(g) for g in witness.factors],
-            },
-        }
         report = verify_certificate(f, p, cert, witness)
         summary.verified += 1
+        found = []
         if not report.passed:
             failed = [c.degrees for c in report.bipartitions if not c.satisfied]
-            summary.violations.append(
-                Violation("certificate", {**repro, "failed_bipartitions": failed})
-            )
+            found.append(("certificate", {"failed_bipartitions": failed}))
         bad_pairs = check_dumas_consistency(analysis.dumas_pairs, witness)
         if bad_pairs:
-            summary.violations.append(
-                Violation(
-                    "dumas",
-                    {**repro, "missing_pairs": bad_pairs,
-                     "allowed": [list(q) for q in analysis.dumas_pairs]},
-                )
+            found.append(
+                ("dumas", {"missing_pairs": bad_pairs,
+                           "allowed": [list(q) for q in analysis.dumas_pairs]})
             )
         index_from_factors = max(newton_index(g, p) for g in witness.factors)
         if index_from_factors != analysis.table.newton_index:
-            summary.violations.append(
-                Violation(
-                    "index-multiplicativity",
-                    {**repro, "from_factors": str(index_from_factors),
-                     "direct": str(analysis.table.newton_index)},
-                )
+            found.append(
+                ("index-multiplicativity", {"from_factors": str(index_from_factors),
+                                            "direct": str(analysis.table.newton_index)})
             )
+        if found:
+            # The bundle is built only here: passing entries never need it.
+            repro = {
+                "polynomial": str(f),
+                "prime": p,
+                "certificate": _certificate_detail(cert),
+                "witness": {
+                    "sign": witness.sign,
+                    "content": witness.content,
+                    "factors": [str(g) for g in witness.factors],
+                },
+            }
+            summary.violations.extend(Violation(kind, {**repro, **extra}) for kind, extra in found)
         if spot_check_due:
             spot_check_due = False
             summary.spot_checks += 1

@@ -11,13 +11,15 @@ Text grammar (EBNF)::
     term       := factor (('*' factor) | factor)*
     factor     := '-' factor | atom ('^' nat)?
     atom       := integer | 'x' | '(' expression ')'
+    integer    := ('0' | '1' | ... | '9')+
 
 The second alternative inside ``term`` is juxtaposition: a '*' may be
 omitted before ``x`` or ``(``, so ``2x^3`` and ``(x-1)(x+1)`` parse.
-Juxtaposition of two integer literals ("2 3") is a syntax error.  The
-canonical formatter emits descending powers with no spaces, writes ``*``
-only between an integer coefficient and ``x`` ("2*x^3"), and omits unit
-coefficients and the exponent 1, so ``parse(format(f)) == f``.
+Juxtaposition of two integer literals ("2 3") is a syntax error, and
+so is any non-ASCII digit ("x²", "٣").  The canonical formatter emits
+descending powers with no spaces, writes ``*`` only between an integer
+coefficient and ``x`` ("2*x^3"), and omits unit coefficients and the
+exponent 1, so ``parse(format(f)) == f``.
 
 Before expanding a product or power, the parser raises
 :class:`ParseError` at its operator when the result would pass degree
@@ -67,12 +69,21 @@ class InvalidInputError(ValueError):
 
 
 class Polynomial:
-    """Immutable dense polynomial over the integers."""
+    """Immutable dense polynomial over the integers.
+
+    Every coefficient must be of type exactly ``int``: floats, Fractions
+    and bools raise TypeError, so no inexact value gets in.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise TypeError(
+                    f"polynomial coefficients must be int, got {type(c).__name__} {c!r}"
+                )
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -204,9 +215,9 @@ def _tokenize(text: str) -> list[tuple[str, Union[int, str], int]]:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j - i > MAX_PARSED_COEFF_DIGITS:
                 raise ParseError(

@@ -24,10 +24,13 @@ __all__ = [
 # by the Fraction constructor.
 Slope = Fraction
 
-# Miller-Rabin with the first twelve prime bases is deterministic below
-# 3.3 * 10^24 (Sorenson and Webster, 2017); the cap keeps well inside it.
+# Miller-Rabin with the first thirteen primes (2..41) as bases is exact
+# below 3317044064679887385961981 ~ 3.3 * 10^24, the least strong
+# pseudoprime to all of them (Sorenson and Webster, 2017).
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# validate_prime's cap keeps well inside that range.
 MAX_PRIME = 2**64
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def p_adic_valuation(n: int, p: int) -> int:
@@ -46,31 +49,44 @@ def p_adic_valuation(n: int, p: int) -> int:
     return e
 
 
-def validate_prime(p: int) -> bool:
-    """True iff p is prime, for 2 <= p < MAX_PRIME.
+def is_prime(n: int) -> bool:
+    """True iff n is prime, for n < MILLER_RABIN_LIMIT.
 
-    Trial division by the small primes, then Miller-Rabin with each of
-    them as a base, which is exact in this range.
+    Trial division by the bases, then deterministic Miller-Rabin.  Past
+    the limit the answer would no longer be exact, so a larger n raises
+    RuntimeError: callers keep their inputs below it, and reaching it
+    means a broken bound, not bad input.
     """
-    if p < 2:
-        raise ValueError(f"{p} is not a valid prime candidate (need p >= 2)")
-    if p >= MAX_PRIME:
-        raise ValueError(f"{p} is not a valid prime candidate (need p < 2^64)")
-    for q in _SMALL_PRIMES:
-        if p % q == 0:
-            return p == q
-    d, r = p - 1, 0
+    if n >= MILLER_RABIN_LIMIT:
+        raise RuntimeError(
+            f"{n} is past the exact Miller-Rabin range (< {MILLER_RABIN_LIMIT})"
+        )
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, p)
-        if x == 1 or x == p - 1:
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
             continue
         for _ in range(r - 1):
-            x = x * x % p
-            if x == p - 1:
+            x = x * x % n
+            if x == n - 1:
                 break
         else:
             return False
     return True
+
+
+def validate_prime(p: int) -> bool:
+    """True iff p is prime, for 2 <= p < MAX_PRIME (see :func:`is_prime`)."""
+    if p < 2:
+        raise ValueError(f"{p} is not a valid prime candidate (need p >= 2)")
+    if p >= MAX_PRIME:
+        raise ValueError(f"{p} is not a valid prime candidate (need p < 2^64)")
+    return is_prime(p)

@@ -152,6 +152,16 @@ def test_parse_error_is_rejected(capsys):
     assert "at position" in err
 
 
+def test_non_ascii_digits_are_rejected_with_a_position(capsys):
+    code, _, err = _run(capsys, "analyze", "--poly", "x²+1", "--prime", "2")
+    assert code == EXIT_BAD_INPUT
+    assert "unexpected character '²' at position 1" in err
+    code, out, err = _run(capsys, "analyze", "--poly", "x^2+٣", "--prime", "2")
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert "unexpected character '٣' at position 4" in err
+
+
 def test_precondition_violations_are_rejected(capsys):
     code, _, err = _run(capsys, "analyze", "--poly", "x+1", "--prime", "2")
     assert code == EXIT_BAD_INPUT
@@ -287,6 +297,37 @@ def test_module_invocation_round_trip():
     )
     assert proc.returncode == EXIT_BAD_INPUT
     assert "4 is not prime" in proc.stderr
+
+
+# Runs verify through cli.main, then reports whether the oracle's divisor
+# enumeration ran and whether sympy was ever imported.
+_NO_SYMPY_CHILD = """\
+import json, sys
+from newton_gauge import cli, oracle
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "divisor_calls": oracle._divisors.cache_info().misses,
+                  "sympy": "sympy" in sys.modules}))
+"""
+
+
+def test_verify_runs_without_importing_sympy():
+    package_root = Path(newton_gauge.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(package_root), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SYMPY_CHILD,
+         "verify", "--poly", "4*x^4+2*x^3-6*x+2", "--prime", "2"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *report, status = proc.stdout.splitlines()
+    assert "verification      PASS" in report
+    status = json.loads(status)
+    assert status["code"] == EXIT_OK
+    assert status["divisor_calls"] > 0
+    assert status["sympy"] is False
 
 
 _SCRIPT_ARGS = ["verify", "--poly", "x^2+2", "--prime", "2"]

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
 
+from newton_gauge import oracle
 from newton_gauge.criteria import (
     Certificate,
     CriteriaParameters,
@@ -30,10 +32,15 @@ from newton_gauge.oracle import (
     verify_certificate,
 )
 from newton_gauge.oracle import (
+    SweepSummary,
+    VerificationReport,
+    Violation,
     _Budget,
     _allowed_factor_degrees,
+    _divisors,
     _modular_factor_degrees,
     _spot_check,
+    _sweep_entry,
 )
 from newton_gauge.polynomial import (
     AnalysisInput,
@@ -450,6 +457,115 @@ def test_sweep_rejects_an_oversized_exhaustive_corpus():
         with pytest.raises(InvalidInputError, match="use --sample"):
             sweep(max_degree, coeff_bound, [2], min_degree=min_degree, verify=False)
     assert sweep(6, 3, [2], sample=3, verify=False).total == 3
+
+
+# ---------------------------------------------------------------------------
+# divisor enumeration
+
+
+def test_divisors_match_sympy_on_a_seeded_set():
+    rng = random.Random(11)
+    values = [rng.randint(1, 10**4) for _ in range(400)]
+    values += [rng.randint(1, 10**9) for _ in range(200)]
+    values += [rng.randint(1, 10**6) * rng.randint(1, 10**12) for _ in range(50)]
+    values += [rng.randint(1, 10**18) for _ in range(30)]
+    for n in values:
+        assert _divisors(n) == tuple(sympy.divisors(n)), n
+        assert _divisors(-n) == _divisors(n), n
+
+
+def test_divisors_edge_cases():
+    assert _divisors(1) == _divisors(-1) == (1,)
+    assert _divisors(0) == ()
+    for q in (2, 3, 5, 997, 1009):
+        assert _divisors(q) == _divisors(-q) == (1, q)
+    assert _divisors(-12) == (1, 2, 3, 4, 6, 12)
+    assert _divisors(1009**2) == (1, 1009, 1009**2)
+    assert _divisors(2**61 - 1) == (1, 2**61 - 1)
+    assert _divisors(2**62) == tuple(2**i for i in range(63))
+    assert _divisors(3**40) == tuple(3**i for i in range(41))
+    for n in (
+        (2**31 - 1) * (2**32 - 5),
+        999999937 * 999999929,
+        999999937**2,
+        3825123056546413051,  # a strong pseudoprime to the bases 2..31
+    ):
+        assert _divisors(n) == tuple(sympy.divisors(n)), n
+        assert _divisors(-n) == _divisors(n), n
+
+
+def test_divisors_refuse_a_cofactor_past_the_exact_prime_test():
+    # Two primes just above 2^83 with no factor below the trial bound.
+    p, q = sympy.nextprime(2**83), sympy.nextprime(2**84)
+    with pytest.raises(RuntimeError, match="Miller-Rabin") as info:
+        _divisors(int(p) * int(q))
+    # not reported as bad input by the CLI
+    assert not isinstance(info.value, ValueError)
+
+
+# A verified sweep entry with content and two factors: 2(x+1)(x^3+x^2-x+3).
+_BUNDLE_POLY = "2*x^4+4*x^3+4*x+6"
+_BUNDLE_BASE = {
+    "polynomial": "2*x^4+4*x^3+4*x+6",
+    "prime": 2,
+    "certificate": {
+        "theorem": "Dumas-s0",
+        "notes": [],
+        "params": {"n": 4, "s": 0, "c_s": 0, "c_n": 0, "d": 4, "u": 0, "modulus": 1},
+    },
+    "witness": {"sign": 1, "content": 2, "factors": ["x+1", "x^3+x^2-x+3"]},
+}
+
+
+def _entry_violations():
+    summary = SweepSummary(corpus={})
+    _sweep_entry(summary, _poly(_BUNDLE_POLY), [2], True, None)
+    assert summary.verified == 1
+    return summary.violations
+
+
+def _assert_bundle(violations, kind, extra):
+    expected = {**_BUNDLE_BASE, **extra}
+    assert violations == [Violation(kind, expected)]
+    assert list(violations[0].detail) == list(expected)
+
+
+def test_sweep_entry_certificate_violation_bundle(monkeypatch):
+    failed = VerificationReport(
+        passed=False,
+        content_valuation=1,
+        factor_degrees=(1, 3),
+        bipartitions=(BipartitionCheck((1, 3), ()),),
+        no_split_clauses=(),
+    )
+    monkeypatch.setattr(oracle, "verify_certificate", lambda *args: failed)
+    _assert_bundle(_entry_violations(), "certificate", {"failed_bipartitions": [(1, 3)]})
+
+
+def test_sweep_entry_dumas_violation_bundle(monkeypatch):
+    monkeypatch.setattr(oracle, "check_dumas_consistency", lambda *args: [(1, 3)])
+    _assert_bundle(
+        _entry_violations(),
+        "dumas",
+        {"missing_pairs": [(1, 3)], "allowed": [[0, 4], [1, 3], [2, 2]]},
+    )
+
+
+def test_sweep_entry_index_violation_bundle(monkeypatch):
+    monkeypatch.setattr(oracle, "newton_index", lambda g, p: Fraction(7, 2))
+    _assert_bundle(
+        _entry_violations(),
+        "index-multiplicativity",
+        {"from_factors": "7/2", "direct": "0"},
+    )
+
+
+def test_sweep_entry_builds_no_bundle_when_it_passes(monkeypatch):
+    def refuse(cert):
+        raise AssertionError("bundle built for a passing entry")
+
+    monkeypatch.setattr(oracle, "_certificate_detail", refuse)
+    assert _entry_violations() == []
 
 
 def test_sweep_family_example2():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -64,6 +65,16 @@ def test_parse_errors_carry_positions():
         parse_polynomial(f"x^{MAX_PARSED_EXPONENT + 1}")
     with pytest.raises(ParseError, match="unexpected end of input"):
         parse_polynomial("")
+
+
+def test_parse_rejects_non_ascii_digits():
+    # str.isdigit() accepts both; only 0-9 are digits in the grammar.
+    with pytest.raises(ParseError, match="unexpected character '²' at position 1"):
+        parse_polynomial("x²+1")
+    with pytest.raises(ParseError, match="unexpected character '٣' at position 4"):
+        parse_polynomial("x^2+٣")
+    with pytest.raises(ParseError, match="unexpected character '３' at position 1"):
+        parse_polynomial("1３")
 
 
 def test_parse_rejects_products_and_powers_past_the_degree_limit():
@@ -132,6 +143,14 @@ def test_arithmetic():
     assert (f * Polynomial()).is_zero
     assert f(2) == 5
     assert g(1) == 0
+
+
+def test_polynomial_rejects_non_int_coefficients():
+    for coeffs in ([1.5, 2.0, 1], [1, 2.0], [True, 1], [1, False], [Fraction(1, 2)], ["1"]):
+        with pytest.raises(TypeError, match="must be int"):
+            Polynomial(coeffs)
+    assert Polynomial([2, -1, 0]).coeffs == (2, -1)
+    assert Polynomial(iter([0, 10**50])).coeffs == (0, 10**50)
 
 
 def test_polynomial_indexing_and_hash():

@@ -3,7 +3,13 @@ import random
 import pytest
 
 from newton_gauge.polynomial import AnalysisInput, InvalidInputError, parse_polynomial
-from newton_gauge.valuation import MAX_PRIME, p_adic_valuation, validate_prime
+from newton_gauge.valuation import (
+    MAX_PRIME,
+    MILLER_RABIN_LIMIT,
+    is_prime,
+    p_adic_valuation,
+    validate_prime,
+)
 
 
 def test_valuation_of_zero_raises():
@@ -82,3 +88,28 @@ def test_validate_prime_rejects_64_bit_overflow():
             validate_prime(p)
     with pytest.raises(InvalidInputError, match="need p < 2\\^64"):
         AnalysisInput(parse_polynomial("x^2+x+1"), 2**64 + 1)
+
+
+def test_is_prime_is_exact_up_to_its_limit():
+    assert [n for n in range(-3, 12) if is_prime(n)] == [2, 3, 5, 7, 11]
+    # The least strong pseudoprime to the twelve bases 2..37
+    # (399165290221 * 798330580441): the base 41 catches it.
+    assert not is_prime(318665857834031151167461)
+    # The limit is the least strong pseudoprime to the thirteen bases 2..41.
+    assert MILLER_RABIN_LIMIT == 1287836182261 * 2575672364521
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59) and is_prime(2**79 - 67)
+    assert not is_prime((2**61 - 1) * 1000003)
+    # Past the limit the answer would not be exact; that is a broken
+    # caller bound, not bad input.
+    with pytest.raises(RuntimeError, match="Miller-Rabin") as info:
+        is_prime(MILLER_RABIN_LIMIT)
+    assert not isinstance(info.value, ValueError)
+
+
+def test_validate_prime_uses_the_shared_prime_test(monkeypatch):
+    import newton_gauge.valuation as valuation
+
+    calls = []
+    monkeypatch.setattr(valuation, "is_prime", lambda p: calls.append(p) or True)
+    assert validate_prime(91)
+    assert calls == [91]
