@@ -12,6 +12,15 @@ Exit codes: 0 success (a "none" certificate still counts), 2 bad input,
 failure or sweep violations.  --json switches any subcommand from the
 aligned text rendering to the JSON report; both come from the same
 report dict.
+
+Only verification and sweeps need the factorization oracle, so
+``oracle`` is imported inside those paths: a plain ``analyze`` loads
+the parser, the Newton polygon, the criteria and the report modules,
+and nothing else from the package.
+
+``--poly TEXT`` may start with a minus (``--poly -x^7+2``): ``main``
+passes it to argparse as ``--poly=TEXT``, which argparse would
+otherwise read as an option.
 """
 
 from __future__ import annotations
@@ -22,14 +31,13 @@ import sys
 from typing import Optional, Sequence
 
 from .criteria import analyze
-from .oracle import (
+from .polynomial import (
+    AnalysisInput,
+    InvalidInputError,
     OracleBudgetError,
-    kronecker_factor,
-    sweep,
-    sweep_family,
-    verify_certificate,
+    ParseError,
+    parse_polynomial,
 )
-from .polynomial import AnalysisInput, InvalidInputError, ParseError, parse_polynomial
 from .report import (
     analysis_report,
     render_analysis_text,
@@ -124,6 +132,8 @@ def _run_analysis(args: argparse.Namespace, with_verify: bool) -> int:
         if not analysis.certificate.applies:
             verification = {"skipped": "no certificate to verify"}
         else:
+            from .oracle import kronecker_factor, verify_certificate
+
             witness = kronecker_factor(poly)
             outcome = verify_certificate(poly, args.prime, analysis.certificate, witness)
             verification = verification_dict(witness, outcome)
@@ -133,6 +143,8 @@ def _run_analysis(args: argparse.Namespace, with_verify: bool) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
+    from .oracle import sweep, sweep_family
+
     primes = _csv_ints(args.primes, "--primes")
     for p in primes:
         # reuse input validation so "4 is not prime" style errors match
@@ -163,9 +175,26 @@ def _run_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK if summary.passed else EXIT_VIOLATION
 
 
+def _attach_poly_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--poly -TEXT`` as ``--poly=-TEXT``.
+
+    argparse reads a separate token that starts with "-" as an option,
+    so ``--poly -x^7+2`` would fail with "expected one argument".  A
+    token that starts with "--" is left alone: it is the next option,
+    and a missing value is reported as before.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--poly" and token.startswith("-") and not token.startswith("--"):
+            out[-1] = f"--poly={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "analyze":
             return _run_analysis(args, with_verify=args.verify)

@@ -62,6 +62,7 @@ from .newton import newton_index
 from .polynomial import (
     AnalysisInput,
     InvalidInputError,
+    OracleBudgetError,
     Polynomial,
     content_and_primitive,
 )
@@ -98,10 +99,6 @@ MAX_ORACLE_COEFF = 10**9
 # polynomials); larger corpora are for --sample.
 MAX_EXHAUSTIVE_POLYNOMIALS = 10**6
 BUDGET_ENV_VAR = "NEWTON_GAUGE_BUDGET"
-
-
-class OracleBudgetError(RuntimeError):
-    """The oracle ran out of budget or the input exceeds desk-scale limits."""
 
 
 class WitnessIntegrityError(RuntimeError):
@@ -843,29 +840,27 @@ def _identity_violations(analysis: Analysis) -> list[Violation]:
     params = cert.params
     if params is None:
         return []
-    out = []
+    found = []
+    m_s = analysis.table.slope_at(params.s)
+    m_0 = analysis.table.slope_at(0)
+    if params.u != params.n * (params.n - params.s) * (m_s - m_0):
+        found.append(("identity-integrality", {"u": params.u}))
+    reduced = (params.c_s // params.d) * params.n - (
+        (params.n - params.s) // params.d
+    ) * params.c_n
+    if cert.base_theorem == "T1" and params.s != 0 and reduced != 1:
+        found.append(("identity-e1", {"value": reduced}))
+    if cert.base_theorem == "T2" and reduced != params.u // params.d:
+        found.append(("identity-e2", {"value": reduced, "expected": params.u // params.d}))
+    if not found:
+        return []
+    # The bundle is built only here: passing analyses never need it.
     repro = {
         "polynomial": str(analysis.input.poly),
         "prime": analysis.input.prime,
         "theorem": cert.theorem,
     }
-    m_s = analysis.table.slope_at(params.s)
-    m_0 = analysis.table.slope_at(0)
-    if params.u != params.n * (params.n - params.s) * (m_s - m_0):
-        out.append(Violation("identity-integrality", {**repro, "u": params.u}))
-    reduced = (params.c_s // params.d) * params.n - (
-        (params.n - params.s) // params.d
-    ) * params.c_n
-    if cert.base_theorem == "T1" and params.s != 0 and reduced != 1:
-        out.append(Violation("identity-e1", {**repro, "value": reduced}))
-    if cert.base_theorem == "T2" and reduced != params.u // params.d:
-        out.append(
-            Violation(
-                "identity-e2",
-                {**repro, "value": reduced, "expected": params.u // params.d},
-            )
-        )
-    return out
+    return [Violation(kind, {**repro, **extra}) for kind, extra in found]
 
 
 def _spot_check(f: Polynomial, witness: FactorizationWitness, budget: Optional[int]) -> list[Violation]:

@@ -40,6 +40,7 @@ __all__ = [
     "AnalysisInput",
     "ParseError",
     "InvalidInputError",
+    "OracleBudgetError",
     "parse_polynomial",
     "format_polynomial",
     "content_and_primitive",
@@ -66,6 +67,15 @@ class ParseError(ValueError):
 
 class InvalidInputError(ValueError):
     """An analysis input violates the analyzer's preconditions."""
+
+
+class OracleBudgetError(RuntimeError):
+    """The oracle ran out of budget or the input exceeds desk-scale limits.
+
+    Raised by ``oracle`` and re-exported there; it lives here, beside the
+    other errors the CLI maps to exit codes, so that the CLI can catch it
+    without importing the oracle.
+    """
 
 
 class Polynomial:

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .criteria import Analysis, Certificate, find_dominant_index
-from .oracle import FactorizationWitness, SweepSummary, VerificationReport
+
+if TYPE_CHECKING:
+    from .oracle import FactorizationWitness, SweepSummary, VerificationReport
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -412,6 +412,7 @@ def test_criterion_8_cli_contract(capsys, monkeypatch, tmp_path):
 
     # exit 4: verification failure (cannot occur honestly, so force one)
     from newton_gauge import cli as cli_module
+    from newton_gauge import oracle as oracle_module
     from newton_gauge.oracle import BipartitionCheck, VerificationReport
 
     failing = VerificationReport(
@@ -421,7 +422,7 @@ def test_criterion_8_cli_contract(capsys, monkeypatch, tmp_path):
         bipartitions=(BipartitionCheck(degrees=(1, 1), satisfied=()),),
         no_split_clauses=(),
     )
-    monkeypatch.setattr(cli_module, "verify_certificate", lambda *a, **k: failing)
+    monkeypatch.setattr(oracle_module, "verify_certificate", lambda *a, **k: failing)
     code = cli_module.main(["verify", "--poly", "(x-1)*(x+1)", "--prime", "2"])
     capsys.readouterr()
     if code != 4:

@@ -108,12 +108,37 @@ def test_verification_failure_exits_4(capsys, monkeypatch):
         bipartitions=(BipartitionCheck(degrees=(1, 1), satisfied=()),),
         no_split_clauses=(),
     )
+    # cli imports the oracle's functions when it calls them
     monkeypatch.setattr(
-        "newton_gauge.cli.verify_certificate", lambda *a, **k: failing
+        "newton_gauge.oracle.verify_certificate", lambda *a, **k: failing
     )
     code, out, _ = _run(capsys, "verify", "--poly", "(x-1)*(x+1)", "--prime", "2")
     assert code == EXIT_VIOLATION
     assert "verification      FAIL" in out
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_poly_value_may_start_with_a_minus(capsys, command):
+    joined = _run(capsys, command, "--poly=-x^7+2", "--prime", "2")
+    separate = _run(capsys, command, "--poly", "-x^7+2", "--prime", "2")
+    assert joined[0] == EXIT_OK
+    assert separate == joined
+    assert "polynomial        -x^7+2" in separate[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--prime", "2", "--poly"],
+        ["analyze", "--poly", "--prime", "2"],
+        ["verify", "--poly", "--json", "--prime", "2"],
+    ],
+)
+def test_missing_poly_value_is_still_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_BAD_INPUT
+    assert "argument --poly: expected one argument" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +290,7 @@ def test_sweep_violations_exit_4(capsys, monkeypatch):
     broken = SweepSummary(corpus={"mode": "exhaustive"})
     broken.total = 1
     broken.violations.append(Violation("certificate", {"polynomial": "x^2+2"}))
-    monkeypatch.setattr("newton_gauge.cli.sweep", lambda *a, **k: broken)
+    monkeypatch.setattr("newton_gauge.oracle.sweep", lambda *a, **k: broken)
     code, out, _ = _run(capsys, "sweep", "--max-degree", "2")
     assert code == EXIT_VIOLATION
     assert "result            FAIL" in out
@@ -299,6 +324,16 @@ def test_module_invocation_round_trip():
     assert "4 is not prime" in proc.stderr
 
 
+def _child_env():
+    """Environment for a child that imports the same newton_gauge as this test."""
+    package_root = Path(newton_gauge.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(package_root), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 # Runs verify through cli.main, then reports whether the oracle's divisor
 # enumeration ran and whether sympy was ever imported.
 _NO_SYMPY_CHILD = """\
@@ -311,11 +346,7 @@ print(json.dumps({"code": code, "divisor_calls": oracle._divisors.cache_info().m
 
 
 def test_verify_runs_without_importing_sympy():
-    package_root = Path(newton_gauge.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(package_root), env.get("PYTHONPATH")])
-    )
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SYMPY_CHILD,
          "verify", "--poly", "4*x^4+2*x^3-6*x+2", "--prime", "2"],
@@ -328,6 +359,59 @@ def test_verify_runs_without_importing_sympy():
     assert status["code"] == EXIT_OK
     assert status["divisor_calls"] > 0
     assert status["sympy"] is False
+
+
+# Runs cli.main, then reports which newton_gauge modules were ever loaded.
+_LOADED_MODULES_CHILD = """\
+import json, sys
+from newton_gauge import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(m for m in sys.modules if m.startswith("newton_gauge"))}))
+"""
+
+
+def _loaded_modules(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES_CHILD, *argv],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    status = json.loads(proc.stdout.splitlines()[-1])
+    assert status["code"] == EXIT_OK
+    return status["modules"]
+
+
+def test_analyze_never_loads_the_oracle():
+    modules = _loaded_modules("analyze", "--poly", "x^6+2*x^3+8", "--prime", "2", "--json")
+    assert "newton_gauge.report" in modules
+    assert "newton_gauge.oracle" not in modules
+    assert "newton_gauge.families" not in modules
+    modules = _loaded_modules("verify", "--poly", "x^6+2*x^3+8", "--prime", "2")
+    assert "newton_gauge.oracle" in modules
+
+
+def test_budget_exhaustion_exits_3_in_a_fresh_process():
+    # nothing imported the oracle before cli.main maps its budget error
+    env = _child_env()
+    env[BUDGET_ENV_VAR] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "newton_gauge", "verify", "--poly", "x^4+1", "--prime", "2"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == EXIT_BUDGET
+    assert "oracle out of budget" in proc.stderr
+
+
+def test_oracle_names_resolve_lazily_from_the_package():
+    from newton_gauge import kronecker_factor
+    from newton_gauge import oracle
+
+    assert kronecker_factor is oracle.kronecker_factor
+    for name in newton_gauge.__all__:
+        assert getattr(newton_gauge, name) is not None, name
+    assert newton_gauge.OracleBudgetError is oracle.OracleBudgetError
+    with pytest.raises(AttributeError, match="no_such_name"):
+        newton_gauge.no_such_name
 
 
 _SCRIPT_ARGS = ["verify", "--poly", "x^2+2", "--prime", "2"]
@@ -356,12 +440,7 @@ def test_console_script():
         target = tomllib.load(fh)["project"]["scripts"]["newton-gauge"]
     module_name, func_name = target.split(":")
 
-    # the child imports the same newton_gauge as this test, wherever it runs
-    package_root = Path(newton_gauge.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(package_root), env.get("PYTHONPATH")])
-    )
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-c", _LAUNCHER, module_name, func_name, *_SCRIPT_ARGS],
         capture_output=True, text=True, env=env,

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from newton_gauge.oracle import (
     _Budget,
     _allowed_factor_degrees,
     _divisors,
+    _identity_violations,
     _modular_factor_degrees,
     _spot_check,
     _sweep_entry,
@@ -566,6 +568,60 @@ def test_sweep_entry_builds_no_bundle_when_it_passes(monkeypatch):
 
     monkeypatch.setattr(oracle, "_certificate_detail", refuse)
     assert _entry_violations() == []
+
+
+def _tampered_identity_violations(text, **params):
+    """Identity violations of a p = 2 analysis whose parameters are altered."""
+    analysis = analyze(AnalysisInput(_poly(text), 2))
+    cert = analysis.certificate
+    tampered = replace(cert, params=replace(cert.params, **params))
+    return _identity_violations(replace(analysis, certificate=tampered))
+
+
+def _assert_identity_bundle(violations, kind, expected):
+    assert violations == [Violation(kind, expected)]
+    assert list(violations[0].detail) == list(expected)
+
+
+def test_identity_integrality_violation_bundle():
+    # TB, n=6 s=3 c_n=-3 u=3; u = n*c_s - (n-s)*c_n still holds, the slope gap does not
+    _assert_identity_bundle(
+        _tampered_identity_violations("x^6+2*x^3+8", c_n=-4, u=6),
+        "identity-integrality",
+        {"polynomial": "x^6+2*x^3+8", "prime": 2, "theorem": "TB", "u": 6},
+    )
+
+
+def test_identity_e1_violation_bundle():
+    # TA, n=3 s=1 c_s=-1 c_n=-2: the reduced identity reads 3 instead of 1
+    _assert_identity_bundle(
+        _tampered_identity_violations("x^3+2*x+4", c_n=-3),
+        "identity-e1",
+        {"polynomial": "x^3+2*x+4", "prime": 2, "theorem": "TA", "value": 3},
+    )
+
+
+def test_identity_e2_violation_bundle():
+    # TB with d=3, which does not divide c_s=-1: floor division breaks the identity
+    _assert_identity_bundle(
+        _tampered_identity_violations("x^6+2*x^3+8", d=3),
+        "identity-e2",
+        {"polynomial": "x^6+2*x^3+8", "prime": 2, "theorem": "TB", "value": -3, "expected": 1},
+    )
+
+
+def test_identity_check_builds_no_bundle_when_it_passes(monkeypatch):
+    def refuse(poly):
+        raise AssertionError("bundle built for a passing analysis")
+
+    analyses = [
+        analyze(AnalysisInput(_poly(text), 2))
+        for text in ("x^6+2*x^3+8", "x^3+2*x+4", "x^3+2*x+2", "x^4+2*x^3+4")
+    ]
+    assert {a.certificate.theorem for a in analyses} == {"TB", "TA", "T1", "Dumas-s0"}
+    monkeypatch.setattr(Polynomial, "__str__", refuse)
+    for analysis in analyses:
+        assert _identity_violations(analysis) == []
 
 
 def test_sweep_family_example2():
