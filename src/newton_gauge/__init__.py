@@ -41,6 +41,7 @@ from .newton import (
 )
 from .polynomial import (
     AnalysisInput,
+    InternalError,
     InvalidInputError,
     OracleBudgetError,
     ParseError,
@@ -87,6 +88,7 @@ __all__ = [
     "DegreeZeroFactor",
     "FactorDegreeMultipleOf",
     "FactorizationWitness",
+    "InternalError",
     "InvalidInputError",
     "Irreducible",
     "NewtonPolygon",

@@ -7,11 +7,13 @@ Three subcommands:
 * verify: analyze, factor with the oracle, and check the certificate.
 * sweep: run a corpus or family sweep and summarize the outcome.
 
-Exit codes: 0 success (a "none" certificate still counts), 2 bad input,
-3 oracle out of budget when verification was requested, 4 verification
-failure or sweep violations.  --json switches any subcommand from the
-aligned text rendering to the JSON report; both come from the same
-report dict.
+Exit codes: 0 success (a "none" certificate still counts), 1 stdout
+closed by its reader before the report was written, 2 bad input, 3
+oracle out of budget when verification was requested, 4 verification
+failure or sweep violations, 5 internal error (a broken invariant of
+this program, never the input's fault).  --json switches any
+subcommand from the aligned text rendering to the JSON report; both
+come from the same report dict.
 
 Only verification and sweeps need the factorization oracle, so
 ``oracle`` is imported inside those paths: a plain ``analyze`` loads
@@ -27,12 +29,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
 from .criteria import analyze
 from .polynomial import (
     AnalysisInput,
+    InternalError,
     InvalidInputError,
     OracleBudgetError,
     ParseError,
@@ -47,9 +51,11 @@ from .report import (
 )
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_VIOLATION = 4
+EXIT_INTERNAL = 5
 
 
 def _csv_ints(text: str, what: str) -> list[int]:
@@ -204,13 +210,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OracleBudgetError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BUDGET
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ParseError, InvalidInputError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_INPUT
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout is gone.  Point stdout at devnull so that
+        # the interpreter's own flush at exit cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

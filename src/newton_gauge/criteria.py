@@ -30,11 +30,10 @@ arithmetic; no rationals are compared except in tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .newton import NewtonPolygon, SlopeTable, newton_polygon, slope_table
-from .polynomial import AnalysisInput
+from .polynomial import AnalysisInput, InternalError, _bind, _Value
 
 __all__ = [
     "CriteriaParameters",
@@ -54,54 +53,72 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CriteriaParameters:
-    """Integer data extracted at the dominant index s."""
+class CriteriaParameters(_Value):
+    """Integer data extracted at the dominant index s.
 
-    n: int
-    s: int
-    c_s: int
-    c_n: int
-    d: int
-    u: int
-    modulus: int
+    Construction checks two consequences of the definitions above; a
+    failure is an InternalError, since the parameters are computed, not
+    given.
+    """
 
-    def __post_init__(self):
-        if (self.n - self.s) % self.d != 0:
-            raise ValueError("d must divide n - s")
-        if self.s == 0 and (self.u != 0 or self.c_s != self.c_n):
-            raise ValueError("s = 0 forces c_s = c_n and u = 0")
+    __slots__ = ("n", "s", "c_s", "c_n", "d", "u", "modulus")
+
+    def __init__(self, n: int, s: int, c_s: int, c_n: int, d: int, u: int, modulus: int):
+        if (n - s) % d != 0:
+            raise InternalError("d must divide n - s")
+        if s == 0 and (u != 0 or c_s != c_n):
+            raise InternalError("s = 0 forces c_s = c_n and u = 0")
+        _bind(self, "n", n)
+        _bind(self, "s", s)
+        _bind(self, "c_s", c_s)
+        _bind(self, "c_n", c_n)
+        _bind(self, "d", d)
+        _bind(self, "u", u)
+        _bind(self, "modulus", modulus)
+
+    def as_dict(self) -> dict:
+        """The fields by name, in field order (the report's key order)."""
+        return {
+            "n": self.n,
+            "s": self.s,
+            "c_s": self.c_s,
+            "c_n": self.c_n,
+            "d": self.d,
+            "u": self.u,
+            "modulus": self.modulus,
+        }
 
 
-@dataclass(frozen=True)
-class Irreducible:
+class Irreducible(_Value):
     """Disjunct: the polynomial has no split into two nonconstant factors
     and its content carries no valuation."""
 
+    __slots__ = ()
     kind = "Irreducible"
 
 
-@dataclass(frozen=True)
-class DegreeZeroFactor:
+class DegreeZeroFactor(_Value):
     """Disjunct: a degree-zero factor of positive valuation exists, i.e.
     the content is divisible by the prime."""
 
+    __slots__ = ()
     kind = "DegreeZeroFactor"
 
 
-@dataclass(frozen=True)
-class FactorDegreeMultipleOf:
+class FactorDegreeMultipleOf(_Value):
     """Disjunct: in any split f = f1*f2, some factor degree is 0 mod modulus."""
 
-    modulus: int
+    __slots__ = ("modulus",)
     kind = "FactorDegreeMultipleOf"
+
+    def __init__(self, modulus: int):
+        _bind(self, "modulus", modulus)
 
     def satisfied_by_degrees(self, d1: int, d2: int) -> bool:
         return d1 % self.modulus == 0 or d2 % self.modulus == 0
 
 
-@dataclass(frozen=True)
-class AlphaSplit:
+class AlphaSplit(_Value):
     """Disjunct: exist a1, a2 >= 1 with a1 + a2 = total and
     a2*d1 - a1*d2 == 0 (mod modulus).
 
@@ -109,9 +126,12 @@ class AlphaSplit:
     (a1, a2), so the unordered check is well defined.
     """
 
-    modulus: int
-    total: int
+    __slots__ = ("modulus", "total")
     kind = "AlphaSplit"
+
+    def __init__(self, modulus: int, total: int):
+        _bind(self, "modulus", modulus)
+        _bind(self, "total", total)
 
     def satisfied_by_degrees(self, d1: int, d2: int) -> bool:
         # The condition is a1*(d1+d2) == total*d1 (mod modulus); its
@@ -130,27 +150,34 @@ class AlphaSplit:
 Clause = Union[Irreducible, DegreeZeroFactor, FactorDegreeMultipleOf, AlphaSplit]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Value):
     """Outcome of the criteria checks for one (polynomial, prime) input.
 
     theorem is one of "T1", "T2", "TA", "TB", "Dumas-s0", "none"; the
     TA/TB tags mark the d = 1, s != 0 specializations of T1/T2.  params
     is absent exactly when theorem is "none".  clauses is the
     disjunction any factorization must satisfy; notes give
-    machine-readable reasons a check did not fire.
+    machine-readable reasons a check did not fire.  A tag or params
+    that break these rules raise InternalError.
     """
 
-    theorem: str
-    params: Optional[CriteriaParameters]
-    clauses: tuple[Clause, ...]
-    notes: tuple[str, ...] = ()
+    __slots__ = ("theorem", "params", "clauses", "notes")
 
-    def __post_init__(self):
-        if self.theorem not in ("T1", "T2", "TA", "TB", "Dumas-s0", "none"):
-            raise ValueError(f"unknown theorem tag {self.theorem!r}")
-        if (self.params is None) != (self.theorem == "none"):
-            raise ValueError("params must be present iff a theorem applies")
+    def __init__(
+        self,
+        theorem: str,
+        params: Optional[CriteriaParameters],
+        clauses: tuple[Clause, ...],
+        notes: tuple[str, ...] = (),
+    ):
+        if theorem not in ("T1", "T2", "TA", "TB", "Dumas-s0", "none"):
+            raise InternalError(f"unknown theorem tag {theorem!r}")
+        if (params is None) != (theorem == "none"):
+            raise InternalError("params must be present iff a theorem applies")
+        _bind(self, "theorem", theorem)
+        _bind(self, "params", params)
+        _bind(self, "clauses", clauses)
+        _bind(self, "notes", notes)
 
     @property
     def applies(self) -> bool:
@@ -295,19 +322,28 @@ def dumas_degree_sets(inp: AnalysisInput) -> tuple[tuple[int, int], ...]:
     return tuple(sorted({(min(a, n - a), max(a, n - a)) for a in achievable}))
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(_Value):
     """Everything the reporting layer needs about one input.
 
     Bundles the certificate with the slope table, polygon and Dumas
     degree pairs so downstream consumers never recompute geometry.
     """
 
-    input: AnalysisInput
-    table: SlopeTable
-    polygon: NewtonPolygon
-    certificate: Certificate
-    dumas_pairs: tuple[tuple[int, int], ...] = field(default=())
+    __slots__ = ("input", "table", "polygon", "certificate", "dumas_pairs")
+
+    def __init__(
+        self,
+        input: AnalysisInput,
+        table: SlopeTable,
+        polygon: NewtonPolygon,
+        certificate: Certificate,
+        dumas_pairs: tuple[tuple[int, int], ...] = (),
+    ):
+        _bind(self, "input", input)
+        _bind(self, "table", table)
+        _bind(self, "polygon", polygon)
+        _bind(self, "certificate", certificate)
+        _bind(self, "dumas_pairs", dumas_pairs)
 
 
 def analyze(inp: AnalysisInput) -> Analysis:

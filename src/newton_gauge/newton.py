@@ -14,11 +14,10 @@ them is exact.  The index is multiplicative: e(f*g) = max(e(f), e(g)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .polynomial import AnalysisInput, Polynomial
+from .polynomial import AnalysisInput, InternalError, Polynomial, _bind, _Value
 from .valuation import Slope, p_adic_valuation
 
 __all__ = [
@@ -58,12 +57,14 @@ def _cross(o: ValuationPoint, a: ValuationPoint, b: ValuationPoint) -> int:
     ) * (b.index - o.index)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(_Value):
     """One polygon segment, with exact slope and lattice data."""
 
-    start: ValuationPoint
-    end: ValuationPoint
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: ValuationPoint, end: ValuationPoint):
+        _bind(self, "start", start)
+        _bind(self, "end", end)
 
     @property
     def slope(self) -> Slope:
@@ -80,32 +81,36 @@ class Edge:
         return self.end.valuation - self.start.valuation
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(_Value):
     """Lower convex hull of the valuation points of a polynomial.
 
     Construction re-checks the hull invariants: vertex x-coordinates
     strictly increasing, edge slopes strictly increasing, and every
-    point on or above the hull.
+    point on or above the hull.  A failed check is an InternalError,
+    since the hull builder is what broke.
     """
 
-    points: tuple[ValuationPoint, ...]
-    vertices: tuple[ValuationPoint, ...]
+    __slots__ = ("points", "vertices")
 
-    def __post_init__(self):
-        verts = self.vertices
-        if len(verts) < 2:
-            raise ValueError("a polygon needs at least two vertices")
-        for a, b in zip(verts, verts[1:]):
+    def __init__(
+        self,
+        points: tuple[ValuationPoint, ...],
+        vertices: tuple[ValuationPoint, ...],
+    ):
+        _bind(self, "points", points)
+        _bind(self, "vertices", vertices)
+        if len(vertices) < 2:
+            raise InternalError("a polygon needs at least two vertices")
+        for a, b in zip(vertices, vertices[1:]):
             if a.index >= b.index:
-                raise ValueError("hull vertex indices must strictly increase")
+                raise InternalError("hull vertex indices must strictly increase")
         edges = self.edges
         for e1, e2 in zip(edges, edges[1:]):
             if e1.slope >= e2.slope:
-                raise ValueError("hull edge slopes must strictly increase")
-        for pt in self.points:
+                raise InternalError("hull edge slopes must strictly increase")
+        for pt in points:
             if not self._on_or_above(pt):
-                raise ValueError(f"point {pt} lies below the hull")
+                raise InternalError(f"point {pt} lies below the hull")
 
     def _on_or_above(self, pt: ValuationPoint) -> bool:
         for a, b in zip(self.vertices, self.vertices[1:]):
@@ -153,13 +158,15 @@ class SlopeEntry(NamedTuple):
     slope: Slope
 
 
-@dataclass(frozen=True)
-class SlopeTable:
+class SlopeTable(_Value):
     """All slopes m_i(f) for i < n with a_i != 0, plus the extremes."""
 
-    degree: int
-    leading_valuation: int
-    entries: tuple[SlopeEntry, ...]
+    __slots__ = ("degree", "leading_valuation", "entries")
+
+    def __init__(self, degree: int, leading_valuation: int, entries: tuple[SlopeEntry, ...]):
+        _bind(self, "degree", degree)
+        _bind(self, "leading_valuation", leading_valuation)
+        _bind(self, "entries", entries)
 
     @property
     def newton_index(self) -> Slope:

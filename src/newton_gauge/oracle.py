@@ -45,7 +45,6 @@ import math
 import os
 import random
 import zlib
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import families
@@ -61,9 +60,12 @@ from .criteria import (
 from .newton import newton_index
 from .polynomial import (
     AnalysisInput,
+    InternalError,
     InvalidInputError,
     OracleBudgetError,
     Polynomial,
+    _bind,
+    _Value,
     content_and_primitive,
 )
 from .valuation import is_prime, p_adic_valuation
@@ -101,7 +103,7 @@ MAX_EXHAUSTIVE_POLYNOMIALS = 10**6
 BUDGET_ENV_VAR = "NEWTON_GAUGE_BUDGET"
 
 
-class WitnessIntegrityError(RuntimeError):
+class WitnessIntegrityError(InternalError):
     """A witness does not multiply back to the polynomial it claims to factor."""
 
 
@@ -219,8 +221,7 @@ def _divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
-@dataclass(frozen=True)
-class FactorizationWitness:
+class FactorizationWitness(_Value):
     """Complete factorization: sign * content * product(factors) = poly.
 
     Factors are primitive, irreducible over the rationals, have positive
@@ -228,9 +229,12 @@ class FactorizationWitness:
     the witness is deterministic.
     """
 
-    sign: int
-    content: int
-    factors: tuple[Polynomial, ...]
+    __slots__ = ("sign", "content", "factors")
+
+    def __init__(self, sign: int, content: int, factors: tuple[Polynomial, ...]):
+        _bind(self, "sign", sign)
+        _bind(self, "content", content)
+        _bind(self, "factors", factors)
 
     def reconstruct(self) -> Polynomial:
         out = Polynomial.constant(self.sign * self.content)
@@ -638,23 +642,36 @@ def kronecker_factor(f: Polynomial, budget: Optional[int] = None) -> Factorizati
 # Certificate verification
 
 
-@dataclass(frozen=True)
-class BipartitionCheck:
+class BipartitionCheck(_Value):
     """One unordered split of the factor multiset, with the clauses it met."""
 
-    degrees: tuple[int, int]
-    satisfied: tuple[str, ...]
+    __slots__ = ("degrees", "satisfied")
+
+    def __init__(self, degrees: tuple[int, int], satisfied: tuple[str, ...]):
+        _bind(self, "degrees", degrees)
+        _bind(self, "satisfied", satisfied)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Value):
     """Outcome of checking one certificate against one witness."""
 
-    passed: bool
-    content_valuation: int
-    factor_degrees: tuple[int, ...]
-    bipartitions: tuple[BipartitionCheck, ...]
-    no_split_clauses: tuple[str, ...]
+    __slots__ = (
+        "passed", "content_valuation", "factor_degrees", "bipartitions", "no_split_clauses"
+    )
+
+    def __init__(
+        self,
+        passed: bool,
+        content_valuation: int,
+        factor_degrees: tuple[int, ...],
+        bipartitions: tuple[BipartitionCheck, ...],
+        no_split_clauses: tuple[str, ...],
+    ):
+        _bind(self, "passed", passed)
+        _bind(self, "content_valuation", content_valuation)
+        _bind(self, "factor_degrees", factor_degrees)
+        _bind(self, "bipartitions", bipartitions)
+        _bind(self, "no_split_clauses", no_split_clauses)
 
 
 def _bipartition_degree_pairs(witness: FactorizationWitness) -> Iterator[tuple[int, int]]:
@@ -755,30 +772,54 @@ def check_dumas_consistency(
 # Corpus sweeps
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Value):
     """One failed check; its detail is a JSON-ready reproduction bundle."""
 
-    kind: str
-    detail: dict
+    __slots__ = ("kind", "detail")
+
+    def __init__(self, kind: str, detail: dict):
+        _bind(self, "kind", kind)
+        _bind(self, "detail", detail)
 
 
-@dataclass
-class SweepSummary:
-    """Aggregated, order-independent counters for one sweep run."""
+class SweepSummary(_Value):
+    """Aggregated, order-independent counters for one sweep run.
 
-    corpus: dict
-    total: int = 0
-    certificates: dict = field(
-        default_factory=lambda: {
-            "T1": 0, "TA": 0, "T2": 0, "TB": 0, "Dumas-s0": 0, "none": 0,
-        }
+    Unlike the other value classes it is mutable, since a sweep adds to
+    it entry by entry, and so it is unhashable.
+    """
+
+    __slots__ = (
+        "corpus", "total", "certificates", "verified", "budget_errors",
+        "spot_checks", "violations", "family_rows",
     )
-    verified: int = 0
-    budget_errors: int = 0
-    spot_checks: int = 0
-    violations: list = field(default_factory=list)
-    family_rows: list = field(default_factory=list)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        corpus: dict,
+        total: int = 0,
+        certificates: Optional[dict] = None,
+        verified: int = 0,
+        budget_errors: int = 0,
+        spot_checks: int = 0,
+        violations: Optional[list] = None,
+        family_rows: Optional[list] = None,
+    ):
+        self.corpus = corpus
+        self.total = total
+        self.certificates = (
+            {"T1": 0, "TA": 0, "T2": 0, "TB": 0, "Dumas-s0": 0, "none": 0}
+            if certificates is None
+            else certificates
+        )
+        self.verified = verified
+        self.budget_errors = budget_errors
+        self.spot_checks = spot_checks
+        self.violations = [] if violations is None else violations
+        self.family_rows = [] if family_rows is None else family_rows
 
     @property
     def passed(self) -> bool:
@@ -903,7 +944,7 @@ def _spot_check(f: Polynomial, witness: FactorizationWitness, budget: Optional[i
 def _certificate_detail(cert: Certificate) -> dict:
     detail = {"theorem": cert.theorem, "notes": list(cert.notes)}
     if cert.params is not None:
-        detail["params"] = dict(vars(cert.params))
+        detail["params"] = cert.params.as_dict()
     return detail
 
 

@@ -30,7 +30,7 @@ Before expanding a product or power, the parser raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from typing import Iterable, Iterator, Union
 
 from .valuation import validate_prime
@@ -41,6 +41,7 @@ __all__ = [
     "ParseError",
     "InvalidInputError",
     "OracleBudgetError",
+    "InternalError",
     "parse_polynomial",
     "format_polynomial",
     "content_and_primitive",
@@ -78,6 +79,64 @@ class OracleBudgetError(RuntimeError):
     """
 
 
+class InternalError(RuntimeError):
+    """A broken internal invariant: a defect in this program, not bad input."""
+
+
+# Value-class __init__s bind their fields with this: a module global is
+# found faster than the attribute object.__setattr__.
+_bind = object.__setattr__
+
+
+def _no_fields(_) -> tuple:
+    return ()
+
+
+class _Value:
+    """Base of the package's value classes.
+
+    A subclass names its fields in ``__slots__``, in the order of its
+    ``__init__``'s positional parameters, and binds them there with
+    ``_bind``; after that, fields can be neither assigned nor deleted.
+    Two values are equal when they have the same type and equal fields,
+    the hash is over the fields, and the ``repr`` is
+    ``Name(field=value, ...)``.  The fields are the subclass's own
+    ``__slots__``, so a value class is not subclassed further.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__slots__
+        # An attrgetter is not a descriptor, so self._key is the getter itself.
+        cls._key = operator.attrgetter(*fields) if fields else staticmethod(_no_fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # Unpickling and copy.copy rebuild through __init__, whose
+        # positional order is the field order.
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
 class Polynomial:
     """Immutable dense polynomial over the integers.
 
@@ -96,7 +155,7 @@ class Polynomial:
                 )
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _bind(self, "coeffs", tuple(cs))
 
     @classmethod
     def constant(cls, c: int) -> "Polynomial":
@@ -140,6 +199,12 @@ class Polynomial:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
+
+    __setattr__ = _Value.__setattr__
+    __delattr__ = _Value.__delattr__
+
+    def __reduce__(self):
+        return Polynomial, (self.coeffs,)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -390,30 +455,30 @@ def format_polynomial(f: Polynomial) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class AnalysisInput:
+class AnalysisInput(_Value):
     """A polynomial together with the prime defining the valuation.
 
     Validates the analyzer's preconditions on construction: nonzero
     constant and leading terms, degree at least 2, and a prime modulus.
     """
 
-    poly: Polynomial
-    prime: int
+    __slots__ = ("poly", "prime")
 
-    def __post_init__(self):
+    def __init__(self, poly: Polynomial, prime: int):
         try:
-            is_prime = validate_prime(self.prime)
+            is_prime = validate_prime(prime)
         except ValueError as exc:
             raise InvalidInputError(str(exc)) from None
         if not is_prime:
-            raise InvalidInputError(f"{self.prime} is not prime")
-        if self.poly.degree < 2:
+            raise InvalidInputError(f"{prime} is not prime")
+        if poly.degree < 2:
             raise InvalidInputError(
-                f"polynomial must have degree >= 2, got degree {self.poly.degree}"
+                f"polynomial must have degree >= 2, got degree {poly.degree}"
             )
-        if self.poly.constant_term == 0:
+        if poly.constant_term == 0:
             raise InvalidInputError("polynomial must have a nonzero constant term")
+        _bind(self, "poly", poly)
+        _bind(self, "prime", prime)
 
     @property
     def degree(self) -> int:

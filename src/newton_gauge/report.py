@@ -46,7 +46,7 @@ def certificate_dict(cert: Certificate) -> dict:
         "theorem": cert.theorem,
         "theorem_a": cert.theorem == "TA",
         "theorem_b": cert.theorem == "TB",
-        "parameters": None if cert.params is None else dict(vars(cert.params)),
+        "parameters": None if cert.params is None else cert.params.as_dict(),
         "clauses": [_clause_dict(c) for c in cert.clauses],
         "notes": list(cert.notes),
     }

@@ -54,11 +54,13 @@ def is_prime(n: int) -> bool:
 
     Trial division by the bases, then deterministic Miller-Rabin.  Past
     the limit the answer would no longer be exact, so a larger n raises
-    RuntimeError: callers keep their inputs below it, and reaching it
-    means a broken bound, not bad input.
+    ``polynomial.InternalError``: callers keep their inputs below it, and
+    reaching it means a broken bound, not bad input.
     """
     if n >= MILLER_RABIN_LIMIT:
-        raise RuntimeError(
+        from .polynomial import InternalError  # polynomial imports this module
+
+        raise InternalError(
             f"{n} is past the exact Miller-Rabin range (< {MILLER_RABIN_LIMIT})"
         )
     if n < 2:

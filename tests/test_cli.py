@@ -9,8 +9,22 @@ import jsonschema
 import pytest
 
 import newton_gauge
-from newton_gauge.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_VIOLATION, main
-from newton_gauge.oracle import BUDGET_ENV_VAR, BipartitionCheck, VerificationReport
+from newton_gauge.cli import (
+    EXIT_BAD_INPUT,
+    EXIT_BROKEN_PIPE,
+    EXIT_BUDGET,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_VIOLATION,
+    main,
+)
+from newton_gauge.oracle import (
+    BUDGET_ENV_VAR,
+    BipartitionCheck,
+    FactorizationWitness,
+    VerificationReport,
+)
+from newton_gauge.polynomial import Polynomial
 from newton_gauge.report import load_schema
 
 
@@ -115,6 +129,18 @@ def test_verification_failure_exits_4(capsys, monkeypatch):
     code, out, _ = _run(capsys, "verify", "--poly", "(x-1)*(x+1)", "--prime", "2")
     assert code == EXIT_VIOLATION
     assert "verification      FAIL" in out
+
+
+def test_internal_error_exits_5(capsys, monkeypatch):
+    # x+1 does not multiply back to x^2+2: a broken oracle, not bad input
+    monkeypatch.setattr(
+        "newton_gauge.oracle.kronecker_factor",
+        lambda f: FactorizationWitness(1, 1, (Polynomial([1, 1]),)),
+    )
+    code, out, err = _run(capsys, "verify", "--poly", "x^2+2", "--prime", "2")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("internal error: witness does not multiply back to x^2+2")
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])
@@ -361,13 +387,15 @@ def test_verify_runs_without_importing_sympy():
     assert status["sympy"] is False
 
 
-# Runs cli.main, then reports which newton_gauge modules were ever loaded.
+# Runs cli.main, then reports every module that was ever loaded.
 _LOADED_MODULES_CHILD = """\
 import json, sys
 from newton_gauge import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "modules": sorted(m for m in sys.modules if m.startswith("newton_gauge"))}))
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
+# `import dataclasses` loads these; the package imports none of them.
+_DATACLASS_IMPORTS = {"dataclasses", "inspect", "dis", "ast", "tokenize"}
 
 
 def _loaded_modules(*argv):
@@ -386,8 +414,10 @@ def test_analyze_never_loads_the_oracle():
     assert "newton_gauge.report" in modules
     assert "newton_gauge.oracle" not in modules
     assert "newton_gauge.families" not in modules
+    assert _DATACLASS_IMPORTS.isdisjoint(modules)
     modules = _loaded_modules("verify", "--poly", "x^6+2*x^3+8", "--prime", "2")
     assert "newton_gauge.oracle" in modules
+    assert _DATACLASS_IMPORTS.isdisjoint(modules)
 
 
 def test_budget_exhaustion_exits_3_in_a_fresh_process():
@@ -400,6 +430,21 @@ def test_budget_exhaustion_exits_3_in_a_fresh_process():
     )
     assert proc.returncode == EXIT_BUDGET
     assert "oracle out of budget" in proc.stderr
+
+
+def test_closed_stdout_exits_1_quietly():
+    # The report (~77 KB) overflows the pipe buffer, so the child meets the
+    # closed pipe however early or late it writes.
+    poly = "x^20+" + "+".join(f"{'9' * 3999}*x^{i}" for i in range(1, 20)) + "+1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "newton_gauge", "analyze", "--poly", poly, "--prime", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert err == b""
 
 
 def test_oracle_names_resolve_lazily_from_the_package():

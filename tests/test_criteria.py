@@ -18,7 +18,7 @@ from newton_gauge.criteria import (
     find_dominant_index,
 )
 from newton_gauge.newton import slope_table
-from newton_gauge.polynomial import AnalysisInput, parse_polynomial
+from newton_gauge.polynomial import AnalysisInput, InternalError, parse_polynomial
 
 
 def _inp(text, p):
@@ -60,9 +60,9 @@ def test_compute_parameters_constant_dominant():
 
 
 def test_parameters_validation():
-    with pytest.raises(ValueError, match="divide"):
+    with pytest.raises(InternalError, match="divide"):
         CriteriaParameters(n=6, s=1, c_s=1, c_n=1, d=4, u=4, modulus=1)
-    with pytest.raises(ValueError, match="s = 0"):
+    with pytest.raises(InternalError, match="s = 0"):
         CriteriaParameters(n=6, s=0, c_s=1, c_n=1, d=1, u=3, modulus=6)
 
 
@@ -209,11 +209,11 @@ def test_alpha_split_huge_total_is_immediate():
 
 
 def test_certificate_validation():
-    with pytest.raises(ValueError, match="unknown theorem tag"):
+    with pytest.raises(InternalError, match="unknown theorem tag"):
         Certificate("T9", None, ())
-    with pytest.raises(ValueError, match="params must be present"):
+    with pytest.raises(InternalError, match="params must be present"):
         Certificate("none", CriteriaParameters(2, 0, -1, -1, 1, 0, 2), ())
-    with pytest.raises(ValueError, match="params must be present"):
+    with pytest.raises(InternalError, match="params must be present"):
         Certificate("T1", None, (Irreducible(),))
 
 

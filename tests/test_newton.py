@@ -12,7 +12,7 @@ from newton_gauge.newton import (
     slope_table,
     valuation_points,
 )
-from newton_gauge.polynomial import AnalysisInput, parse_polynomial
+from newton_gauge.polynomial import AnalysisInput, InternalError, parse_polynomial
 
 
 def _pts(*pairs):
@@ -93,15 +93,15 @@ def test_hull_needs_two_points():
 
 def test_polygon_invariants_reject_bad_vertex_sets():
     pts = _pts((0, 2), (1, 0), (2, 2))
-    with pytest.raises(ValueError, match="at least two"):
+    with pytest.raises(InternalError, match="at least two"):
         NewtonPolygon(points=tuple(pts), vertices=tuple(_pts((0, 2))))
-    with pytest.raises(ValueError, match="strictly increase"):
+    with pytest.raises(InternalError, match="strictly increase"):
         NewtonPolygon(points=tuple(pts), vertices=tuple(_pts((1, 0), (1, 2))))
-    with pytest.raises(ValueError, match="slopes must strictly increase"):
+    with pytest.raises(InternalError, match="slopes must strictly increase"):
         NewtonPolygon(
             points=tuple(pts), vertices=tuple(_pts((0, 2), (1, 1), (2, 0)))
         )
-    with pytest.raises(ValueError, match="below the hull"):
+    with pytest.raises(InternalError, match="below the hull"):
         NewtonPolygon(points=tuple(pts), vertices=tuple(_pts((0, 2), (2, 2))))
 
 

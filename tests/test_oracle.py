@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +6,7 @@ import sympy
 
 from newton_gauge import oracle
 from newton_gauge.criteria import (
+    Analysis,
     Certificate,
     CriteriaParameters,
     FactorDegreeMultipleOf,
@@ -574,8 +574,15 @@ def _tampered_identity_violations(text, **params):
     """Identity violations of a p = 2 analysis whose parameters are altered."""
     analysis = analyze(AnalysisInput(_poly(text), 2))
     cert = analysis.certificate
-    tampered = replace(cert, params=replace(cert.params, **params))
-    return _identity_violations(replace(analysis, certificate=tampered))
+    tampered = Certificate(
+        cert.theorem,
+        CriteriaParameters(**{**cert.params.as_dict(), **params}),
+        cert.clauses,
+        cert.notes,
+    )
+    return _identity_violations(
+        Analysis(analysis.input, analysis.table, analysis.polygon, tampered, analysis.dumas_pairs)
+    )
 
 
 def _assert_identity_bundle(violations, kind, expected):

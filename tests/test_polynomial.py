@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -161,6 +163,19 @@ def test_polynomial_indexing_and_hash():
     assert f[99] == 0
     assert hash(f) == hash(Polynomial((8, 0, 0, 2, 0, 0, 1)))
     assert len({f, Polynomial((8, 0, 0, 2, 0, 0, 1))}) == 1
+
+
+def test_polynomial_is_immutable():
+    f = Polynomial((8, 0, 1))
+    before = hash(f)
+    with pytest.raises(AttributeError, match="coeffs"):
+        f.coeffs = (1,)
+    with pytest.raises(AttributeError, match="coeffs"):
+        del f.coeffs
+    assert f.coeffs == (8, 0, 1)
+    assert hash(f) == before
+    assert copy.copy(f) == f
+    assert pickle.loads(pickle.dumps(f)) == f
 
 
 def test_monomial_and_constant():

@@ -1,0 +1,177 @@
+"""Value semantics of the package's record classes.
+
+Each class keeps what its former frozen dataclass gave: positional and
+keyword construction with the same defaults, equality and hashing over
+its fields within one type, a ``Name(field=value, ...)`` repr, and no
+assignment or deletion (``SweepSummary`` alone stays mutable).
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from newton_gauge.criteria import (
+    AlphaSplit,
+    Analysis,
+    Certificate,
+    CriteriaParameters,
+    DegreeZeroFactor,
+    FactorDegreeMultipleOf,
+    Irreducible,
+    analyze,
+)
+from newton_gauge.newton import Edge, NewtonPolygon, SlopeEntry, SlopeTable, ValuationPoint
+from newton_gauge.oracle import (
+    BipartitionCheck,
+    FactorizationWitness,
+    SweepSummary,
+    VerificationReport,
+    Violation,
+)
+from newton_gauge.polynomial import AnalysisInput, Polynomial
+
+_F = Polynomial((8, 0, 0, 2, 0, 0, 1))
+_INPUT = AnalysisInput(_F, 2)
+_ANALYSIS = analyze(_INPUT)
+_PARAMS = _ANALYSIS.certificate.params
+_P0, _P3, _P6 = ValuationPoint(0, 3), ValuationPoint(3, 1), ValuationPoint(6, 0)
+
+# (class, field names in order, one value, a value that differs in one field)
+_CASES = [
+    (AnalysisInput, ("poly", "prime"), (_F, 2), (_F, 3)),
+    (Edge, ("start", "end"), (_P0, _P3), (_P0, _P6)),
+    (
+        NewtonPolygon,
+        ("points", "vertices"),
+        ((_P0, _P3, _P6), (_P0, _P3, _P6)),
+        ((_P0, _P6), (_P0, _P6)),
+    ),
+    (
+        SlopeTable,
+        ("degree", "leading_valuation", "entries"),
+        (6, 0, (SlopeEntry(0, 3, Fraction(-1, 2)),)),
+        (6, 0, (SlopeEntry(0, 3, Fraction(-1, 2)), SlopeEntry(3, 1, Fraction(-1, 3)))),
+    ),
+    (
+        CriteriaParameters,
+        ("n", "s", "c_s", "c_n", "d", "u", "modulus"),
+        (6, 3, -1, -3, 1, 3, 3),
+        (6, 3, -2, -3, 1, 3, 3),
+    ),
+    (Irreducible, (), (), None),
+    (DegreeZeroFactor, (), (), None),
+    (FactorDegreeMultipleOf, ("modulus",), (3,), (2,)),
+    (AlphaSplit, ("modulus", "total"), (3, 3), (3, 4)),
+    (
+        Certificate,
+        ("theorem", "params", "clauses", "notes"),
+        ("TB", _PARAMS, (Irreducible(), AlphaSplit(3, 3)), ()),
+        ("TB", _PARAMS, (Irreducible(), AlphaSplit(3, 3)), ("note",)),
+    ),
+    (
+        Analysis,
+        ("input", "table", "polygon", "certificate", "dumas_pairs"),
+        (_INPUT, _ANALYSIS.table, _ANALYSIS.polygon, _ANALYSIS.certificate, ((0, 6),)),
+        (_INPUT, _ANALYSIS.table, _ANALYSIS.polygon, _ANALYSIS.certificate, ()),
+    ),
+    (FactorizationWitness, ("sign", "content", "factors"), (1, 2, (_F,)), (-1, 2, (_F,))),
+    (BipartitionCheck, ("degrees", "satisfied"), ((3, 3), ("AlphaSplit",)), ((3, 3), ())),
+    (
+        VerificationReport,
+        ("passed", "content_valuation", "factor_degrees", "bipartitions", "no_split_clauses"),
+        (True, 0, (3, 3), (BipartitionCheck((3, 3), ("AlphaSplit",)),), ()),
+        (False, 0, (3, 3), (BipartitionCheck((3, 3), ("AlphaSplit",)),), ()),
+    ),
+    (Violation, ("kind", "detail"), ("identity-e1", {"value": 3}), ("identity-e2", {"value": 3})),
+    (
+        SweepSummary,
+        (
+            "corpus", "total", "certificates", "verified", "budget_errors",
+            "spot_checks", "violations", "family_rows",
+        ),
+        ({"mode": "exhaustive"}, 2, {"T1": 2}, 1, 0, 0, [], []),
+        ({"mode": "exhaustive"}, 3, {"T1": 2}, 1, 0, 0, [], []),
+    ),
+]
+_IDS = [case[0].__name__ for case in _CASES]
+# A dict field makes the value unhashable, as it did the dataclass.
+_UNHASHABLE = {Violation, SweepSummary}
+
+
+@pytest.mark.parametrize("cls, names, values, other", _CASES, ids=_IDS)
+def test_equal_fields_give_equal_values(cls, names, values, other):
+    a, b = cls(*values), cls(**dict(zip(names, values)))
+    assert a == b and not a != b
+    assert tuple(getattr(a, name) for name in names) == values
+    if cls not in _UNHASHABLE:
+        assert hash(a) == hash(b)
+    if other is not None:
+        assert a != cls(*other)
+
+
+@pytest.mark.parametrize("cls, names, values, other", _CASES, ids=_IDS)
+def test_repr_has_the_dataclass_form(cls, names, values, other):
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(cls(*values)) == f"{cls.__name__}({fields})"
+
+
+@pytest.mark.parametrize("cls, names, values, other", _CASES, ids=_IDS)
+def test_copies_and_pickles_are_equal(cls, names, values, other):
+    a = cls(*values)
+    assert copy.copy(a) == a
+    assert copy.deepcopy(a) == a
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+@pytest.mark.parametrize(
+    "cls, names, values, other",
+    [case for case in _CASES if case[0] is not SweepSummary],
+    ids=[name for name in _IDS if name != "SweepSummary"],
+)
+def test_fields_can_be_neither_assigned_nor_deleted(cls, names, values, other):
+    a = cls(*values)
+    for name in names or ("kind",):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == cls(*values)
+
+
+def test_values_of_different_types_are_unequal():
+    assert Irreducible() != DegreeZeroFactor()
+    assert Irreducible() == Irreducible()
+    assert FactorDegreeMultipleOf(3) != AlphaSplit(3, 3)
+    assert (Irreducible(), DegreeZeroFactor()) != (DegreeZeroFactor(), Irreducible())
+    assert Edge(_P0, _P3) != (_P0, _P3)
+    assert len({Irreducible(), DegreeZeroFactor(), Irreducible()}) == 2
+
+
+def test_defaults_and_kinds():
+    assert Certificate("none", None, ()).notes == ()
+    analysis = Analysis(_INPUT, _ANALYSIS.table, _ANALYSIS.polygon, _ANALYSIS.certificate)
+    assert analysis.dumas_pairs == ()
+    summary = SweepSummary({})
+    assert summary.certificates == {"T1": 0, "TA": 0, "T2": 0, "TB": 0, "Dumas-s0": 0, "none": 0}
+    assert (summary.total, summary.verified, summary.budget_errors, summary.spot_checks) == (0, 0, 0, 0)
+    assert summary.violations == [] and summary.family_rows == []
+    # mutable defaults are not shared between summaries
+    summary.violations.append(Violation("k", {}))
+    summary.certificates["T1"] += 1
+    assert SweepSummary({}).violations == []
+    assert SweepSummary({}).certificates["T1"] == 0
+    for cls in (Irreducible, DegreeZeroFactor, FactorDegreeMultipleOf, AlphaSplit):
+        assert cls.kind == cls.__name__
+
+
+def test_sweep_summary_stays_mutable_and_unhashable():
+    summary = SweepSummary({})
+    summary.total += 1
+    summary.corpus = {"mode": "sample"}
+    assert (summary.total, summary.corpus) == (1, {"mode": "sample"})
+    with pytest.raises(TypeError):
+        hash(summary)
