@@ -8,10 +8,11 @@ Three subcommands:
 * sweep: run a corpus or family sweep and summarize the outcome.
 
 Exit codes: 0 success (a "none" certificate still counts), 1 stdout
-closed by its reader before the report was written, 2 bad input, 3
-oracle out of budget when verification was requested, 4 verification
-failure or sweep violations, 5 internal error (a broken invariant of
-this program, never the input's fault).  --json switches any
+closed by its reader before the report was written, 2 bad input (a
+ParseError or InvalidInputError), 3 oracle out of budget when
+verification was requested, 4 verification failure or sweep
+violations, 5 internal error (a broken invariant of this program, or
+any other ValueError: never the input's fault).  --json switches any
 subcommand from the aligned text rendering to the JSON report; both
 come from the same report dict.
 
@@ -213,9 +214,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ParseError, InvalidInputError, ValueError) as exc:
+    except (ParseError, InvalidInputError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_INPUT
+    except ValueError as exc:
+        # Input errors are raised as ParseError or InvalidInputError; any
+        # other ValueError is a defect here, not the input's fault.
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry_point() -> None:

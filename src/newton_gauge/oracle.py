@@ -24,7 +24,12 @@ witness is the same as without the analysis.
 
 Work is metered by candidate count (rational-root candidates plus
 divisor combinations); the degree analysis charges one unit per
-product mod f and per gcd over F_q.  Exceeding the cap raises
+product mod f and per gcd over F_q.  Each divisor combination still
+costs one unit, but only those whose interpolated leading coefficient
+is integral are evaluated: the values at the last point are indexed by
+their residue mod the Lagrange denominator, so each combination of the
+other points looks up the few that match it and is charged for the
+rest at once.  Exceeding the cap raises
 :class:`OracleBudgetError`; so does exceeding the documented desk-scale
 limits (degree <= 12, |coefficients| <= 10^9).  The cap defaults to
 10^7 and can be overridden with the NEWTON_GAUGE_BUDGET environment
@@ -108,7 +113,10 @@ class WitnessIntegrityError(InternalError):
 
 
 def oracle_budget() -> int:
-    """Candidate cap: NEWTON_GAUGE_BUDGET when set, else the default."""
+    """Candidate cap: NEWTON_GAUGE_BUDGET when set, else the default.
+
+    Raises InvalidInputError when the variable is not a positive integer.
+    """
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
@@ -117,7 +125,7 @@ def oracle_budget() -> int:
     except ValueError:
         cap = 0
     if cap <= 0:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
+        raise InvalidInputError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -356,8 +364,44 @@ def _rational_root_factor(f: Polynomial, budget: _Budget) -> Optional[Polynomial
     return None
 
 
+def _candidate_factor(
+    f: Polynomial, combo: tuple[int, ...], lead: int, basis: tuple, common: int
+) -> Optional[Polynomial]:
+    """The candidate interpolating combo when it is a factor of f, else None.
+
+    `lead` is the candidate's scaled leading coefficient, already known
+    to be divisible by `common`.
+    """
+    if lead == 0 or f.leading_coefficient % (lead // common) != 0:
+        return None
+    coeffs = []
+    for c in range(len(combo)):
+        acc = sum(w * b[c] for w, b in zip(combo, basis))
+        if acc % common != 0:
+            return None
+        coeffs.append(acc // common)
+    h = Polynomial(coeffs)
+    hc, _ = content_and_primitive(h)
+    if hc != 1:
+        # an imprimitive candidate cannot divide a primitive polynomial
+        return None
+    return h if exact_divide(f, h) is not None else None
+
+
 def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> Optional[Polynomial]:
-    """A degree-k factor of the primitive polynomial f, or None after exhaustion."""
+    """A degree-k factor of the primitive polynomial f, or None after exhaustion.
+
+    The candidates are the tuples of divisors of f's values at k + 1
+    points, in itertools.product order, one budget unit each.  A
+    candidate is integral only if the Lagrange denominator divides its
+    scaled leading coefficient sum(w[j] * B[j][k]).  So the values of the
+    last point are grouped by the residue of their term, and each prefix
+    of the other points looks up only the values that cancel its own
+    residue.  The rest cannot divide f and are charged unseen: each
+    prefix is charged once, for as many units as the per-candidate walk
+    would have spent, so the witness, the units spent and the point at
+    which the budget runs out are all unchanged.
+    """
     points = []
     values = []
     for x in _evaluation_points():
@@ -369,36 +413,32 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> Optional[Polyno
         if len(points) == k + 1:
             break
     basis, common = _lagrange_basis(tuple(points))
-    lead_col = tuple(b[k] for b in basis)
-    flead = f.leading_coefficient
+    *prefix_leads, last_lead = (b[k] for b in basis)
     # h and -h divide alike, so pin h(points[0]) > 0: halves the search.
-    candidate_sets = [_candidate_values(values[0], positive_only=True)]
-    candidate_sets.extend(_candidate_values(v, positive_only=False) for v in values[1:])
-    for combo in itertools.product(*candidate_sets):
-        budget.spend()
-        lead = sum(w * b for w, b in zip(combo, lead_col))
-        if lead == 0 or lead % common != 0:
-            continue
-        hlead = lead // common
-        if flead % hlead != 0:
-            continue
-        coeffs = []
-        integral = True
-        for c in range(k + 1):
-            acc = sum(w * b[c] for w, b in zip(combo, basis))
-            if acc % common != 0:
-                integral = False
+    prefix_sets = [_candidate_values(values[0], positive_only=True)]
+    prefix_sets.extend(_candidate_values(v, positive_only=False) for v in values[1:-1])
+    last = _candidate_values(values[-1], positive_only=False)
+    by_residue: dict[int, list[int]] = {}
+    for j, w in enumerate(last):
+        by_residue.setdefault(w * last_lead % common, []).append(j)
+    size = len(last)
+    room = budget.cap - budget.spent
+    prefix_terms = [tuple(w * b for w in ws) for ws, b in zip(prefix_sets, prefix_leads)]
+    for prefix, partial in zip(
+        itertools.product(*prefix_sets), map(sum, itertools.product(*prefix_terms))
+    ):
+        for j in by_residue.get(-partial % common, ()):
+            if j >= room:
                 break
-            coeffs.append(acc // common)
-        if not integral:
-            continue
-        h = Polynomial(coeffs)
-        hc, _ = content_and_primitive(h)
-        if hc != 1:
-            # an imprimitive candidate cannot divide a primitive polynomial
-            continue
-        if exact_divide(f, h) is not None:
-            return h
+            w = last[j]
+            h = _candidate_factor(f, (*prefix, w), partial + w * last_lead, basis, common)
+            if h is not None:
+                budget.spend(j + 1)
+                return h
+        # Past the cap this charges room + 1 and raises, as the
+        # per-candidate walk would at its (room + 1)-th candidate.
+        budget.spend(min(size, room + 1))
+        room -= size
     return None
 
 
@@ -564,6 +604,14 @@ def _allowed_factor_degrees(f: Polynomial, meter: _Budget) -> frozenset[int]:
     return frozenset(k for k in range(n + 1) if allowed >> k & 1)
 
 
+def _divide_out(f: Polynomial, h: Polynomial) -> Polynomial:
+    """f / h for a factor h that the search found; InternalError if h does not divide f."""
+    quotient = exact_divide(f, h)
+    if quotient is None:
+        raise InternalError(f"the oracle's factor {h} does not divide {f}")
+    return quotient
+
+
 def kronecker_factor(f: Polynomial, budget: Optional[int] = None) -> FactorizationWitness:
     """Complete factorization of f into irreducibles over the rationals.
 
@@ -605,8 +653,7 @@ def kronecker_factor(f: Polynomial, budget: Optional[int] = None) -> Factorizati
         if root_factor is None:
             break
         factors.append(root_factor)
-        prim = exact_divide(prim, root_factor)
-        assert prim is not None
+        prim = _divide_out(prim, root_factor)
     k = 2
     while 2 * k <= prim.degree:
         if k not in allowed:
@@ -621,8 +668,7 @@ def kronecker_factor(f: Polynomial, budget: Optional[int] = None) -> Factorizati
         if h.leading_coefficient < 0:
             h = -h
         factors.append(h)
-        prim = exact_divide(prim, h)
-        assert prim is not None
+        prim = _divide_out(prim, h)
     if prim.degree >= 1:
         factors.append(prim)
 
@@ -714,7 +760,8 @@ def verify_certificate(
         raise ValueError("cannot verify a certificate that asserts nothing")
     content_val = p_adic_valuation(witness.content, p)
     factors = witness.factors
-    assert factors, "a nonconstant polynomial has at least one factor"
+    if not factors:
+        raise InternalError(f"the witness for {f} has no nonconstant factor")
 
     degree_clauses = [
         c for c in cert.clauses if isinstance(c, (FactorDegreeMultipleOf, AlphaSplit))
@@ -959,7 +1006,9 @@ def _sweep_entry(
     """Analyze one polynomial under every prime, factoring it at most once."""
     witness: Optional[FactorizationWitness] = None
     witness_failed = False
-    spot_check_due = zlib.crc32(repr(f.coeffs).encode()) % 100 == 0
+    # Decided on the first verified prime: f's coefficients are then within
+    # the oracle's limits, so repr() cannot pass Python's int-to-str limit.
+    spot_check_due: Optional[bool] = None
     for p in primes:
         summary.total += 1
         analysis = analyze(AnalysisInput(f, p))
@@ -1009,6 +1058,8 @@ def _sweep_entry(
                 },
             }
             summary.violations.extend(Violation(kind, {**repro, **extra}) for kind, extra in found)
+        if spot_check_due is None:
+            spot_check_due = zlib.crc32(repr(f.coeffs).encode()) % 100 == 0
         if spot_check_due:
             spot_check_due = False
             summary.spot_checks += 1
@@ -1016,31 +1067,35 @@ def _sweep_entry(
 
 
 def _family_violations(analysis: Analysis, expected: dict) -> list[Violation]:
+    """The family-parameters violation of one instance, if its analysis
+    departs from the family's closed form."""
+
+    def violation(extra: dict) -> list[Violation]:
+        # The bundle is built only here: passing instances never need it,
+        # and str() of a large instance can pass Python's int-to-str limit.
+        repro = {
+            "polynomial": str(analysis.input.poly),
+            "prime": analysis.input.prime,
+            "expected": {k: str(v) for k, v in expected.items()},
+        }
+        return [Violation("family-parameters", {**repro, **extra})]
+
     cert = analysis.certificate
-    repro = {
-        "polynomial": str(analysis.input.poly),
-        "prime": analysis.input.prime,
-        "expected": {k: str(v) for k, v in expected.items()},
-    }
     if cert.theorem != expected["theorem"] or cert.params is None:
-        return [Violation("family-parameters", {**repro, "actual": _certificate_detail(cert)})]
+        return violation({"actual": _certificate_detail(cert)})
     p = cert.params
     actual = {"s": p.s, "c_s": p.c_s, "c_n": p.c_n, "d": p.d, "u": p.u, "modulus": p.modulus}
     wanted = {k: expected[k] for k in actual}
     if actual != wanted:
-        return [Violation("family-parameters", {**repro, "actual": actual})]
+        return violation({"actual": actual})
     slope_checks = {"m_s": p.s, "m_0": 0}
     if "m_2" in expected:
         slope_checks["m_2"] = 2
     for key, index in slope_checks.items():
         if analysis.table.slope_at(index) != expected[key]:
-            return [
-                Violation(
-                    "family-parameters",
-                    {**repro, "slope_index": index,
-                     "actual_slope": str(analysis.table.slope_at(index))},
-                )
-            ]
+            return violation(
+                {"slope_index": index, "actual_slope": str(analysis.table.slope_at(index))}
+            )
     return []
 
 
@@ -1123,7 +1178,9 @@ def sweep_family(
     collected for reporting.
     """
     if family not in families.FAMILIES:
-        raise ValueError(f"unknown family {family!r} (expected one of {families.FAMILIES})")
+        raise InvalidInputError(
+            f"unknown family {family!r} (expected one of {families.FAMILIES})"
+        )
     summary = SweepSummary(
         corpus={"family": family, "values": list(values), "primes": list(primes)}
     )

@@ -143,6 +143,27 @@ def test_internal_error_exits_5(capsys, monkeypatch):
     assert err.startswith("internal error: witness does not multiply back to x^2+2")
 
 
+def test_non_dividing_oracle_factor_exits_5(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "newton_gauge.oracle._factor_of_degree", lambda f, k, budget: Polynomial([1, 1, 1])
+    )
+    code, out, err = _run(capsys, "verify", "--poly", "x^4+4x^2+4", "--prime", "2")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("internal error: the oracle's factor x^2+x+1 does not divide")
+
+
+def test_stray_value_error_exits_5(capsys, monkeypatch):
+    def broken(inp):
+        raise ValueError("a defect, not bad input")
+
+    monkeypatch.setattr("newton_gauge.cli.analyze", broken)
+    code, out, err = _run(capsys, "analyze", "--poly", "x^2+2", "--prime", "2")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: a defect, not bad input\n"
+
+
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 def test_poly_value_may_start_with_a_minus(capsys, command):
     joined = _run(capsys, command, "--poly=-x^7+2", "--prime", "2")
@@ -266,6 +287,23 @@ def test_sweep_family_example1_no_verify(capsys):
     )
     assert code == EXIT_OK
     assert "result            PASS" in out
+
+
+def test_sweep_family_past_the_int_str_limit(capsys):
+    code, out, err = _run(
+        capsys, "sweep", "--family", "example1", "--n", "130", "--primes", "2", "--no-verify",
+    )
+    assert code == EXIT_OK, err
+    assert "result            PASS" in out
+
+
+def test_sweep_family_values_below_their_minimum_are_bad_input(capsys):
+    code, _, err = _run(capsys, "sweep", "--family", "example1", "--n", "3", "--primes", "2")
+    assert code == EXIT_BAD_INPUT
+    assert "example1 needs n >= 5" in err
+    code, _, err = _run(capsys, "sweep", "--family", "example2", "--d", "1", "--primes", "2")
+    assert code == EXIT_BAD_INPUT
+    assert "example2 needs d >= 2" in err
 
 
 def test_sweep_family_requires_values(capsys):

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from newton_gauge import oracle
+from newton_gauge import families, oracle
 from newton_gauge.criteria import (
     Analysis,
     Certificate,
@@ -46,6 +47,7 @@ from newton_gauge.oracle import (
 )
 from newton_gauge.polynomial import (
     AnalysisInput,
+    InternalError,
     InvalidInputError,
     Polynomial,
     content_and_primitive,
@@ -74,7 +76,7 @@ def test_oracle_budget_env(monkeypatch):
     with pytest.raises(ValueError, match="positive integer"):
         oracle_budget()
     monkeypatch.setenv(BUDGET_ENV_VAR, "0")
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(InvalidInputError, match="positive integer"):
         oracle_budget()
 
 
@@ -201,6 +203,185 @@ def test_kronecker_agrees_with_sympy():
         lead, factors = _sympy_factors(f)
         assert w.sign * w.content == lead
         assert [g.coeffs for g in w.factors] == factors
+
+
+# ---------------------------------------------------------------------------
+# residue-indexed candidate search
+
+
+def _reference_factor_of_degree(f, k, budget):
+    """The per-candidate Kronecker walk that _factor_of_degree replaces.
+
+    Charges one unit per candidate, in itertools.product order, and
+    evaluates every candidate.
+    """
+    points = []
+    values = []
+    for x in oracle._evaluation_points():
+        v = f(x)
+        if v == 0:
+            continue
+        points.append(x)
+        values.append(v)
+        if len(points) == k + 1:
+            break
+    basis, common = oracle._lagrange_basis(tuple(points))
+    lead_col = tuple(b[k] for b in basis)
+    flead = f.leading_coefficient
+    candidate_sets = [oracle._candidate_values(values[0], positive_only=True)]
+    candidate_sets.extend(oracle._candidate_values(v, positive_only=False) for v in values[1:])
+    for combo in itertools.product(*candidate_sets):
+        budget.spend()
+        lead = sum(w * b for w, b in zip(combo, lead_col))
+        if lead == 0 or lead % common != 0:
+            continue
+        hlead = lead // common
+        if flead % hlead != 0:
+            continue
+        coeffs = []
+        integral = True
+        for c in range(k + 1):
+            acc = sum(w * b[c] for w, b in zip(combo, basis))
+            if acc % common != 0:
+                integral = False
+                break
+            coeffs.append(acc // common)
+        if not integral:
+            continue
+        h = Polynomial(coeffs)
+        hc, _ = content_and_primitive(h)
+        if hc != 1:
+            continue
+        if exact_divide(f, h) is not None:
+            return h
+    return None
+
+
+def _padic_poly(rng, n, p):
+    """Degree-n polynomial with coefficients u*p^e, |u| <= 3, e <= 2."""
+
+    def coeff(nonzero):
+        u = rng.choice((-3, -2, -1, 1, 2, 3)) if nonzero else rng.randint(-3, 3)
+        return u * p ** rng.randint(0, 2)
+
+    return Polynomial([coeff(True)] + [coeff(False) for _ in range(n - 1)] + [coeff(True)])
+
+
+def _small_poly(rng, n):
+    return Polynomial(
+        [rng.choice((-2, -1, 1, 2))] + [rng.randint(-2, 2) for _ in range(n - 1)] + [rng.choice((1, 2))]
+    )
+
+
+def _search_corpus():
+    """Seeded inputs for the Kronecker search: 120 from the acceptance box
+    (degree 2-5), 80 u*p^e inputs of degree 6-7 (half of them products)
+    and 24 built products of degree 8-10."""
+    rng = random.Random(8)
+    out = sampled_polynomials(5, 3, 120, seed=8)
+    for i in range(80):
+        p, n = rng.choice((2, 3)), rng.randint(6, 7)
+        if i % 2:
+            d1 = rng.randint(2, n - 2)
+            out.append(_padic_poly(rng, d1, p) * _padic_poly(rng, n - d1, p))
+        else:
+            out.append(_padic_poly(rng, n, p))
+    for _ in range(24):
+        n = rng.randint(8, 10)
+        d1 = rng.randint(2, n // 2)
+        out.append(_small_poly(rng, d1) * _small_poly(rng, n - d1))
+    return out
+
+
+def _metered_factor(monkeypatch, f, budget):
+    """kronecker_factor(f, budget) and the units its meter spent."""
+    meters = []
+
+    class Recorded(_Budget):
+        __slots__ = ()
+
+        def __init__(self, cap):
+            super().__init__(cap)
+            meters.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_Budget", Recorded)
+        witness = kronecker_factor(f, budget=budget)
+    return witness, meters[-1].spent
+
+
+def _outcome(search, f, k, cap, spent):
+    meter = _Budget(cap)
+    meter.spent = spent
+    try:
+        result = search(f, k, meter)
+    except OracleBudgetError as exc:
+        result = str(exc)
+    return result, meter.spent
+
+
+def test_residue_indexed_search_matches_the_per_candidate_walk(monkeypatch):
+    searches = []
+    real = oracle._factor_of_degree
+
+    def recording(f, k, budget):
+        searches.append((f, k))
+        return real(f, k, budget)
+
+    monkeypatch.setattr(oracle, "_factor_of_degree", recording)
+    for f in _search_corpus():
+        kronecker_factor(f, budget=10**9)
+    monkeypatch.undo()
+    assert {k for _, k in searches} >= {2, 3, 4}
+    found = 0
+    rng = random.Random(88)
+    for f, k in searches:
+        reference = _outcome(_reference_factor_of_degree, f, k, 10**9, 0)
+        assert _outcome(real, f, k, 10**9, 0) == reference, (str(f), k)
+        found += reference[0] is not None
+        units = reference[1]
+        # the same units and the same error when the cap falls inside the
+        # search, on a meter that has already spent some units
+        for cap in {units - 1, rng.randrange(units)}:
+            pre = rng.randrange(1000)
+            expected = _outcome(_reference_factor_of_degree, f, k, pre + cap, pre)
+            assert _outcome(real, f, k, pre + cap, pre) == expected, (str(f), k, cap)
+            assert expected[1] == pre + cap + 1
+    assert 0 < found < len(searches)
+
+
+def test_budget_is_exact_at_the_total_spend(monkeypatch):
+    for f in _search_corpus():
+        witness, total = _metered_factor(monkeypatch, f, 10**9)
+        assert total > 0
+        assert kronecker_factor(f, budget=total) == witness
+        message = f"{total} candidates exceed the cap of {total - 1} "
+        with pytest.raises(OracleBudgetError, match=message):
+            kronecker_factor(f, budget=total - 1)
+
+
+def test_budget_units_on_the_seeded_corpus_are_pinned(monkeypatch):
+    # Computed with the per-candidate walk; any change to what a search
+    # charges changes this total.
+    total = sum(_metered_factor(monkeypatch, f, 10**9)[1] for f in _search_corpus())
+    assert total == 714_959
+
+
+def test_budget_exhausting_search_reports_the_same_spend(monkeypatch):
+    # a 6 + 6 composite whose degree-6 search needs more than 10^7 units
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    f = _poly("(x^6-2x^5+3x^3+2x-2)(2x^6-2x^5-3x^3+3x^2-x-1)")
+    with pytest.raises(OracleBudgetError, match="10000001 candidates exceed the cap of 10000000 "):
+        kronecker_factor(f)
+
+
+def test_a_factor_that_does_not_divide_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(oracle, "_factor_of_degree", lambda f, k, budget: _poly("x^2+x+1"))
+    with pytest.raises(InternalError, match="factor x\\^2\\+x\\+1 does not divide"):
+        kronecker_factor(_poly("x^4+4x^2+4"))
+    monkeypatch.setattr(oracle, "_rational_root_factor", lambda f, budget: _poly("x-3"))
+    with pytest.raises(InternalError, match="factor x-3 does not divide"):
+        kronecker_factor(_poly("x^2-2"))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +539,13 @@ def test_verify_rejects_tampered_witness():
     cert = analyze(AnalysisInput(f, 2)).certificate
     with pytest.raises(WitnessIntegrityError):
         verify_certificate(f, 2, cert, bad)
+
+
+def test_witness_without_factors_is_an_internal_error():
+    cert = analyze(AnalysisInput(_poly("x^2+2"), 2)).certificate
+    empty = FactorizationWitness(1, 3, ())
+    with pytest.raises(InternalError, match="no nonconstant factor"):
+        verify_certificate(Polynomial.constant(3), 2, cert, empty)
 
 
 def test_check_dumas_consistency():
@@ -631,6 +819,61 @@ def test_identity_check_builds_no_bundle_when_it_passes(monkeypatch):
         assert _identity_violations(analysis) == []
 
 
+def _family_bundle(**changes):
+    """Family violations of example1(5, 2, 1, 1, 1, 1) against an altered closed form."""
+    analysis = analyze(AnalysisInput(families.example1_polynomial(5, 2, 1, 1, 1, 1), 2))
+    return oracle._family_violations(analysis, {**families.example1_expected(5), **changes})
+
+
+_FAMILY_EXPECTED = {
+    "s": "1", "c_s": "8", "c_n": "9", "d": "4", "u": "4", "modulus": "1",
+    "theorem": "T1", "m_s": "2", "m_0": "9/5", "m_2": "0",
+}
+
+
+@pytest.mark.parametrize(
+    "changes, extra",
+    [
+        (
+            {"theorem": "T2"},
+            {"actual": {"theorem": "T1", "notes": [], "params": {
+                "n": 5, "s": 1, "c_s": 8, "c_n": 9, "d": 4, "u": 4, "modulus": 1}}},
+        ),
+        ({"u": 5}, {"actual": {"s": 1, "c_s": 8, "c_n": 9, "d": 4, "u": 4, "modulus": 1}}),
+        ({"m_0": Fraction(1)}, {"slope_index": 0, "actual_slope": "9/5"}),
+    ],
+)
+def test_family_violation_bundle(changes, extra):
+    expected = {
+        "polynomial": "512*x^5+512*x^2+2*x+1",
+        "prime": 2,
+        "expected": {**_FAMILY_EXPECTED, **{k: str(v) for k, v in changes.items()}},
+        **extra,
+    }
+    violations = _family_bundle(**changes)
+    assert violations == [Violation("family-parameters", expected)]
+    assert list(violations[0].detail) == list(expected)
+
+
+def test_family_entry_builds_no_bundle_when_it_passes(monkeypatch):
+    def refuse(poly):
+        raise AssertionError("bundle built for a passing family entry")
+
+    monkeypatch.setattr(Polynomial, "__str__", refuse)
+    assert _family_bundle() == []
+    assert sweep_family("example1", [5, 6], [2, 3], verify=False).passed
+    assert sweep_family("example2", [2, 3], [2, 3], verify=False).passed
+
+
+def test_sweep_family_past_the_int_str_limit():
+    # example1's top coefficients are 2^16509, about 4,970 digits: past
+    # Python's 4,300-digit limit on int-to-str conversion
+    summary = sweep_family("example1", [130], [2], verify=False)
+    assert summary.passed and summary.total == 1
+    summary = sweep_family("example1", [130], [2])
+    assert summary.passed and summary.budget_errors == 1
+
+
 def test_sweep_family_example2():
     summary = sweep_family("example2", [2], [2, 3])
     assert summary.passed
@@ -659,5 +902,12 @@ def test_sweep_family_example1_budget_edge():
 
 
 def test_sweep_family_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown family"):
+    with pytest.raises(InvalidInputError, match="unknown family"):
         sweep_family("example9", [2], [2])
+
+
+def test_family_values_below_their_minimum_are_invalid_input():
+    with pytest.raises(InvalidInputError, match="n >= 5"):
+        sweep_family("example1", [4], [2])
+    with pytest.raises(InvalidInputError, match="d >= 2"):
+        sweep_family("example2", [1], [2])
