@@ -29,6 +29,7 @@ otherwise read as an option.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -69,7 +70,9 @@ def _csv_ints(text: str, what: str) -> list[int]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="newton-gauge",
         description="Polygon-based factor-degree certificates for integer"

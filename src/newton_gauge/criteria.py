@@ -8,23 +8,24 @@ slope table) and derives the integer parameters
     d   = gcd(|c_s|, n - s)      u   = n*c_s - (n - s)*c_n
     modulus = (n - s) / d
 
-u equals n(n-s)(m_s - m_0) and is therefore positive whenever s != 0 is
-strictly dominant; d always divides u.  Three certificates can result:
+u equals n(n-s)(m_s - m_0), so u = 0 at s = 0; for a strictly dominant
+s != 0 it is positive, and d always divides it, so u >= d there.  The
+certificate is read from one decision table:
 
-* theorem "T1" (tag "TA" when d = 1 and s != 0): requires u = d when
-  s != 0, or d = 1 when s = 0.  Any factorization then has a factor of
-  degree zero (with positive valuation, surfaced through content) or of
-  degree a multiple of modulus.
-* theorem "T2" (tag "TB" when d = 1): requires s != 0, u >= 2 and d a
-  proper divisor of u.  Adds the alpha-split disjunct: some weighted
-  degree difference a2*deg(f1) - a1*deg(f2) with a1 + a2 = u/d is
-  divisible by modulus.
-* theorem "Dumas-s0": s = 0 with d > 1.  The polygon is then a single
-  segment, so every factor degree is a multiple of n/d.
+    no strict dominant s    "none", with a note saying why
+    s = 0,  d = 1           "T1"
+    s = 0,  d > 1           "Dumas-s0"
+    s != 0, u = d           "T1", tagged "TA" when d = 1
+    s != 0, u > d           "T2", tagged "TB" when d = 1
 
-When no strict dominant index exists, no certificate is emitted
-(theorem "none") and the notes say why.  Everything is exact integer
-arithmetic; no rationals are compared except in tests.
+Its clauses are the disjunction any factorization must satisfy: always
+Irreducible or DegreeZeroFactor (content divisible by p); except for
+the s = 0 "T1", also FactorDegreeMultipleOf(modulus); for "T2", also
+AlphaSplit(modulus, u/d), i.e. some a2*deg(f1) - a1*deg(f2) with
+a1 + a2 = u/d is divisible by modulus.  At s = 0 every interior point
+lies strictly above the chord from (0, v(a_0)) to (n, v(a_n)), so the
+polygon is a single segment.  Slopes are Fractions; the parameters and
+the decision use integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -197,13 +198,11 @@ def find_dominant_index(table: SlopeTable) -> Optional[int]:
     return None
 
 
-def compute_parameters(inp: AnalysisInput, s: int) -> CriteriaParameters:
-    """Criteria parameters at the dominant index s, all in integer arithmetic."""
-    table = slope_table(inp)
+def _parameters(table: SlopeTable, s: int) -> CriteriaParameters:
     n = table.degree
     vn = table.leading_valuation
     vs = next(e.valuation for e in table.entries if e.index == s)
-    v0 = next(e.valuation for e in table.entries if e.index == 0)
+    v0 = table.entries[0].valuation  # a_0 != 0, so index 0 comes first
     c_s = vn - vs
     c_n = vn - v0
     d = math.gcd(vs - vn, n - s)
@@ -213,9 +212,43 @@ def compute_parameters(inp: AnalysisInput, s: int) -> CriteriaParameters:
     )
 
 
-def _no_dominant_index_note(table: SlopeTable) -> str:
-    ties = ",".join(str(i) for i in table.index_of_max)
-    return f"no-strict-dominant-index: max slope {table.newton_index} at indices {ties}"
+def compute_parameters(inp: AnalysisInput, s: int) -> CriteriaParameters:
+    """Criteria parameters at the dominant index s, all in integer arithmetic."""
+    return _parameters(slope_table(inp), s)
+
+
+def _none(note: str) -> Certificate:
+    return Certificate("none", None, (), (note,))
+
+
+def _certify(table: SlopeTable) -> Certificate:
+    """The certificate of the module docstring's decision table."""
+    s = find_dominant_index(table)
+    if s is None:
+        ties = ",".join(str(i) for i in table.index_of_max)
+        return _none(f"no-strict-dominant-index: max slope {table.newton_index} at indices {ties}")
+    params = _parameters(table, s)
+    d, u = params.d, params.u
+    if s == 0 and d == 1:
+        return Certificate("T1", params, (Irreducible(), DegreeZeroFactor()))
+    clauses = (Irreducible(), DegreeZeroFactor(), FactorDegreeMultipleOf(params.modulus))
+    if s == 0:
+        return Certificate("Dumas-s0", params, clauses)
+    if u < d or u % d != 0:
+        raise InternalError(
+            f"a strict dominant s != 0 needs d | u and u >= 1, got s={s} d={d} u={u}"
+        )
+    if u == d:
+        return Certificate("TA" if d == 1 else "T1", params, clauses)
+    alpha = AlphaSplit(params.modulus, u // d)
+    return Certificate("TB" if d == 1 else "T2", params, clauses + (alpha,))
+
+
+def _refusal(params: CriteriaParameters, condition_b: str) -> Certificate:
+    # At s = 0 both criteria ask for d = 1, so the first criterion's note.
+    if params.s == 0:
+        return _none(f"theorem1-s0-gcd-not-1: s=0 d={params.d}")
+    return _none(condition_b)
 
 
 def check_theorem1(inp: AnalysisInput) -> Certificate:
@@ -225,34 +258,11 @@ def check_theorem1(inp: AnalysisInput) -> Certificate:
     multiple of (n-s)/d), and when s = 0 with d = 1 (single-segment
     polygon with no interior lattice point: irreducible up to content).
     """
-    table = slope_table(inp)
-    s = find_dominant_index(table)
-    if s is None:
-        return Certificate("none", None, (), (_no_dominant_index_note(table),))
-    params = compute_parameters(inp, s)
-    if s == 0:
-        if params.d == 1:
-            return Certificate("T1", params, (Irreducible(), DegreeZeroFactor()))
-        return Certificate(
-            "none",
-            None,
-            (),
-            (f"theorem1-s0-gcd-not-1: s=0 d={params.d}",),
-        )
-    if params.d == params.u:
-        tag = "TA" if params.d == 1 else "T1"
-        clauses = (
-            Irreducible(),
-            DegreeZeroFactor(),
-            FactorDegreeMultipleOf(params.modulus),
-        )
-        return Certificate(tag, params, clauses)
-    return Certificate(
-        "none",
-        None,
-        (),
-        (f"theorem1-condition-b-failed: d={params.d} u={params.u} (need d=u)",),
-    )
+    cert = _certify(slope_table(inp))
+    if cert.base_theorem in ("T1", "none"):
+        return cert
+    params = cert.params
+    return _refusal(params, f"theorem1-condition-b-failed: d={params.d} u={params.u} (need d=u)")
 
 
 def check_theorem2(inp: AnalysisInput) -> Certificate:
@@ -260,46 +270,18 @@ def check_theorem2(inp: AnalysisInput) -> Certificate:
 
     Applies when s != 0, u >= 2 and d is a proper divisor of u; the
     conclusion adds the alpha-split disjunct with total u/d.  For s = 0
-    the criterion reduces to the first one, so this defers to
-    :func:`check_theorem1`.
+    the criterion reduces to the first one, so the answer is the first
+    criterion's.
     """
-    table = slope_table(inp)
-    s = find_dominant_index(table)
-    if s is None:
-        return Certificate("none", None, (), (_no_dominant_index_note(table),))
-    if s == 0:
-        return check_theorem1(inp)
-    params = compute_parameters(inp, s)
-    if params.u >= 2 and params.u % params.d == 0 and params.d < params.u:
-        tag = "TB" if params.d == 1 else "T2"
-        clauses = (
-            Irreducible(),
-            DegreeZeroFactor(),
-            FactorDegreeMultipleOf(params.modulus),
-            AlphaSplit(params.modulus, params.u // params.d),
-        )
-        return Certificate(tag, params, clauses)
-    return Certificate(
-        "none",
-        None,
-        (),
-        (
-            f"theorem2-condition-b-failed: d={params.d} u={params.u}"
-            " (need u>=2 and d a proper divisor of u)",
-        ),
+    cert = _certify(slope_table(inp))
+    if cert.base_theorem in ("T2", "none") or (cert.theorem == "T1" and cert.params.s == 0):
+        return cert
+    params = cert.params
+    return _refusal(
+        params,
+        f"theorem2-condition-b-failed: d={params.d} u={params.u}"
+        " (need u>=2 and d a proper divisor of u)",
     )
-
-
-def _dumas_s0_certificate(params: CriteriaParameters) -> Certificate:
-    # s = 0 strictly dominant means every interior point lies strictly
-    # above the chord from (0, v(a_0)) to (n, v(a_n)): the polygon is a
-    # single segment, so factor degrees are multiples of n/d.
-    clauses = (
-        Irreducible(),
-        DegreeZeroFactor(),
-        FactorDegreeMultipleOf(params.modulus),
-    )
-    return Certificate("Dumas-s0", params, clauses)
 
 
 def dumas_degree_sets(inp: AnalysisInput) -> tuple[tuple[int, int], ...]:
@@ -347,30 +329,12 @@ class Analysis(_Value):
 
 
 def analyze(inp: AnalysisInput) -> Analysis:
-    """Run every criterion and keep the strongest applicable certificate.
+    """Build the slope table once and read the certificate from it.
 
-    Precedence: T1 (covers the s = 0, d = 1 case), then T2, then the
-    single-segment s = 0 fallback; "none" only when no strict dominant
-    index exists.  Deterministic and pure.
+    The certificate follows the decision table in the module docstring;
+    "none" only when no strict dominant index exists.  Deterministic and
+    pure.
     """
     table = slope_table(inp)
     polygon = newton_polygon(inp.poly, inp.prime)
-    pairs = dumas_degree_sets(inp)
-    s = find_dominant_index(table)
-    if s is None:
-        cert = Certificate("none", None, (), (_no_dominant_index_note(table),))
-        return Analysis(inp, table, polygon, cert, pairs)
-
-    cert1 = check_theorem1(inp)
-    if cert1.applies:
-        return Analysis(inp, table, polygon, cert1, pairs)
-    cert2 = check_theorem2(inp)
-    if cert2.applies:
-        return Analysis(inp, table, polygon, cert2, pairs)
-    params = compute_parameters(inp, s)
-    if s == 0 and params.d > 1:
-        return Analysis(inp, table, polygon, _dumas_s0_certificate(params), pairs)
-    # Unreachable for a strict dominant index: d divides u, and u >= 1
-    # when s != 0, so either u = d (T1) or u > d (T2).
-    cert = Certificate("none", None, (), cert1.notes + cert2.notes)
-    return Analysis(inp, table, polygon, cert, pairs)
+    return Analysis(inp, table, polygon, _certify(table), dumas_degree_sets(inp))

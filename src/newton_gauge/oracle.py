@@ -1175,11 +1175,20 @@ def sweep_family(
     `values` holds n's for example1 and d's for example2.  Each
     instance's certificate parameters must match the family's closed
     form exactly; rows summarizing each (value, prime) cell are
-    collected for reporting.
+    collected for reporting.  Raises InvalidInputError before
+    enumerating a corpus of more than MAX_EXHAUSTIVE_POLYNOMIALS
+    polynomials; example1 has (p-1)^4 per (n, p) cell.
     """
     if family not in families.FAMILIES:
         raise InvalidInputError(
             f"unknown family {family!r} (expected one of {families.FAMILIES})"
+        )
+    per_value = sum((p - 1) ** 4 for p in primes) if family == "example1" else len(primes)
+    size = len(values) * per_value
+    if size > MAX_EXHAUSTIVE_POLYNOMIALS:
+        raise InvalidInputError(
+            f"the {family} corpus holds {size} polynomials, more than"
+            f" {MAX_EXHAUSTIVE_POLYNOMIALS}; pass fewer values or smaller primes"
         )
     summary = SweepSummary(
         corpus={"family": family, "values": list(values), "primes": list(primes)}
@@ -1191,17 +1200,19 @@ def sweep_family(
             expected = families.example2_expected(value)
         for p in primes:
             if family == "example1":
-                instances = list(families.example1_instances(value, p))
+                instances: Iterable[Polynomial] = families.example1_instances(value, p)
             else:
-                instances = [families.example2_polynomial(value, p)]
+                instances = (families.example2_polynomial(value, p),)
             before = len(summary.violations)
+            count = 0
             for f in instances:
                 _sweep_entry(summary, f, [p], verify, budget, expected=expected)
+                count += 1
             row = {
                 "family": family,
                 "parameter": value,
                 "prime": p,
-                "instances": len(instances),
+                "instances": count,
                 "s": expected["s"],
                 "u": expected["u"],
                 "d": expected["d"],

@@ -16,6 +16,7 @@ from newton_gauge.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VIOLATION,
+    build_parser,
     main,
 )
 from newton_gauge.oracle import (
@@ -188,6 +189,22 @@ def test_missing_poly_value_is_still_a_usage_error(capsys, argv):
     assert "argument --poly: expected one argument" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    assert build_parser() is build_parser()
+    code, report, _ = _run_json(
+        capsys, "analyze", "--poly", "x^6+2*x^3+8", "--prime", "2", "--json"
+    )
+    assert code == EXIT_OK
+    assert report["certificate"]["theorem"] == "TB"
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--poly", "x^2+2"])
+    assert info.value.code == EXIT_BAD_INPUT
+    assert "the following arguments are required: --prime" in capsys.readouterr().err
+    code, out, _ = _run(capsys, "verify", "--poly", "(x-1)*(x+1)", "--prime", "2")
+    assert code == EXIT_OK
+    assert "verification      PASS" in out
+
+
 # ---------------------------------------------------------------------------
 # bad inputs
 
@@ -304,6 +321,17 @@ def test_sweep_family_values_below_their_minimum_are_bad_input(capsys):
     code, _, err = _run(capsys, "sweep", "--family", "example2", "--d", "1", "--primes", "2")
     assert code == EXIT_BAD_INPUT
     assert "example2 needs d >= 2" in err
+
+
+def test_sweep_family_rejects_an_oversized_corpus_before_enumerating(capsys, monkeypatch):
+    def enumerated(n, p):
+        raise AssertionError("the corpus was enumerated")
+
+    monkeypatch.setattr("newton_gauge.families.example1_instances", enumerated)
+    code, out, err = _run(capsys, "sweep", "--family", "example1", "--n", "5", "--primes", "101")
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert "the example1 corpus holds 100000000 polynomials, more than 1000000" in err
 
 
 def test_sweep_family_requires_values(capsys):

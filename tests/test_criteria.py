@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from newton_gauge import criteria
+from newton_gauge.cli import EXIT_INTERNAL, main
 from newton_gauge.criteria import (
     AlphaSplit,
     Certificate,
@@ -17,8 +20,9 @@ from newton_gauge.criteria import (
     dumas_degree_sets,
     find_dominant_index,
 )
+from newton_gauge.families import example1_instances, example2_polynomial
 from newton_gauge.newton import slope_table
-from newton_gauge.polynomial import AnalysisInput, InternalError, parse_polynomial
+from newton_gauge.polynomial import AnalysisInput, InternalError, Polynomial, parse_polynomial
 
 
 def _inp(text, p):
@@ -264,3 +268,159 @@ def test_analyze_is_deterministic():
     a = analyze(_inp("x^6+2x^3+8", 2))
     b = analyze(_inp("x^6+2x^3+8", 2))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the four-step chain that analyze replaced, kept as the reference
+
+
+def _reference_parameters(inp, s):
+    table = slope_table(inp)
+    n = table.degree
+    vn = table.leading_valuation
+    vs = next(e.valuation for e in table.entries if e.index == s)
+    v0 = next(e.valuation for e in table.entries if e.index == 0)
+    c_s = vn - vs
+    c_n = vn - v0
+    d = math.gcd(vs - vn, n - s)
+    u = n * c_s - (n - s) * c_n
+    return CriteriaParameters(n=n, s=s, c_s=c_s, c_n=c_n, d=d, u=u, modulus=(n - s) // d)
+
+
+def _reference_no_dominant_note(table):
+    ties = ",".join(str(i) for i in table.index_of_max)
+    return f"no-strict-dominant-index: max slope {table.newton_index} at indices {ties}"
+
+
+def _reference_theorem1(inp):
+    table = slope_table(inp)
+    s = find_dominant_index(table)
+    if s is None:
+        return Certificate("none", None, (), (_reference_no_dominant_note(table),))
+    params = _reference_parameters(inp, s)
+    if s == 0:
+        if params.d == 1:
+            return Certificate("T1", params, (Irreducible(), DegreeZeroFactor()))
+        return Certificate("none", None, (), (f"theorem1-s0-gcd-not-1: s=0 d={params.d}",))
+    if params.d == params.u:
+        tag = "TA" if params.d == 1 else "T1"
+        clauses = (Irreducible(), DegreeZeroFactor(), FactorDegreeMultipleOf(params.modulus))
+        return Certificate(tag, params, clauses)
+    return Certificate(
+        "none", None, (),
+        (f"theorem1-condition-b-failed: d={params.d} u={params.u} (need d=u)",),
+    )
+
+
+def _reference_theorem2(inp):
+    table = slope_table(inp)
+    s = find_dominant_index(table)
+    if s is None:
+        return Certificate("none", None, (), (_reference_no_dominant_note(table),))
+    if s == 0:
+        return _reference_theorem1(inp)
+    params = _reference_parameters(inp, s)
+    if params.u >= 2 and params.u % params.d == 0 and params.d < params.u:
+        tag = "TB" if params.d == 1 else "T2"
+        clauses = (
+            Irreducible(),
+            DegreeZeroFactor(),
+            FactorDegreeMultipleOf(params.modulus),
+            AlphaSplit(params.modulus, params.u // params.d),
+        )
+        return Certificate(tag, params, clauses)
+    return Certificate(
+        "none", None, (),
+        (
+            f"theorem2-condition-b-failed: d={params.d} u={params.u}"
+            " (need u>=2 and d a proper divisor of u)",
+        ),
+    )
+
+
+def _reference_certificate(inp):
+    """T1, then T2, then the s = 0 single-segment fallback, then "none"."""
+    table = slope_table(inp)
+    s = find_dominant_index(table)
+    if s is None:
+        return Certificate("none", None, (), (_reference_no_dominant_note(table),))
+    cert1 = _reference_theorem1(inp)
+    if cert1.applies:
+        return cert1
+    cert2 = _reference_theorem2(inp)
+    if cert2.applies:
+        return cert2
+    params = _reference_parameters(inp, s)
+    if s == 0 and params.d > 1:
+        clauses = (Irreducible(), DegreeZeroFactor(), FactorDegreeMultipleOf(params.modulus))
+        return Certificate("Dumas-s0", params, clauses)
+    return Certificate("none", None, (), cert1.notes + cert2.notes)
+
+
+def _equivalence_corpus():
+    """Seeded inputs: 300 acceptance-box polynomials (degree 2-5,
+    |a_i| <= 3) at p = 2 and 3, 120 u*p^k inputs of degree 20-59, and
+    the example1 (n = 5-7) and example2 (d = 2-4) instances at p = 2, 3."""
+    rng = random.Random(9)
+    ends = (-3, -2, -1, 1, 2, 3)
+    out = []
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        f = Polynomial(
+            [rng.choice(ends)] + [rng.randint(-3, 3) for _ in range(n - 1)] + [rng.choice(ends)]
+        )
+        out += [AnalysisInput(f, 2), AnalysisInput(f, 3)]
+    for _ in range(120):
+        n, p, kmax = rng.randint(20, 59), rng.choice((2, 3, 5, 7)), rng.choice((3, 40))
+
+        def coeff(nonzero):
+            if not nonzero and rng.random() > 0.6:
+                return 0
+            return rng.choice(ends) * p ** rng.randint(0, kmax)
+
+        coeffs = [coeff(True)] + [coeff(False) for _ in range(n - 1)] + [coeff(True)]
+        out.append(AnalysisInput(Polynomial(coeffs), p))
+    for p in (2, 3):
+        for n in (5, 6, 7):
+            out += [AnalysisInput(f, p) for f in example1_instances(n, p)]
+        out += [AnalysisInput(example2_polynomial(d, p), p) for d in (2, 3, 4)]
+    return out
+
+
+def test_one_decision_table_matches_the_four_step_chain():
+    tags = set()
+    for inp in _equivalence_corpus():
+        cert = analyze(inp).certificate
+        assert cert == _reference_certificate(inp), (inp.poly, inp.prime)
+        assert check_theorem1(inp) == _reference_theorem1(inp), (inp.poly, inp.prime)
+        assert check_theorem2(inp) == _reference_theorem2(inp), (inp.poly, inp.prime)
+        tags.add(cert.theorem)
+    assert tags == {"T1", "TA", "T2", "TB", "Dumas-s0", "none"}
+
+
+def test_analyze_builds_one_slope_table(monkeypatch):
+    calls = []
+
+    def counted(inp):
+        calls.append(inp)
+        return slope_table(inp)
+
+    monkeypatch.setattr(criteria, "slope_table", counted)
+    for text, p in (("x^6+2x^3+8", 2), ("x^4+4x^2+4", 2), ("x^2+3x+9", 3)):
+        calls.clear()
+        analyze(_inp(text, p))
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d,u", [(3, 1), (3, 0), (3, 4)])
+def test_broken_u_d_invariant_is_an_internal_error(capsys, monkeypatch, d, u):
+    # x^6+2x^3+8 at p = 2 has s = 3; real parameters d = 1, u = 3
+    monkeypatch.setattr(
+        criteria, "_parameters", lambda table, s: CriteriaParameters(6, s, -1, -3, d, u, 3 // d)
+    )
+    with pytest.raises(InternalError, match=f"needs d [|] u and u >= 1, got s=3 d={d} u={u}"):
+        analyze(_inp("x^6+2x^3+8", 2))
+    assert main(["analyze", "--poly", "x^6+2x^3+8", "--prime", "2"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: a strict dominant s != 0 needs d | u")
