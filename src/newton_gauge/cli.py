@@ -12,7 +12,9 @@ closed by its reader before the report was written, 2 bad input (a
 ParseError or InvalidInputError), 3 oracle out of budget when
 verification was requested, 4 verification failure or sweep
 violations, 5 internal error (a broken invariant of this program, or
-any other ValueError: never the input's fault).  --json switches any
+any other ValueError: never the input's fault).  A bad-input message
+names the flag it concerns, in front of the library's message when the
+library raised it (``--prime: 4 is not prime``).  --json switches any
 subcommand from the aligned text rendering to the JSON report; both
 come from the same report dict.
 
@@ -42,6 +44,7 @@ from .polynomial import (
     InvalidInputError,
     OracleBudgetError,
     ParseError,
+    _require_prime,
     parse_polynomial,
 )
 from .report import (
@@ -155,10 +158,13 @@ def _run_analysis(args: argparse.Namespace, with_verify: bool) -> int:
 def _run_sweep(args: argparse.Namespace) -> int:
     from .oracle import sweep, sweep_family
 
+    if args.n is not None and args.family != "example1":
+        raise InvalidInputError("--n is only for --family example1")
+    if args.d is not None and args.family != "example2":
+        raise InvalidInputError("--d is only for --family example2")
     primes = _csv_ints(args.primes, "--primes")
     for p in primes:
-        # reuse input validation so "4 is not prime" style errors match
-        AnalysisInput(parse_polynomial("x^2+1"), p)
+        _require_prime(p, "primes")
     if args.family:
         if args.family == "example1":
             if not args.n:
@@ -183,6 +189,14 @@ def _run_sweep(args: argparse.Namespace) -> int:
         )
     _emit(sweep_report(summary), args.json)
     return EXIT_OK if summary.passed else EXIT_VIOLATION
+
+
+def _bad_input_message(exc: ValueError) -> str:
+    """The message of a ParseError or InvalidInputError, after the flags it names."""
+    # --poly is the only text the CLI parses
+    names = ("poly",) if isinstance(exc, ParseError) else exc.arguments
+    flags = "/".join("--" + name.replace("_", "-") for name in names)
+    return f"{flags}: {exc}" if flags else str(exc)
 
 
 def _attach_poly_values(argv: Sequence[str]) -> list[str]:
@@ -218,7 +232,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ParseError, InvalidInputError) as exc:
-        print(str(exc), file=sys.stderr)
+        print(_bad_input_message(exc), file=sys.stderr)
         return EXIT_BAD_INPUT
     except ValueError as exc:
         # Input errors are raised as ParseError or InvalidInputError; any

@@ -36,7 +36,7 @@ __all__ = [
 def example1_polynomial(n: int, p: int, a0: int, a1: int, a2: int, an: int) -> Polynomial:
     """One member of the first family; every a must lie in 1..p-1."""
     if n < 5:
-        raise InvalidInputError("example1 needs n >= 5")
+        raise InvalidInputError("example1 needs n >= 5", "n")
     for a in (a0, a1, a2, an):
         if not 1 <= a <= p - 1:
             raise InvalidInputError(f"coefficient choice {a} outside 1..{p - 1}")
@@ -74,7 +74,7 @@ def example1_expected(n: int) -> dict:
 def example2_polynomial(d: int, p: int) -> Polynomial:
     """Y_d = p^(d+1) + p^(d-1)*x^(d+1) + x^(d*(d+1)), d >= 2."""
     if d < 2:
-        raise InvalidInputError("example2 needs d >= 2")
+        raise InvalidInputError("example2 needs d >= 2", "d")
     n = d * (d + 1)
     coeffs = [0] * (n + 1)
     coeffs[0] = p ** (d + 1)

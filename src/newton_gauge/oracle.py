@@ -29,7 +29,9 @@ costs one unit, but only those whose interpolated leading coefficient
 is integral are evaluated: the values at the last point are indexed by
 their residue mod the Lagrange denominator, so each combination of the
 other points looks up the few that match it and is charged for the
-rest at once.  Exceeding the cap raises
+rest at once.  A match is built and trial-divided only when its leading
+coefficient divides f's and its value at one further point divides f's
+value there.  Exceeding the cap raises
 :class:`OracleBudgetError`; so does exceeding the documented desk-scale
 limits (degree <= 12, |coefficients| <= 10^9).  The cap defaults to
 10^7 and can be overridden with the NEWTON_GAUGE_BUDGET environment
@@ -365,15 +367,9 @@ def _rational_root_factor(f: Polynomial, budget: _Budget) -> Optional[Polynomial
 
 
 def _candidate_factor(
-    f: Polynomial, combo: tuple[int, ...], lead: int, basis: tuple, common: int
+    f: Polynomial, combo: tuple[int, ...], basis: tuple, common: int
 ) -> Optional[Polynomial]:
-    """The candidate interpolating combo when it is a factor of f, else None.
-
-    `lead` is the candidate's scaled leading coefficient, already known
-    to be divisible by `common`.
-    """
-    if lead == 0 or f.leading_coefficient % (lead // common) != 0:
-        return None
+    """The candidate interpolating combo when it is a factor of f, else None."""
     coeffs = []
     for c in range(len(combo)):
         acc = sum(w * b[c] for w, b in zip(combo, basis))
@@ -401,6 +397,14 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> Optional[Polyno
     prefix is charged once, for as many units as the per-candidate walk
     would have spent, so the witness, the units spent and the point at
     which the budget runs out are all unchanged.
+
+    A matched candidate h is built and trial-divided only if it passes
+    two integer tests that every factor of f passes (Knuth, TAOCP Vol. 2,
+    4.6.2): its leading coefficient is nonzero and divides f's, and
+    h(x*) divides f(x*) at the probe point x*, the next point after the
+    k + 1 with f(x*) != 0.  A factor h has h(x*) * g(x*) = f(x*) != 0,
+    so neither test skips a factor; both are read off the scaled basis,
+    as common * h(x*) = sum(w[j] * E[j]) with E[j] = common * L_j(x*).
     """
     points = []
     values = []
@@ -410,10 +414,14 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> Optional[Polyno
             continue
         points.append(x)
         values.append(v)
-        if len(points) == k + 1:
+        if len(points) == k + 2:
             break
+    probe, probe_value = points.pop(), values.pop()
     basis, common = _lagrange_basis(tuple(points))
     *prefix_leads, last_lead = (b[k] for b in basis)
+    *prefix_probes, last_probe = (sum(c * probe**i for i, c in enumerate(b)) for b in basis)
+    flead = f.leading_coefficient
+    scaled_probe_value = common * probe_value
     # h and -h divide alike, so pin h(points[0]) > 0: halves the search.
     prefix_sets = [_candidate_values(values[0], positive_only=True)]
     prefix_sets.extend(_candidate_values(v, positive_only=False) for v in values[1:-1])
@@ -427,14 +435,26 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> Optional[Polyno
     for prefix, partial in zip(
         itertools.product(*prefix_sets), map(sum, itertools.product(*prefix_terms))
     ):
-        for j in by_residue.get(-partial % common, ()):
-            if j >= room:
-                break
-            w = last[j]
-            h = _candidate_factor(f, (*prefix, w), partial + w * last_lead, basis, common)
-            if h is not None:
-                budget.spend(j + 1)
-                return h
+        matches = by_residue.get(-partial % common)
+        if matches:
+            prefix_probe = None
+            for j in matches:
+                if j >= room:
+                    break
+                w = last[j]
+                lead = (partial + w * last_lead) // common
+                if lead == 0 or flead % lead:
+                    continue
+                if prefix_probe is None:
+                    # summed once per prefix, and only if a lead passes: most fail
+                    prefix_probe = sum(v * e for v, e in zip(prefix, prefix_probes))
+                value = prefix_probe + w * last_probe
+                if value == 0 or scaled_probe_value % value:
+                    continue
+                h = _candidate_factor(f, (*prefix, w), basis, common)
+                if h is not None:
+                    budget.spend(j + 1)
+                    return h
         # Past the cap this charges room + 1 and raises, as the
         # per-candidate walk would at its (room + 1)-th candidate.
         budget.spend(min(size, room + 1))
@@ -1123,15 +1143,19 @@ def sweep(
     corpus of more than MAX_EXHAUSTIVE_POLYNOMIALS polynomials.
     """
     if min_degree < 2:
-        raise InvalidInputError(f"min_degree must be at least 2, got {min_degree}")
+        raise InvalidInputError(f"min_degree must be at least 2, got {min_degree}", "min_degree")
     if min_degree > max_degree:
         raise InvalidInputError(
-            f"min_degree ({min_degree}) must not exceed max_degree ({max_degree})"
+            f"min_degree ({min_degree}) must not exceed max_degree ({max_degree})",
+            "min_degree",
+            "max_degree",
         )
     if coeff_bound < 1:
-        raise InvalidInputError(f"coeff_bound must be at least 1, got {coeff_bound}")
+        raise InvalidInputError(
+            f"coeff_bound must be at least 1, got {coeff_bound}", "coeff_bound"
+        )
     if sample is not None and sample < 1:
-        raise InvalidInputError(f"sample must be at least 1, got {sample}")
+        raise InvalidInputError(f"sample must be at least 1, got {sample}", "sample")
     if sample is None and (
         _capped_corpus_size(max_degree, coeff_bound, min_degree) > MAX_EXHAUSTIVE_POLYNOMIALS
     ):
@@ -1139,7 +1163,9 @@ def sweep(
             f"the exhaustive corpus of degrees {min_degree}-{max_degree} with"
             f" coeff_bound {coeff_bound} holds more than"
             f" {MAX_EXHAUSTIVE_POLYNOMIALS} polynomials; use --sample to draw"
-            " a random subset"
+            " a random subset",
+            "max_degree",
+            "coeff_bound",
         )
     corpus = {
         "min_degree": min_degree,
@@ -1181,14 +1207,16 @@ def sweep_family(
     """
     if family not in families.FAMILIES:
         raise InvalidInputError(
-            f"unknown family {family!r} (expected one of {families.FAMILIES})"
+            f"unknown family {family!r} (expected one of {families.FAMILIES})", "family"
         )
     per_value = sum((p - 1) ** 4 for p in primes) if family == "example1" else len(primes)
     size = len(values) * per_value
     if size > MAX_EXHAUSTIVE_POLYNOMIALS:
         raise InvalidInputError(
             f"the {family} corpus holds {size} polynomials, more than"
-            f" {MAX_EXHAUSTIVE_POLYNOMIALS}; pass fewer values or smaller primes"
+            f" {MAX_EXHAUSTIVE_POLYNOMIALS}; pass fewer values or smaller primes",
+            "n" if family == "example1" else "d",
+            "primes",
         )
     summary = SweepSummary(
         corpus={"family": family, "values": list(values), "primes": list(primes)}

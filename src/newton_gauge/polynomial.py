@@ -67,7 +67,16 @@ class ParseError(ValueError):
 
 
 class InvalidInputError(ValueError):
-    """An analysis input violates the analyzer's preconditions."""
+    """An analysis input violates the analyzer's preconditions.
+
+    ``arguments`` names the inputs at fault (``"prime"``, ``"min_degree"``,
+    ...) where the raiser knows them; the CLI prints them as the flags of
+    the same names in front of the message.
+    """
+
+    def __init__(self, message: str, *arguments: str):
+        super().__init__(message)
+        self.arguments = arguments
 
 
 class OracleBudgetError(RuntimeError):
@@ -455,6 +464,16 @@ def format_polynomial(f: Polynomial) -> str:
     return "".join(parts)
 
 
+def _require_prime(prime: int, argument: str = "prime") -> None:
+    """Raise InvalidInputError naming `argument` unless prime is a prime below 2^64."""
+    try:
+        is_prime = validate_prime(prime)
+    except ValueError as exc:
+        raise InvalidInputError(str(exc), argument) from None
+    if not is_prime:
+        raise InvalidInputError(f"{prime} is not prime", argument)
+
+
 class AnalysisInput(_Value):
     """A polynomial together with the prime defining the valuation.
 
@@ -465,18 +484,13 @@ class AnalysisInput(_Value):
     __slots__ = ("poly", "prime")
 
     def __init__(self, poly: Polynomial, prime: int):
-        try:
-            is_prime = validate_prime(prime)
-        except ValueError as exc:
-            raise InvalidInputError(str(exc)) from None
-        if not is_prime:
-            raise InvalidInputError(f"{prime} is not prime")
+        _require_prime(prime)
         if poly.degree < 2:
             raise InvalidInputError(
-                f"polynomial must have degree >= 2, got degree {poly.degree}"
+                f"polynomial must have degree >= 2, got degree {poly.degree}", "poly"
             )
         if poly.constant_term == 0:
-            raise InvalidInputError("polynomial must have a nonzero constant term")
+            raise InvalidInputError("polynomial must have a nonzero constant term", "poly")
         _bind(self, "poly", poly)
         _bind(self, "prime", prime)
 

@@ -376,6 +376,67 @@ def test_sweep_rejects_an_oversized_exhaustive_corpus(capsys):
     assert "holds more than 1000000 polynomials; use --sample" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--poly", "x^2+", "--prime", "2"],
+         "--poly: unexpected end of input at position 4"),
+        (["verify", "--poly", "x+1", "--prime", "2"],
+         "--poly: polynomial must have degree >= 2, got degree 1"),
+        (["analyze", "--poly", "x^2+x", "--prime", "2"],
+         "--poly: polynomial must have a nonzero constant term"),
+        (["analyze", "--poly", "x^2+1", "--prime", "4"], "--prime: 4 is not prime"),
+        (["verify", "--poly", "x^2+1", "--prime", "1"],
+         "--prime: 1 is not a valid prime candidate (need p >= 2)"),
+        (["sweep", "--primes", "2,4"], "--primes: 4 is not prime"),
+        (["sweep", "--sample", "0"], "--sample: sample must be at least 1, got 0"),
+        (["sweep", "--min-degree", "1"],
+         "--min-degree: min_degree must be at least 2, got 1"),
+        (["sweep", "--min-degree", "5", "--max-degree", "3"],
+         "--min-degree/--max-degree: min_degree (5) must not exceed max_degree (3)"),
+        (["sweep", "--coeff-bound", "0"],
+         "--coeff-bound: coeff_bound must be at least 1, got 0"),
+        (["sweep", "--max-degree", "7"],
+         "--max-degree/--coeff-bound: the exhaustive corpus of degrees 2-7 with"
+         " coeff_bound 3 holds more than 1000000 polynomials; use --sample to"
+         " draw a random subset"),
+        (["sweep", "--family", "example1", "--n", "3", "--primes", "2"],
+         "--n: example1 needs n >= 5"),
+        (["sweep", "--family", "example2", "--d", "1", "--primes", "2"],
+         "--d: example2 needs d >= 2"),
+        (["sweep", "--family", "example1", "--n", "5", "--primes", "101"],
+         "--n/--primes: the example1 corpus holds 100000000 polynomials, more"
+         " than 1000000; pass fewer values or smaller primes"),
+        (["sweep", "--family", "example2", "--d", "2", "--primes", "1"],
+         "--primes: 1 is not a valid prime candidate (need p >= 2)"),
+    ],
+)
+def test_bad_input_messages_name_their_flag(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--n", "5", "--primes", "2"], "--n is only for --family example1"),
+        (["sweep", "--family", "example2", "--d", "2", "--n", "5"],
+         "--n is only for --family example1"),
+        (["sweep", "--family", "example1", "--n", "5", "--d", "3"],
+         "--d is only for --family example2"),
+        (["sweep", "--d", "3", "--max-degree", "2", "--no-verify"],
+         "--d is only for --family example2"),
+    ],
+)
+def test_family_flags_without_their_family_are_refused(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == message + "\n"
+
+
 def test_sweep_violations_exit_4(capsys, monkeypatch):
     from newton_gauge.oracle import SweepSummary, Violation
 

@@ -367,6 +367,24 @@ def test_budget_units_on_the_seeded_corpus_are_pinned(monkeypatch):
     assert total == 714_959
 
 
+def test_candidates_built_on_the_seeded_corpus_are_pinned(monkeypatch):
+    # Only matches that pass the leading-coefficient and probe-point
+    # tests are built and trial-divided: 1,916 of the 50,267 that the
+    # residue lookup alone would build.
+    built = 0
+    real = oracle._candidate_factor
+
+    def counting(*args):
+        nonlocal built
+        built += 1
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_candidate_factor", counting)
+    for f in _search_corpus():
+        kronecker_factor(f, budget=10**9)
+    assert built == 1_916
+
+
 def test_budget_exhausting_search_reports_the_same_spend(monkeypatch):
     # a 6 + 6 composite whose degree-6 search needs more than 10^7 units
     monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)

@@ -202,13 +202,18 @@ def test_content_and_primitive():
 def test_analysis_input_validation():
     ok = AnalysisInput(parse_polynomial("x^2+2"), 2)
     assert ok.degree == 2
-    with pytest.raises(InvalidInputError, match="4 is not prime"):
+    with pytest.raises(InvalidInputError, match="4 is not prime") as info:
         AnalysisInput(parse_polynomial("x^2+2"), 4)
-    with pytest.raises(InvalidInputError, match="not a valid prime"):
+    assert (str(info.value), info.value.arguments) == ("4 is not prime", ("prime",))
+    with pytest.raises(InvalidInputError, match="not a valid prime") as info:
         AnalysisInput(parse_polynomial("x^2+2"), 1)
-    with pytest.raises(InvalidInputError, match="degree >= 2"):
+    assert info.value.arguments == ("prime",)
+    with pytest.raises(InvalidInputError, match="degree >= 2") as info:
         AnalysisInput(parse_polynomial("x+1"), 2)
+    assert info.value.arguments == ("poly",)
     with pytest.raises(InvalidInputError, match="degree >= 2"):
         AnalysisInput(Polynomial(), 2)
-    with pytest.raises(InvalidInputError, match="nonzero constant term"):
+    with pytest.raises(InvalidInputError, match="nonzero constant term") as info:
         AnalysisInput(parse_polynomial("x^2+x"), 2)
+    assert str(info.value) == "polynomial must have a nonzero constant term"
+    assert info.value.arguments == ("poly",)
