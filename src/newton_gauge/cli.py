@@ -101,17 +101,19 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--json", action="store_true")
 
     sweep_p = sub.add_parser("sweep", help="run a corpus or family sweep")
-    sweep_p.add_argument("--max-degree", type=int, default=4)
-    sweep_p.add_argument("--min-degree", type=int, default=2)
-    sweep_p.add_argument("--coeff-bound", type=int, default=3)
+    # The corpus flags default to None, so that a --family sweep can tell
+    # a given flag from a default and refuse it; _run_sweep fills them in.
+    sweep_p.add_argument("--max-degree", type=int, help="default 4")
+    sweep_p.add_argument("--min-degree", type=int, help="default 2")
+    sweep_p.add_argument("--coeff-bound", type=int, help="default 3")
     sweep_p.add_argument("--primes", default="2,3", help="comma-separated primes")
     mode = sweep_p.add_mutually_exclusive_group()
     mode.add_argument(
-        "--exhaustive", action="store_true",
+        "--exhaustive", action="store_true", default=None,
         help="enumerate the whole corpus (the default)",
     )
     mode.add_argument("--sample", type=int, help="draw this many random polynomials")
-    sweep_p.add_argument("--seed", type=int, default=0, help="seed for --sample")
+    sweep_p.add_argument("--seed", type=int, help="seed for --sample (default 0)")
     sweep_p.add_argument(
         "--family", choices=["example1", "example2"],
         help="sweep a built-in family instead of a coefficient corpus",
@@ -162,6 +164,14 @@ def _run_sweep(args: argparse.Namespace) -> int:
         raise InvalidInputError("--n is only for --family example1")
     if args.d is not None and args.family != "example2":
         raise InvalidInputError("--d is only for --family example2")
+    corpus = {
+        "max_degree": 4, "min_degree": 2, "coeff_bound": 3, "exhaustive": None,
+        "sample": None, "seed": 0,
+    }
+    given = [name for name in corpus if getattr(args, name) is not None]
+    if args.family and given:
+        raise InvalidInputError("not used by a --family sweep", *given)
+    corpus.update((name, getattr(args, name)) for name in given)
     primes = _csv_ints(args.primes, "--primes")
     for p in primes:
         _require_prime(p, "primes")
@@ -179,12 +189,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
         )
     else:
         summary = sweep(
-            args.max_degree,
-            args.coeff_bound,
+            corpus["max_degree"],
+            corpus["coeff_bound"],
             primes,
-            min_degree=args.min_degree,
-            sample=args.sample,
-            seed=args.seed,
+            min_degree=corpus["min_degree"],
+            sample=corpus["sample"],
+            seed=corpus["seed"],
             verify=not args.no_verify,
         )
     _emit(sweep_report(summary), args.json)

@@ -49,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 import random
 import zlib
@@ -465,10 +466,11 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> Optional[Polyno
 # ---------------------------------------------------------------------------
 # Modular degree analysis
 #
-# Over F_q a polynomial is a list of residues, lowest degree first, with no
-# trailing zeros.  Every factor of f over Z reduces to a product of factors
-# of f mod q, so when q keeps the degree and f stays squarefree mod q, the
-# degree of any integer factor is a subset sum of the degrees mod q.
+# Over F_q a polynomial is a list of residues, lowest degree first; Euclid's
+# operands have no trailing zeros.  Every factor of f over Z reduces to a
+# product of factors of f mod q, so when q keeps the degree and f stays
+# squarefree mod q, the degree of any integer factor is a subset sum of the
+# degrees mod q.
 
 _DEGREE_ANALYSIS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # Below this degree the search never reaches k = 3 and the analysis costs
@@ -482,99 +484,96 @@ _DEGREE_ANALYSIS_ALL_PRIMES_DEGREE = 8
 _DEGREE_ANALYSIS_FEW_PRIMES = 5
 
 
-def _fq_trim(a: list[int]) -> list[int]:
+def _fq_rem(a: list[int], m: list[int], q: int) -> list[int]:
+    """a mod m over F_q for reduced a and m, m[-1] != 0.
+
+    Works in a's own list and returns it, reducing mod q as it goes; no
+    quotient is built, and the remainder is not made monic.
+    """
+    dm = len(m) - 1
+    inv = pow(m[-1], -1, q)
+    for t in range(len(a) - 1, dm - 1, -1):
+        c = a[t] * inv % q
+        if c:
+            base = t - dm
+            for j in range(dm):
+                a[base + j] = (a[base + j] - c * m[j]) % q
+    del a[dm:]
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
-def _fq_monic(a: list[int], q: int) -> list[int]:
-    inv = pow(a[-1], -1, q)
-    return [c * inv % q for c in a]
+def _fq_gcd_degree(a: list[int], b: list[int], q: int) -> int:
+    """Degree of gcd(a, b) over F_q for a nonzero, trimmed a and any b.
 
-
-def _fq_divmod(a: list[int], m: list[int], q: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by the monic m over F_q."""
-    rem = list(a)
-    dm = len(m) - 1
-    quot = [0] * max(len(a) - dm, 0)
-    for t in range(len(a) - 1, dm - 1, -1):
-        c = rem[t] % q
-        if c:
-            quot[t - dm] = c
-            for j in range(dm):
-                rem[t - dm + j] -= c * m[j]
-    return quot, _fq_trim([c % q for c in rem[:dm]])
-
-
-def _fq_gcd(a: list[int], b: list[int], q: int) -> list[int]:
-    """Monic gcd over F_q of a nonzero a and any b."""
+    Consumes both lists.  Euclid's remainders are never made monic: only
+    the degree is needed.
+    """
+    while b and b[-1] == 0:
+        b.pop()
     while b:
-        b = _fq_monic(b, q)
-        a, b = b, _fq_divmod(a, b, q)[1]
-    return _fq_monic(a, q)
+        a, b = b, _fq_rem(a, b, q)
+    return len(a) - 1
 
 
-def _fq_mulmod(a: list[int], b: list[int], m: list[int], q: int, meter: _Budget) -> list[int]:
-    """a * b mod the monic m over F_q; one budget unit."""
-    meter.spend()
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    return _fq_divmod(prod, m, q)[1]
+def _frobenius_matrix(f: list[int], q: int, meter: _Budget) -> list[tuple[int, ...]]:
+    """The matrix of h -> h^q mod f over F_q, for the monic f of degree n.
 
-
-def _frobenius_matrix(f: list[int], q: int, meter: _Budget) -> list[list[int]]:
-    """Rows x^(i*q) mod f for i < deg f: h^q mod f = sum(h[i] * row[i]).
-
-    Over F_q the q-th power is additive and fixes constants, so these
-    rows turn each Frobenius step of the distinct-degree loop into one
-    matrix-vector product.  One budget unit per row.
+    Row k, column i holds the coefficient of x^k in x^(i*q) mod f, so
+    h^q mod f = sum(h[i] * row[i]) in each row: over F_q the q-th power
+    is additive and fixes constants.  This turns each Frobenius step of
+    the distinct-degree loop into one matrix-vector product.  One budget
+    unit per column.
     """
     n = len(f) - 1
-    xq = [1]
-    for _ in range(q):
-        xq = [0] + xq
-        if len(xq) > n:
-            top = xq.pop()
-            xq = [(c - top * fc) % q for c, fc in zip(xq, f)]
-    xq = _fq_trim(xq)
+    low = f[:n]
+    # x^(q + j) mod f for j < n, by shifting: x * v folds x^n = -low back in
+    e = min(q, n - 1)
+    v = [0] * n
+    v[e] = 1
+    shifted = [v] if e == q else []
+    while len(shifted) < n:
+        top = v[-1]
+        v = [(c - top * fc) % q for c, fc in zip((0, *v), low)]
+        e += 1
+        if e >= q:
+            shifted.append(v)
     meter.spend(2)
-    rows = [[1], xq]
-    while len(rows) < n:
-        rows.append(_fq_mulmod(rows[-1], xq, f, q, meter))
-    return rows
+    # x^((i + 1) * q) = x^q * x^(i * q): column i + 1 is times_xq applied to column i
+    times_xq = list(zip(*shifted))
+    columns = [[1] + [0] * (n - 1), shifted[0]]
+    while len(columns) < n:
+        meter.spend()
+        columns.append([sum(map(operator.mul, columns[-1], row)) % q for row in times_xq])
+    return list(zip(*columns))
 
 
 def _distinct_degrees(f: list[int], q: int, meter: _Budget) -> list[int]:
     """Degrees of the irreducible factors of the monic squarefree f over F_q.
 
     Distinct-degree factorization: gcd(f, x^(q^d) - x) is the product of
-    the degree-d factors once those of lower degree are divided out.
+    the factors whose degree divides d, so its degree is the sum of e over
+    the factors of each degree e that divides d.  Once no factor of degree
+    up to d is left, what is left of f is irreducible.
     """
-    rows = _frobenius_matrix(f, q, meter)
-    degrees = []
-    h = [0, 1]  # x^(q^d) mod the original f, which every later f divides
+    frobenius = _frobenius_matrix(f, q, meter)
+    degrees: list[int] = []
+    left = len(f) - 1
+    h = [0, 1]  # x^(q^d) mod f
     d = 0
-    while 2 * (d + 1) <= len(f) - 1:
+    while 2 * (d + 1) <= left:
         d += 1
         meter.spend(2)  # one Frobenius step, one gcd
-        acc = [0] * len(rows)
-        for c, row in zip(h, rows):
-            if c:
-                for j, r in enumerate(row):
-                    acc[j] += c * r
-        h = _fq_trim([c % q for c in acc])
-        h_minus_x = h + [0] * (2 - len(h))
+        h = [sum(map(operator.mul, h, row)) % q for row in frobenius]
+        h_minus_x = h.copy()
         h_minus_x[1] = (h_minus_x[1] - 1) % q
-        g = _fq_gcd(f, _fq_trim(h_minus_x), q)
-        if len(g) > 1:
-            degrees.extend([d] * ((len(g) - 1) // d))
-            f = _fq_divmod(f, g, q)[0]
-    if len(f) > 1:
-        degrees.append(len(f) - 1)
+        known = sum(e for e in degrees if d % e == 0)
+        count = (_fq_gcd_degree(list(f), h_minus_x, q) - known) // d
+        degrees.extend([d] * count)
+        left -= d * count
+    if left:
+        degrees.append(left)
     return degrees
 
 
@@ -589,10 +588,11 @@ def _modular_factor_degrees(
     for q in _DEGREE_ANALYSIS_PRIMES:
         if f.leading_coefficient % q == 0:
             continue
-        fq = _fq_monic([c % q for c in f.coeffs], q)
-        derivative = _fq_trim([i * c % q for i, c in enumerate(fq)][1:])
+        inv = pow(f.leading_coefficient, -1, q)
+        fq = [c * inv % q for c in f.coeffs]
+        derivative = [i * c % q for i, c in enumerate(fq)][1:]
         meter.spend()
-        if len(_fq_gcd(fq, derivative, q)) > 1:
+        if _fq_gcd_degree(list(fq), derivative, q) > 0:
             continue
         yield q, _distinct_degrees(fq, q, meter)
 

@@ -21,10 +21,13 @@ descending powers with no spaces, writes ``*`` only between an integer
 coefficient and ``x`` ("2*x^3"), and omits unit coefficients and the
 exponent 1, so ``parse(format(f)) == f``.
 
-Before expanding a product or power, the parser raises
-:class:`ParseError` at its operator when the result would pass degree
-``MAX_PARSED_EXPONENT`` or could hold a coefficient of more than
-``MAX_PARSED_COEFF_DIGITS`` digits.
+The parser collects terms in a sparse {exponent: coefficient} map and
+builds the dense polynomial once, at the end; a product with a monomial
+and a power of a monomial cost only exponent arithmetic, so parse time
+is linear in the number of terms.  Before expanding a product or power,
+it raises :class:`ParseError` at its operator when the result would
+pass degree ``MAX_PARSED_EXPONENT`` or could hold a coefficient of more
+than ``MAX_PARSED_COEFF_DIGITS`` digits; the zero map has degree -1.
 """
 
 from __future__ import annotations
@@ -254,8 +257,9 @@ class Polynomial:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __call__(self, x):
@@ -323,9 +327,9 @@ def _tokenize(text: str) -> list[tuple[str, Union[int, str], int]]:
     return tokens
 
 
-def _norm1(f: Polynomial) -> int:
+def _norm1(terms: dict[int, int]) -> int:
     """Sum of the coefficients' magnitudes; it bounds every coefficient."""
-    return sum(abs(c) for c in f.coeffs)
+    return sum(map(abs, terms.values()))
 
 
 def _power_reaches_limit(norm: int, k: int) -> bool:
@@ -349,8 +353,39 @@ def _check_expansion(degree: int, too_wide: bool, at: int) -> None:
         )
 
 
+def _dense(terms: dict[int, int]) -> Polynomial:
+    coeffs = [0] * (max(terms, default=-1) + 1)
+    for e, c in terms.items():
+        coeffs[e] = c
+    return Polynomial(coeffs)
+
+
+def _sparse(f: Polynomial) -> dict[int, int]:
+    return {e: c for e, c in enumerate(f.coeffs) if c}
+
+
+def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two term maps; a monomial factor only shifts exponents."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) > 1:
+        return _sparse(_dense(a) * _dense(b))
+    return {e + shift: c * scale for shift, scale in b.items() for e, c in a.items()}
+
+
+def _power(a: dict[int, int], k: int) -> dict[int, int]:
+    if len(a) != 1:
+        return _sparse(_dense(a) ** k)
+    ((e, c),) = a.items()
+    return {e * k: c**k}
+
+
 class _Parser:
-    """Recursive-descent parser for the grammar in the module docstring."""
+    """Recursive-descent parser for the grammar in the module docstring.
+
+    Each method returns a new {exponent: coefficient} map with no zero
+    coefficients, which its caller may change in place.
+    """
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -365,63 +400,67 @@ class _Parser:
         return tok
 
     def parse(self) -> Polynomial:
-        poly = self.expression()
+        terms = self.expression()
         kind, value, at = self.peek()
         if kind != _TOK_END:
             raise ParseError(f"unexpected {value!r}", at)
-        return poly
+        return _dense(terms)
 
-    def expression(self) -> Polynomial:
-        poly = self.term()
+    def expression(self) -> dict[int, int]:
+        terms = self.term()
         while True:
             kind, value, _ = self.peek()
             if kind == _TOK_OP and value in "+-":
                 self.advance()
                 rhs = self.term()
-                poly = poly + rhs if value == "+" else poly - rhs
+                sign = 1 if value == "+" else -1
+                for e, c in rhs.items():
+                    terms[e] = terms.get(e, 0) + sign * c
             else:
-                return poly
+                return {e: c for e, c in terms.items() if c}
 
-    def term(self) -> Polynomial:
-        poly = self.factor()
+    def term(self) -> dict[int, int]:
+        terms = self.factor()
         while True:
             kind, value, at = self.peek()
             if kind == _TOK_OP and value == "*":
                 self.advance()
             elif not (kind == _TOK_X or (kind == _TOK_OP and value == "(")):
-                return poly
+                return terms
             # Otherwise juxtaposition: implicit multiplication before 'x' or '('.
             rhs = self.factor()
-            too_wide = _norm1(poly) * _norm1(rhs) >= _COEFF_LIMIT
-            _check_expansion(poly.degree + rhs.degree, too_wide, at)
-            poly = poly * rhs
+            too_wide = _norm1(terms) * _norm1(rhs) >= _COEFF_LIMIT
+            degree = max(terms, default=-1) + max(rhs, default=-1)
+            _check_expansion(degree, too_wide, at)
+            terms = _times(terms, rhs)
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict[int, int]:
         kind, value, _ = self.peek()
         if kind == _TOK_OP and value == "-":
             self.advance()
-            return -self.factor()
-        poly = self.atom()
+            return {e: -c for e, c in self.factor().items()}
+        terms = self.atom()
         kind2, value2, at = self.peek()
         if kind2 == _TOK_OP and value2 == "^":
             self.advance()
             k = self.exponent()
-            _check_expansion(poly.degree * k, _power_reaches_limit(_norm1(poly), k), at)
-            return poly**k
-        return poly
+            degree = max(terms, default=-1) * k
+            _check_expansion(degree, _power_reaches_limit(_norm1(terms), k), at)
+            return _power(terms, k)
+        return terms
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> dict[int, int]:
         kind, value, at = self.advance()
         if kind == _TOK_INT:
-            return Polynomial.constant(value)
+            return {0: value} if value else {}
         if kind == _TOK_X:
-            return Polynomial.monomial(1, 1)
+            return {1: 1}
         if kind == _TOK_OP and value == "(":
-            poly = self.expression()
+            terms = self.expression()
             kind2, value2, at2 = self.advance()
             if not (kind2 == _TOK_OP and value2 == ")"):
                 raise ParseError("expected ')'", at2)
-            return poly
+            return terms
         if kind == _TOK_END:
             raise ParseError("unexpected end of input", at)
         raise ParseError(f"unexpected {value!r}", at)

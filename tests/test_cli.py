@@ -437,6 +437,50 @@ def test_family_flags_without_their_family_are_refused(capsys, argv, message):
     assert err == message + "\n"
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--sample", "5", "--seed", "9", "--max-degree", "3"], "--max-degree/--sample/--seed"),
+        (["--seed", "0"], "--seed"),  # a given default is still refused
+        (["--min-degree", "2"], "--min-degree"),
+        (["--coeff-bound", "3"], "--coeff-bound"),
+        (["--exhaustive"], "--exhaustive"),
+        (["--sample", "1"], "--sample"),
+    ],
+)
+def test_corpus_flags_with_a_family_are_refused(capsys, flags, named):
+    code, out, err = _run(
+        capsys, "sweep", "--family", "example2", "--d", "2", "--primes", "2", *flags
+    )
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == f"{named}: not used by a --family sweep\n"
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        ([], (4, 3, 2, None, 0)),
+        (["--exhaustive"], (4, 3, 2, None, 0)),
+        (["--max-degree", "5", "--min-degree", "3", "--coeff-bound", "2"], (5, 2, 3, None, 0)),
+        (["--sample", "7", "--seed", "11"], (4, 3, 2, 7, 11)),
+    ],
+)
+def test_corpus_sweeps_keep_their_defaults(capsys, monkeypatch, flags, expected):
+    from newton_gauge.oracle import SweepSummary
+
+    calls = []
+
+    def recording(max_degree, coeff_bound, primes, *, min_degree, sample, seed, verify):
+        calls.append((max_degree, coeff_bound, min_degree, sample, seed))
+        return SweepSummary(corpus={"mode": "exhaustive"})
+
+    monkeypatch.setattr("newton_gauge.oracle.sweep", recording)
+    code, _, _ = _run(capsys, "sweep", "--no-verify", *flags)
+    assert code == EXIT_OK
+    assert calls == [expected]
+
+
 def test_sweep_violations_exit_4(capsys, monkeypatch):
     from newton_gauge.oracle import SweepSummary, Violation
 

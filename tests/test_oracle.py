@@ -477,6 +477,212 @@ def test_degree_analysis_is_charged_to_the_budget():
         kronecker_factor(_poly("x^6+2x^3+8"), budget=2)
 
 
+# The F_q kernels as they were before the in-place rewrite: every Euclid
+# step builds the quotient and makes the divisor monic, x^q comes from
+# list concatenation, and each Frobenius row is a product divided through
+# _reference_fq_divmod.  The analysis must give the same (q, degrees)
+# stream and charge the same units at the same points.
+
+
+def _reference_fq_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _reference_fq_monic(a, q):
+    inv = pow(a[-1], -1, q)
+    return [c * inv % q for c in a]
+
+
+def _reference_fq_divmod(a, m, q):
+    rem = list(a)
+    dm = len(m) - 1
+    quot = [0] * max(len(a) - dm, 0)
+    for t in range(len(a) - 1, dm - 1, -1):
+        c = rem[t] % q
+        if c:
+            quot[t - dm] = c
+            for j in range(dm):
+                rem[t - dm + j] -= c * m[j]
+    return quot, _reference_fq_trim([c % q for c in rem[:dm]])
+
+
+def _reference_fq_gcd(a, b, q):
+    while b:
+        b = _reference_fq_monic(b, q)
+        a, b = b, _reference_fq_divmod(a, b, q)[1]
+    return _reference_fq_monic(a, q)
+
+
+def _reference_fq_mulmod(a, b, m, q, meter):
+    meter.spend()
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _reference_fq_divmod(prod, m, q)[1]
+
+
+def _reference_frobenius_matrix(f, q, meter):
+    n = len(f) - 1
+    xq = [1]
+    for _ in range(q):
+        xq = [0] + xq
+        if len(xq) > n:
+            top = xq.pop()
+            xq = [(c - top * fc) % q for c, fc in zip(xq, f)]
+    xq = _reference_fq_trim(xq)
+    meter.spend(2)
+    rows = [[1], xq]
+    while len(rows) < n:
+        rows.append(_reference_fq_mulmod(rows[-1], xq, f, q, meter))
+    return rows
+
+
+def _reference_distinct_degrees(f, q, meter):
+    rows = _reference_frobenius_matrix(f, q, meter)
+    degrees = []
+    h = [0, 1]
+    d = 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        meter.spend(2)
+        acc = [0] * len(rows)
+        for c, row in zip(h, rows):
+            if c:
+                for j, r in enumerate(row):
+                    acc[j] += c * r
+        h = _reference_fq_trim([c % q for c in acc])
+        h_minus_x = h + [0] * (2 - len(h))
+        h_minus_x[1] = (h_minus_x[1] - 1) % q
+        g = _reference_fq_gcd(f, _reference_fq_trim(h_minus_x), q)
+        if len(g) > 1:
+            degrees.extend([d] * ((len(g) - 1) // d))
+            f = _reference_fq_divmod(f, g, q)[0]
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees
+
+
+def _reference_modular_factor_degrees(f, meter):
+    for q in oracle._DEGREE_ANALYSIS_PRIMES:
+        if f.leading_coefficient % q == 0:
+            continue
+        fq = _reference_fq_monic([c % q for c in f.coeffs], q)
+        derivative = _reference_fq_trim([i * c % q for i, c in enumerate(fq)][1:])
+        meter.spend()
+        if len(_reference_fq_gcd(fq, derivative, q)) > 1:
+            continue
+        yield q, _reference_distinct_degrees(fq, q, meter)
+
+
+class _SpendLog(_Budget):
+    """A budget that records the amount of every spend call."""
+
+    __slots__ = ("amounts",)
+
+    def __init__(self, cap, spent=0):
+        super().__init__(cap)
+        self.spent = spent
+        self.amounts = []
+
+    def spend(self, amount=1):
+        self.amounts.append(amount)
+        super().spend(amount)
+
+
+def _degree_analysis_corpus():
+    """Seeded degree 6-12 inputs: random ones, products, inputs with a
+    square factor, and leading coefficients divisible by some of the 15
+    primes."""
+    rng = random.Random(1511)
+    leads = (1, -1, 2, 3, 6, -10, 30, 210, 2 * 47, -7 * 11 * 13, 17 * 19 * 23)
+    out = []
+    for i in range(160):
+        n = rng.randint(6, 12)
+        kind = i % 4
+        if kind == 0:
+            coeffs = [rng.choice((-3, -1, 1, 2))] + [rng.randint(-20, 20) for _ in range(n - 1)]
+            f = Polynomial(coeffs + [rng.choice(leads)])
+        elif kind == 1:
+            m = rng.randint(1, n - 1)
+            f = _small_poly(rng, m) * Polynomial(
+                [rng.randint(-5, 5) for _ in range(n - m)] + [rng.choice(leads)]
+            )
+        elif kind == 2:
+            m = rng.randint(1, n // 2)
+            g = _small_poly(rng, m)
+            rest = n - 2 * m
+            f = g * g * (_small_poly(rng, rest) if rest else Polynomial([rng.choice(leads)]))
+        else:
+            f = _padic_poly(rng, n, rng.choice((2, 3)))
+        out.append(f)
+    return out
+
+
+def test_fq_kernels_match_the_reference_kernels():
+    skipped_for_the_lead = skipped_as_square = 0
+    degrees_seen = set()
+    for f in _degree_analysis_corpus():
+        meter, reference_meter = _SpendLog(10**9), _SpendLog(10**9)
+        stream = list(_modular_factor_degrees(f, meter))
+        reference = list(_reference_modular_factor_degrees(f, reference_meter))
+        assert stream == reference, str(f)
+        assert meter.amounts == reference_meter.amounts, str(f)
+        used = [q for q, _ in stream]
+        lead_ok = [q for q in oracle._DEGREE_ANALYSIS_PRIMES if f.leading_coefficient % q]
+        skipped_for_the_lead += len(oracle._DEGREE_ANALYSIS_PRIMES) - len(lead_ok)
+        skipped_as_square += len(lead_ok) - len(used)
+        degrees_seen.add(f.degree)
+    # the corpus reaches every branch: primes dividing the lead, primes
+    # mod which f is not squarefree, and every degree from 6 to 12
+    assert skipped_for_the_lead > 0 and skipped_as_square > 0
+    assert degrees_seen == set(range(6, 13))
+
+
+def _budget_outcome(analysis, f, cap, spent):
+    meter = _SpendLog(cap, spent)
+    stream = []
+    try:
+        for item in analysis(f, meter):
+            stream.append(item)
+    except OracleBudgetError as exc:
+        return stream, meter.amounts, str(exc)
+    return stream, meter.amounts, None
+
+
+def test_fq_kernels_run_out_of_budget_at_the_same_spend(monkeypatch):
+    rng = random.Random(47)
+    for f in _degree_analysis_corpus()[::4]:
+        units = sum(_budget_outcome(_reference_modular_factor_degrees, f, 10**9, 0)[1])
+        for cap in {units - 1, rng.randrange(units)}:
+            pre = rng.randrange(1000)
+            expected = _budget_outcome(_reference_modular_factor_degrees, f, pre + cap, pre)
+            assert expected[2] is not None
+            assert _budget_outcome(_modular_factor_degrees, f, pre + cap, pre) == expected
+    # and through the oracle: a cap inside the analysis of a primitive
+    # degree-6+ input gives the same message as the reference kernels
+    checked = 0
+    for f in _degree_analysis_corpus()[:40]:
+        prim = content_and_primitive(f)[1]
+        if prim.leading_coefficient < 0 or prim.constant_term == 0:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_modular_factor_degrees", _reference_modular_factor_degrees)
+            meter = _Budget(10**9)
+            _allowed_factor_degrees(prim, meter)
+            cap = rng.randrange(1, meter.spent)
+            with pytest.raises(OracleBudgetError) as old:
+                kronecker_factor(prim, budget=cap)
+        with pytest.raises(OracleBudgetError) as new:
+            kronecker_factor(prim, budget=cap)
+        assert str(new.value) == str(old.value)
+        checked += 1
+    assert checked > 20
+
+
 # ---------------------------------------------------------------------------
 # certificate verification
 
