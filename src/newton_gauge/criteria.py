@@ -24,8 +24,10 @@ the s = 0 "T1", also FactorDegreeMultipleOf(modulus); for "T2", also
 AlphaSplit(modulus, u/d), i.e. some a2*deg(f1) - a1*deg(f2) with
 a1 + a2 = u/d is divisible by modulus.  At s = 0 every interior point
 lies strictly above the chord from (0, v(a_0)) to (n, v(a_n)), so the
-polygon is a single segment.  Slopes are Fractions; the parameters and
-the decision use integer arithmetic only.
+polygon is a single segment.  The slope table finds s once, comparing
+cross-multiplied integers, and the Newton index it reports is the slope
+of the polygon's last edge (see ``newton``); the parameters and the
+decision use integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -79,15 +81,7 @@ class CriteriaParameters(_Value):
 
     def as_dict(self) -> dict:
         """The fields by name, in field order (the report's key order)."""
-        return {
-            "n": self.n,
-            "s": self.s,
-            "c_s": self.c_s,
-            "c_n": self.c_n,
-            "d": self.d,
-            "u": self.u,
-            "modulus": self.modulus,
-        }
+        return {name: getattr(self, name) for name in self._fields}
 
 
 class Irreducible(_Value):
@@ -285,21 +279,23 @@ def check_theorem2(inp: AnalysisInput) -> Certificate:
 
 
 def dumas_degree_sets(inp: AnalysisInput) -> tuple[tuple[int, int], ...]:
-    """Factor-degree pairs (d1, d2), d1 <= d2, d1 + d2 = n, allowed by the polygon.
+    """Factor-degree pairs (d1, d2), d1 <= d2, d1 + d2 = n, allowed by the polygon."""
+    return _degree_pairs(newton_polygon(inp.poly, inp.prime), inp.degree)
 
-    The polygon of a product is the concatenation of the factors'
-    polygons, so a factor's degree is a sum of per-edge contributions
-    k*e where e is the edge's reduced slope denominator and k ranges
-    over 0..(lattice length).  Subset sums over the edges give every
-    achievable degree; pairing with the complement gives the set.
-    Always contains (0, n).
+
+def _degree_pairs(polygon: NewtonPolygon, n: int) -> tuple[tuple[int, int], ...]:
+    """The degree pairs of :func:`dumas_degree_sets`, read from a built polygon.
+
+    A product's polygon concatenates its factors' polygons, so a factor's
+    degree is a sum of per-edge terms k*e, with e the edge's reduced slope
+    denominator and 0 <= k <= its lattice length.  The subset sums, paired
+    with their complements, give the set; it always contains (0, n).
     """
-    polygon = newton_polygon(inp.poly, inp.prime)
-    n = inp.degree
     achievable = {0}
-    for edge in polygon.edges:
-        g = math.gcd(edge.rise, edge.width)
-        e = edge.width // g
+    vertices = polygon.vertices
+    for (i0, v0), (i1, v1) in zip(vertices, vertices[1:]):
+        g = math.gcd(v1 - v0, i1 - i0)
+        e = (i1 - i0) // g
         achievable = {a + k * e for a in achievable for k in range(g + 1)}
     return tuple(sorted({(min(a, n - a), max(a, n - a)) for a in achievable}))
 
@@ -329,7 +325,8 @@ class Analysis(_Value):
 
 
 def analyze(inp: AnalysisInput) -> Analysis:
-    """Build the slope table once and read the certificate from it.
+    """Build one slope table and one polygon: the certificate is read from
+    the table, the degree pairs from the polygon.
 
     The certificate follows the decision table in the module docstring;
     "none" only when no strict dominant index exists.  Deterministic and
@@ -337,4 +334,4 @@ def analyze(inp: AnalysisInput) -> Analysis:
     """
     table = slope_table(inp)
     polygon = newton_polygon(inp.poly, inp.prime)
-    return Analysis(inp, table, polygon, _certify(table), dumas_degree_sets(inp))
+    return Analysis(inp, table, polygon, _certify(table), _degree_pairs(polygon, inp.degree))

@@ -7,9 +7,15 @@ records, for every index i < n with a_i != 0, the exact rational
 
     m_i(f) = (v_p(a_n) - v_p(a_i)) / (n - i),
 
-and the Newton index e(f) is the largest such slope.  Indices with
-a_i = 0 contribute no slope (morally slope minus infinity), so skipping
-them is exact.  The index is multiplicative: e(f*g) = max(e(f), e(g)).
+and the Newton index e(f) is the largest such slope.  Since m_i is the
+slope of the chord from point i to the last point (n, v_p(a_n)), the
+Newton index is the slope of the last hull edge.  Indices with a_i = 0
+contribute no slope (morally slope minus infinity), so skipping them is
+exact.  The index is multiplicative: e(f*g) = max(e(f), e(g)).
+
+Slopes are compared as cross-multiplied integers, a/b >= c/d iff
+a*d >= c*b for widths b, d > 0; ``Fraction`` values are built only as
+results (the table's entries, the index), never to compare.
 """
 
 from __future__ import annotations
@@ -43,18 +49,7 @@ class ValuationPoint(NamedTuple):
 
 def valuation_points(f: Polynomial, p: int) -> list[ValuationPoint]:
     """Points (i, v_p(a_i)) for the nonzero coefficients of f, ascending index."""
-    return [
-        ValuationPoint(i, p_adic_valuation(c, p))
-        for i, c in enumerate(f.coeffs)
-        if c != 0
-    ]
-
-
-def _cross(o: ValuationPoint, a: ValuationPoint, b: ValuationPoint) -> int:
-    """Integer cross product of (o->a) x (o->b); positive iff o,a,b turn left."""
-    return (a.index - o.index) * (b.valuation - o.valuation) - (
-        a.valuation - o.valuation
-    ) * (b.index - o.index)
+    return [ValuationPoint(i, p_adic_valuation(c, p)) for i, c in enumerate(f.coeffs) if c]
 
 
 class Edge(_Value):
@@ -68,9 +63,7 @@ class Edge(_Value):
 
     @property
     def slope(self) -> Slope:
-        return Fraction(
-            self.end.valuation - self.start.valuation, self.end.index - self.start.index
-        )
+        return Fraction(self.rise, self.width)
 
     @property
     def width(self) -> int:
@@ -92,42 +85,33 @@ class NewtonPolygon(_Value):
 
     __slots__ = ("points", "vertices")
 
-    def __init__(
-        self,
-        points: tuple[ValuationPoint, ...],
-        vertices: tuple[ValuationPoint, ...],
-    ):
+    def __init__(self, points: tuple[ValuationPoint, ...], vertices: tuple[ValuationPoint, ...]):
         _bind(self, "points", points)
         _bind(self, "vertices", vertices)
         if len(vertices) < 2:
             raise InternalError("a polygon needs at least two vertices")
-        for a, b in zip(vertices, vertices[1:]):
-            if a.index >= b.index:
-                raise InternalError("hull vertex indices must strictly increase")
-        edges = self.edges
-        for e1, e2 in zip(edges, edges[1:]):
-            if e1.slope >= e2.slope:
+        steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(vertices, vertices[1:])]
+        if min(width for width, _ in steps) <= 0:
+            raise InternalError("hull vertex indices must strictly increase")
+        for (w1, r1), (w2, r2) in zip(steps, steps[1:]):
+            if r1 * w2 >= r2 * w1:
                 raise InternalError("hull edge slopes must strictly increase")
+        # One walk: each point meets the first edge whose index range holds it.
+        k, last = 0, len(steps) - 1
         for pt in points:
-            if not self._on_or_above(pt):
+            i, v = pt
+            if i < vertices[k][0]:
+                k = 0
+            while k < last and vertices[k + 1][0] < i:
+                k += 1
+            i0, v0 = vertices[k]
+            width, rise = steps[k]
+            if not 0 <= i - i0 <= width or (v - v0) * width < rise * (i - i0):
                 raise InternalError(f"point {pt} lies below the hull")
-
-    def _on_or_above(self, pt: ValuationPoint) -> bool:
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            if a.index <= pt.index <= b.index:
-                # (pt.valuation - a.valuation)/(pt.index - a.index) >= slope,
-                # cross-multiplied to stay in integers.
-                return (pt.valuation - a.valuation) * (b.index - a.index) >= (
-                    b.valuation - a.valuation
-                ) * (pt.index - a.index)
-        return False
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(
-            Edge(self.vertices[k], self.vertices[k + 1])
-            for k in range(len(self.vertices) - 1)
-        )
+        return tuple(map(Edge, self.vertices, self.vertices[1:]))
 
 
 def lower_convex_hull(points: Sequence[ValuationPoint]) -> NewtonPolygon:
@@ -141,7 +125,11 @@ def lower_convex_hull(points: Sequence[ValuationPoint]) -> NewtonPolygon:
         raise ValueError("need at least two points for a hull")
     hull: list[ValuationPoint] = []
     for pt in points:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], pt) <= 0:
+        i, v = pt
+        while len(hull) >= 2:
+            (i0, v0), (i1, v1) = hull[-2], hull[-1]
+            if (i1 - i0) * (v - v0) > (v1 - v0) * (i - i0):
+                break
             hull.pop()
         hull.append(pt)
     return NewtonPolygon(points=tuple(points), vertices=tuple(hull))
@@ -158,25 +146,36 @@ class SlopeEntry(NamedTuple):
     slope: Slope
 
 
-class SlopeTable(_Value):
-    """All slopes m_i(f) for i < n with a_i != 0, plus the extremes."""
+def _argmax(slopes: Sequence[tuple[int, int]]) -> list[int]:
+    """Positions of the largest rise/width among (rise, width) pairs, width > 0."""
+    best, at = None, []
+    for k, (rise, width) in enumerate(slopes):
+        gap = 1 if best is None else rise * best[1] - best[0] * width
+        if gap > 0:
+            best, at = (rise, width), [k]
+        elif gap == 0:
+            at.append(k)
+    return at
 
-    __slots__ = ("degree", "leading_valuation", "entries")
+
+class SlopeTable(_Value):
+    """All slopes m_i(f) for i < n with a_i != 0, plus the extremes.
+
+    ``newton_index`` (None for an empty table) and ``index_of_max``, the
+    indices attaining it in ascending order, are found once, when the
+    table is built; they are derived, not fields.
+    """
+
+    __slots__ = ("degree", "leading_valuation", "entries", "index_of_max", "newton_index")
+    _fields = __slots__[:3]
 
     def __init__(self, degree: int, leading_valuation: int, entries: tuple[SlopeEntry, ...]):
         _bind(self, "degree", degree)
         _bind(self, "leading_valuation", leading_valuation)
         _bind(self, "entries", entries)
-
-    @property
-    def newton_index(self) -> Slope:
-        return max(entry.slope for entry in self.entries)
-
-    @property
-    def index_of_max(self) -> tuple[int, ...]:
-        """All indices attaining the maximal slope, ascending."""
-        best = self.newton_index
-        return tuple(e.index for e in self.entries if e.slope == best)
+        at = _argmax([(leading_valuation - e.valuation, degree - e.index) for e in entries])
+        _bind(self, "index_of_max", tuple(entries[k].index for k in at))
+        _bind(self, "newton_index", entries[at[0]].slope if at else None)
 
     def slope_at(self, i: int) -> Optional[Slope]:
         for entry in self.entries:
@@ -187,19 +186,9 @@ class SlopeTable(_Value):
 
 def slope_table(inp: AnalysisInput) -> SlopeTable:
     """Slope table of a validated analysis input."""
-    return _slope_table_of(inp.poly, inp.prime)
-
-
-def _slope_table_of(f: Polynomial, p: int) -> SlopeTable:
-    n = f.degree
-    vn = p_adic_valuation(f.leading_coefficient, p)
-    entries = []
-    for i, c in enumerate(f.coeffs[:-1]):
-        if c == 0:
-            continue
-        vi = p_adic_valuation(c, p)
-        entries.append(SlopeEntry(i, vi, Fraction(vn - vi, n - i)))
-    return SlopeTable(degree=n, leading_valuation=vn, entries=tuple(entries))
+    *points, (n, vn) = valuation_points(inp.poly, inp.prime)
+    entries = tuple(SlopeEntry(i, v, Fraction(vn - v, n - i)) for i, v in points)
+    return SlopeTable(degree=n, leading_valuation=vn, entries=entries)
 
 
 def newton_index(f: Polynomial, p: int) -> Slope:
@@ -213,5 +202,6 @@ def newton_index(f: Polynomial, p: int) -> Slope:
         raise ValueError("newton index needs degree >= 1")
     if all(c == 0 for c in f.coeffs[:-1]):
         raise ValueError("newton index of a monomial is undefined")
-    return _slope_table_of(f, p).newton_index
-
+    *points, (n, vn) = valuation_points(f, p)
+    slopes = [(vn - v, n - i) for i, v in points]
+    return Fraction(*slopes[_argmax(slopes)[0]])

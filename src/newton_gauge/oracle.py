@@ -240,12 +240,14 @@ class FactorizationWitness(_Value):
     the witness is deterministic.
     """
 
-    __slots__ = ("sign", "content", "factors")
+    __slots__ = ("sign", "content", "factors", "_degree_pairs")
+    _fields = __slots__[:3]
 
     def __init__(self, sign: int, content: int, factors: tuple[Polynomial, ...]):
         _bind(self, "sign", sign)
         _bind(self, "content", content)
         _bind(self, "factors", factors)
+        _bind(self, "_degree_pairs", None)  # filled by _bipartition_degree_pairs
 
     def reconstruct(self) -> Polynomial:
         out = Polynomial.constant(self.sign * self.content)
@@ -740,14 +742,21 @@ class VerificationReport(_Value):
         _bind(self, "no_split_clauses", no_split_clauses)
 
 
-def _bipartition_degree_pairs(witness: FactorizationWitness) -> Iterator[tuple[int, int]]:
+def _bipartition_degree_pairs(witness: FactorizationWitness) -> tuple[tuple[int, int], ...]:
+    """The witness's bipartition degree pairs, enumerated once per witness:
+    a sweep checks one witness under every prime."""
+    if witness._degree_pairs is None:
+        _bind(witness, "_degree_pairs", tuple(_bipartition_degrees(witness.factors)))
+    return witness._degree_pairs
+
+
+def _bipartition_degrees(factors: tuple[Polynomial, ...]) -> Iterator[tuple[int, int]]:
     """Degree sums (d1, d2) of the unordered bipartitions of the factors.
 
     Splits the factor multiset into two nonempty blocks; each unordered
     split appears once, in a fixed order (left <= right as multiplicity
     vectors over the distinct factors in witness order).
     """
-    factors = witness.factors
     unique = sorted(set(factors), key=lambda g: (g.degree, g.coeffs))
     counts = [factors.count(g) for g in unique]
     degrees = [g.degree for g in unique]
@@ -826,13 +835,8 @@ def check_dumas_consistency(
     pairs: Sequence[tuple[int, int]], witness: FactorizationWitness
 ) -> list[tuple[int, int]]:
     """Bipartition degree pairs of the witness missing from the allowed set."""
-    allowed = set(pairs)
-    bad = set()
-    for d1, d2 in _bipartition_degree_pairs(witness):
-        pair = (min(d1, d2), max(d1, d2))
-        if pair not in allowed:
-            bad.add(pair)
-    return sorted(bad)
+    splits = {(min(d1, d2), max(d1, d2)) for d1, d2 in _bipartition_degree_pairs(witness)}
+    return sorted(splits.difference(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -949,9 +953,11 @@ def _identity_violations(analysis: Analysis) -> list[Violation]:
     if params is None:
         return []
     found = []
-    m_s = analysis.table.slope_at(params.s)
-    m_0 = analysis.table.slope_at(0)
-    if params.u != params.n * (params.n - params.s) * (m_s - m_0):
+    # u = n(n-s)(m_s - m_0), multiplied out over the table's valuations.
+    table, n, s = analysis.table, params.n, params.s
+    vn, v_0 = table.leading_valuation, table.entries[0].valuation  # a_0 != 0: index 0 first
+    v_s = next(e.valuation for e in table.entries if e.index == s)
+    if params.u != n * (vn - v_s) - (n - s) * (vn - v_0):
         found.append(("identity-integrality", {"u": params.u}))
     reduced = (params.c_s // params.d) * params.n - (
         (params.n - params.s) // params.d

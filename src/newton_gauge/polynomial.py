@@ -113,14 +113,16 @@ class _Value:
     Two values are equal when they have the same type and equal fields,
     the hash is over the fields, and the ``repr`` is
     ``Name(field=value, ...)``.  The fields are the subclass's own
-    ``__slots__``, so a value class is not subclassed further.
+    ``__slots__``, so a value class is not subclassed further; a class
+    may name a prefix of them in ``_fields``, and the other slots then
+    hold what ``__init__`` derives from the fields once.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = cls.__slots__
+        fields = cls._fields = cls.__dict__.get("_fields", cls.__slots__)
         # An attrgetter is not a descriptor, so self._key is the getter itself.
         cls._key = operator.attrgetter(*fields) if fields else staticmethod(_no_fields)
 
@@ -140,13 +142,13 @@ class _Value:
         return hash(self._key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
         # Unpickling and copy.copy rebuild through __init__, whose
         # positional order is the field order.
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 class Polynomial:
@@ -242,10 +244,12 @@ class Polynomial:
             return Polynomial()
         a, b = self.coeffs, other.coeffs
         out = [0] * (len(a) + len(b) - 1)
+        # Zeros are skipped on both sides: sparse factors cost nonzeros x nonzeros.
+        terms = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
             if ai == 0:
                 continue
-            for j, bj in enumerate(b):
+            for j, bj in terms:
                 out[i + j] += ai * bj
         return Polynomial(out)
 

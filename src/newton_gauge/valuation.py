@@ -1,10 +1,10 @@
 """Exact arithmetic substrate: p-adic valuations of integers and primality.
 
 Valuations are plain non-negative ints and are defined for nonzero
-integers only: every caller skips zero coefficients.  Slopes built from
-valuations are ``fractions.Fraction`` values, which are always kept in
-lowest terms with a positive denominator, so rational comparisons are
-exact.
+integers only: every caller skips zero coefficients.  A slope a caller
+reads is a ``fractions.Fraction`` in lowest terms; the analysis itself
+compares slopes as cross-multiplied integers, and the Newton index is
+the slope of the last hull edge (see ``newton``).
 
 Everything here is a pure function over immutable values and is safe to
 call concurrently.

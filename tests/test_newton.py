@@ -1,10 +1,22 @@
+import itertools
+import math
+import pickle
 import random
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
+from newton_gauge import criteria, newton
+from newton_gauge.criteria import Analysis, _certify, analyze
 from newton_gauge.newton import (
+    Edge,
     NewtonPolygon,
+    SlopeEntry,
+    SlopeTable,
     ValuationPoint,
     lower_convex_hull,
     newton_index,
@@ -12,7 +24,9 @@ from newton_gauge.newton import (
     slope_table,
     valuation_points,
 )
-from newton_gauge.polynomial import AnalysisInput, InternalError, parse_polynomial
+from newton_gauge.polynomial import AnalysisInput, InternalError, Polynomial, parse_polynomial
+from newton_gauge.report import analysis_report
+from newton_gauge.valuation import p_adic_valuation
 
 
 def _pts(*pairs):
@@ -170,3 +184,269 @@ def _random_poly(rng):
     return parse_polynomial(
         "+".join(f"({c})*x^{i}" for i, c in enumerate(coeffs))
     )
+
+
+# ---------------------------------------------------------------------------
+# The integer analysis core against the Fraction-based code it replaced.
+#
+# The _reference_* helpers are the previous implementation: the maximum
+# slope and its ties recomputed with Fraction comparisons on every read,
+# the hull invariants checked through Edge slopes and every point against
+# every vertex pair, and the degree pairs read from Edge objects of a
+# second, gift-wrapped hull.
+
+
+def _v(c, p):
+    # Looked up on each call, so a test that patches newton's valuation
+    # patches the reference's too.
+    return newton.p_adic_valuation(c, p)
+
+
+def _reference_entries(f, p):
+    n = f.degree
+    vn = _v(f.leading_coefficient, p)
+    return tuple(
+        SlopeEntry(i, _v(c, p), Fraction(vn - _v(c, p), n - i))
+        for i, c in enumerate(f.coeffs[:-1])
+        if c != 0
+    )
+
+
+def _reference_newton_index(entries):
+    return max(entry.slope for entry in entries)
+
+
+def _reference_index_of_max(entries):
+    best = _reference_newton_index(entries)
+    return tuple(e.index for e in entries if e.slope == best)
+
+
+class _ReferenceTable:
+    """Reads a slope table the way SlopeTable did: nothing is kept."""
+
+    def __init__(self, f, p):
+        self.degree = f.degree
+        self.leading_valuation = _v(f.leading_coefficient, p)
+        self.entries = _reference_entries(f, p)
+
+    @property
+    def newton_index(self):
+        return _reference_newton_index(self.entries)
+
+    @property
+    def index_of_max(self):
+        return _reference_index_of_max(self.entries)
+
+
+def _reference_polygon_error(points, vertices):
+    """The InternalError message the old NewtonPolygon raised, or None."""
+    if len(vertices) < 2:
+        return "a polygon needs at least two vertices"
+    for a, b in zip(vertices, vertices[1:]):
+        if a.index >= b.index:
+            return "hull vertex indices must strictly increase"
+    edges = [Edge(a, b) for a, b in zip(vertices, vertices[1:])]
+    for e1, e2 in zip(edges, edges[1:]):
+        if e1.slope >= e2.slope:
+            return "hull edge slopes must strictly increase"
+    for pt in points:
+        for a, b in zip(vertices, vertices[1:]):
+            if a.index <= pt.index <= b.index:
+                if (pt.valuation - a.valuation) * (b.index - a.index) < (
+                    b.valuation - a.valuation
+                ) * (pt.index - a.index):
+                    return f"point {pt} lies below the hull"
+                break
+        else:
+            return f"point {pt} lies below the hull"
+    return None
+
+
+def _reference_degree_pairs(vertices, n):
+    achievable = {0}
+    for edge in (Edge(a, b) for a, b in zip(vertices, vertices[1:])):
+        g = math.gcd(edge.rise, edge.width)
+        e = edge.width // g
+        achievable = {a + k * e for a in achievable for k in range(g + 1)}
+    return tuple(sorted({(min(a, n - a), max(a, n - a)) for a in achievable}))
+
+
+def _reference_report(inp):
+    f, p = inp.poly, inp.prime
+    table = _ReferenceTable(f, p)
+    points = tuple(ValuationPoint(i, _v(c, p)) for i, c in enumerate(f.coeffs) if c)
+    vertices = _naive_lower_hull(points)
+    assert _reference_polygon_error(points, vertices) is None
+    polygon = SimpleNamespace(points=points, vertices=vertices)
+    pairs = _reference_degree_pairs(vertices, f.degree)
+    return analysis_report(Analysis(inp, table, polygon, _certify(table), pairs))
+
+
+def _assert_reports_agree(inp):
+    report = analysis_report(analyze(inp))
+    assert report == _reference_report(inp)
+    return report
+
+
+def _box(max_degree, bound):
+    ends = [c for c in range(-bound, bound + 1) if c]
+    for n in range(2, max_degree + 1):
+        for coeffs in itertools.product(ends, *[range(-bound, bound + 1)] * (n - 1), ends):
+            yield Polynomial(coeffs)
+
+
+def test_reports_match_the_reference_on_the_exhaustive_box():
+    seen = set()
+    for f in _box(4, 2):
+        for p in (2, 3):
+            report = _assert_reports_agree(AnalysisInput(f, p))
+            table = report["slope_table"]
+            if len(table["index_of_max"]) > 1:
+                seen.add("tie")
+            if table["dominant_index"] == 0:
+                seen.add("s=0")
+            if len(report["polygon_vertices"]) == 2:
+                seen.add("single segment")
+            if len(report["polygon_vertices"]) > 2:
+                seen.add("several segments")
+    assert seen == {"tie", "s=0", "single segment", "several segments"}
+
+
+def _bigval_shaped(rng, valuations):
+    """Degree 20-59, 60% of the interior nonzero, coefficients u*p^k with
+    p not dividing u and k <= 2000; each k goes into valuations."""
+    n = rng.randint(20, 59)
+    p = rng.choice((2, 3, 5, 7))
+    support = {0, n, *rng.sample(range(1, n), round(0.6 * (n - 1)))}
+    coeffs = [0] * (n + 1)
+    for i in support:
+        u = rng.choice([u for u in range(-20, 21) if u % p])
+        k = rng.randint(0, 2000)
+        coeffs[i] = u * p**k
+        valuations[coeffs[i], p] = k
+    return AnalysisInput(Polynomial(coeffs), p)
+
+
+def test_reports_match_the_reference_on_bigval_shaped_inputs(monkeypatch):
+    # The valuations are known by construction: computing them (quadratic
+    # in bit length, tested in test_valuation.py) would take seconds here.
+    valuations = {}
+    rng = random.Random(20240612)
+    inputs = [_bigval_shaped(rng, valuations) for _ in range(200)]
+    for c, p in list(valuations)[:20]:
+        assert p_adic_valuation(c, p) == valuations[c, p]
+    monkeypatch.setattr(newton, "p_adic_valuation", lambda c, p: valuations[c, p])
+    for inp in inputs:
+        _assert_reports_agree(inp)
+
+
+@st.composite
+def _small_inputs(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(2, 8))
+    coeff = st.tuples(st.integers(-3, 3), st.integers(0, 4)).map(lambda uk: uk[0] * p ** uk[1])
+    nonzero = coeff.filter(bool)
+    coeffs = [draw(nonzero), *(draw(coeff) for _ in range(n - 1)), draw(nonzero)]
+    return AnalysisInput(Polynomial(coeffs), p)
+
+
+@hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@hypothesis.given(_small_inputs())
+def test_reports_match_the_reference_on_generated_inputs(inp):
+    _assert_reports_agree(inp)
+
+
+def test_newton_index_matches_the_reference_down_to_degree_one():
+    for n in (1, 2, 3):
+        for f in itertools.starmap(
+            lambda *c: Polynomial(c),
+            itertools.product(range(-4, 5), *[range(-4, 5)] * (n - 1), (-2, 1, 4)),
+        ):
+            if all(c == 0 for c in f.coeffs[:-1]):
+                continue
+            for p in (2, 3):
+                assert newton_index(f, p) == _reference_newton_index(_reference_entries(f, p))
+
+
+def test_slope_table_argmax_matches_the_reference_on_built_tables():
+    rng = random.Random(7)
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        vn = rng.randint(0, 6)
+        indices = sorted(rng.sample(range(n), rng.randint(1, n)))
+        entries = tuple(
+            SlopeEntry(i, v, Fraction(vn - v, n - i))
+            for i, v in ((i, rng.randint(0, 6)) for i in indices)
+        )
+        table = SlopeTable(n, vn, entries)
+        assert table.newton_index == _reference_newton_index(entries)
+        assert table.index_of_max == _reference_index_of_max(entries)
+        rebuilt = pickle.loads(pickle.dumps(table))
+        assert (rebuilt.index_of_max, rebuilt.newton_index) == (table.index_of_max, table.newton_index)
+    assert SlopeTable(3, 0, ()).index_of_max == ()
+
+
+def test_polygon_checks_match_the_reference():
+    rng = random.Random(31337)
+    messages = Counter()
+    for _ in range(3000):
+        count = rng.randint(2, 8)
+        points = [ValuationPoint(i, rng.randint(0, 6)) for i in sorted(rng.sample(range(12), count))]
+        if rng.random() < 0.2:
+            rng.shuffle(points)
+        hull = list(_naive_lower_hull(points))
+        choice = rng.random()
+        if choice < 0.3:
+            vertices = hull
+        elif choice < 0.6:
+            vertices = sorted(rng.sample(points, rng.randint(1, count)))
+        elif choice < 0.8:
+            vertices = [ValuationPoint(i, v + rng.choice((-1, 0, 1))) for i, v in hull]
+        else:
+            vertices = rng.sample(points, rng.randint(2, count))
+        expected = _reference_polygon_error(tuple(points), tuple(vertices))
+        messages[expected.split(" ")[0] if expected else None] += 1
+        if expected is None:
+            NewtonPolygon(tuple(points), tuple(vertices))
+        else:
+            with pytest.raises(InternalError) as caught:
+                NewtonPolygon(tuple(points), tuple(vertices))
+            assert str(caught.value) == expected
+    assert set(messages) == {None, "a", "hull", "point"}
+    assert messages["hull"] > 100 and messages["point"] > 100
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_analysis_builds_one_hull_one_table_and_two_valuations_per_point(monkeypatch):
+    hulls = _counting(monkeypatch, newton, "lower_convex_hull")
+    valuations = _counting(monkeypatch, newton, "p_adic_valuation")
+    tables = _counting(monkeypatch, SlopeTable, "__init__")
+    degree_sets = _counting(monkeypatch, criteria, "dumas_degree_sets")
+    for text in ("x^6+2*x^3+8", "x^2+3x+9", "512x^5+512x^2+2x+1", "3x^7-9x^4+27"):
+        f = parse_polynomial(text)
+        del hulls[:], valuations[:], tables[:]
+        criteria.analyze(AnalysisInput(f, 3))
+        assert (len(hulls), len(tables), len(degree_sets)) == (1, 1, 0)
+        assert len(valuations) == 2 * sum(1 for c in f.coeffs if c)
+
+
+def test_newton_index_builds_no_slope_table(monkeypatch):
+    valuations = _counting(monkeypatch, newton, "p_adic_valuation")
+    tables = _counting(monkeypatch, SlopeTable, "__init__")
+    for text in ("x+2", "2x+8", "x^5+4x^2+2", "3x^4-9x+27"):
+        f = parse_polynomial(text)
+        del valuations[:]
+        newton_index(f, 2)
+        assert len(valuations) == sum(1 for c in f.coeffs if c)
+    assert tables == []

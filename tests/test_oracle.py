@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -980,6 +981,36 @@ def test_sweep_entry_builds_no_bundle_when_it_passes(monkeypatch):
 
     monkeypatch.setattr(oracle, "_certificate_detail", refuse)
     assert _entry_violations() == []
+
+
+def test_sweep_entry_enumerates_the_bipartitions_once(monkeypatch):
+    enumerations, checks = [], []
+    real = oracle._bipartition_degrees
+    monkeypatch.setattr(
+        oracle, "_bipartition_degrees", lambda factors: enumerations.append(factors) or real(factors)
+    )
+    for name in ("verify_certificate", "check_dumas_consistency"):
+        fn = getattr(oracle, name)
+        monkeypatch.setattr(
+            oracle, name, lambda *args, fn=fn, name=name: checks.append(name) or fn(*args)
+        )
+    summary = SweepSummary(corpus={})
+    # (x^2+30)(x^3+30x+30) and (x^2+30)(x+30): TA at p = 2, 3 and 5
+    for text in ("x^5+60*x^3+30*x^2+900*x+900", "x^3+30*x^2+30*x+900"):
+        del enumerations[:], checks[:]
+        _sweep_entry(summary, _poly(text), [2, 3, 5], True, None)
+        assert len(enumerations) == 1
+        assert sorted(checks) == ["check_dumas_consistency"] * 3 + ["verify_certificate"] * 3
+    assert summary.verified == 6 and summary.violations == []
+
+
+def test_witness_pairs_stay_out_of_the_value_contract():
+    witness = kronecker_factor(_poly("x^3+30*x^2+30*x+900"))
+    fresh = FactorizationWitness(witness.sign, witness.content, witness.factors)
+    assert oracle._bipartition_degree_pairs(witness) == ((2, 1),)
+    assert witness == fresh and hash(witness) == hash(fresh)
+    assert repr(witness) == repr(fresh)
+    assert pickle.loads(pickle.dumps(witness)) == fresh
 
 
 def _tampered_identity_violations(text, **params):

@@ -451,3 +451,56 @@ def test_parse_makes_no_dense_product_for_monomial_terms(monkeypatch):
     f = parse_polynomial("(x+1)^12")
     assert f.coeffs == tuple(math.comb(12, i) for i in range(13))
     assert calls
+
+
+class _CountedInt(int):
+    """An int that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountedInt.products += 1
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def _counted(coeffs):
+    # Polynomial() admits exact ints only, so the counted operand is
+    # bound directly; the product it returns is made of plain ints.
+    f = object.__new__(Polynomial)
+    polynomial._bind(f, "coeffs", tuple(_CountedInt(c) for c in coeffs))
+    return f
+
+
+def _nonzeros(f):
+    return sum(1 for c in f.coeffs if c)
+
+
+def _convolution(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return Polynomial(out)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ("x^100+1", "x^100+1"),
+        ("x^100+1", "x^7-3x^50+2"),
+        ("5", "x^40-x^20+x^3"),
+        ("x^3-x+7", "x^2+x+1"),
+        ("x^250+1", "(x^250+1)^3"),
+    ],
+)
+def test_product_multiplies_only_nonzero_coefficient_pairs(left, right):
+    f, g = parse_polynomial(left), parse_polynomial(right)
+    expected = _convolution(f.coeffs, g.coeffs)
+    for a, b in ((f, g), (g, f)):
+        _CountedInt.products = 0
+        product = _counted(a.coeffs) * _counted(b.coeffs)
+        assert product == expected
+        assert all(type(c) is int for c in product.coeffs)
+        assert _CountedInt.products == _nonzeros(a) * _nonzeros(b)
