@@ -26,16 +26,16 @@ Work is metered by candidate count (rational-root candidates plus
 divisor combinations); the degree analysis charges one unit per
 product mod f and per gcd over F_q.  Each divisor combination still
 costs one unit, but only those whose interpolated leading coefficient
-is integral are evaluated: the values at the last point are indexed by
-their residue mod the Lagrange denominator, so each combination of the
-other points looks up the few that match it and is charged for the
-rest at once.  A match is built and trial-divided only when its leading
-coefficient divides f's and its value at one further point divides f's
-value there.  Exceeding the cap raises
-:class:`OracleBudgetError`; so does exceeding the documented desk-scale
-limits (degree <= 12, |coefficients| <= 10^9).  The cap defaults to
-10^7 and can be overridden with the NEWTON_GAUGE_BUDGET environment
-variable.
+divides f's are looked at: the trailing points' combinations are
+indexed by their exact share of that coefficient, and each combination
+of the leading points looks them up, by its residue class or by the
+divisors of f's, whichever list is shorter, and is charged for the
+rest at once.  A match is built and trial-divided only when its value
+at a probe past Cauchy's root bound divides f's value there.
+Exceeding the cap raises :class:`OracleBudgetError`; so does exceeding
+the documented desk-scale limits (degree <= 12, |coefficients| <=
+10^9).  The cap defaults to 10^7 and can be overridden with the
+NEWTON_GAUGE_BUDGET environment variable.
 
 `verify_certificate` then checks an analysis certificate against a
 witness: every bipartition of the irreducible factors must satisfy at
@@ -46,6 +46,7 @@ bundles.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -240,7 +241,7 @@ class FactorizationWitness(_Value):
     the witness is deterministic.
     """
 
-    __slots__ = ("sign", "content", "factors", "_degree_pairs")
+    __slots__ = ("sign", "content", "factors", "_degree_pairs", "_product")
     _fields = __slots__[:3]
 
     def __init__(self, sign: int, content: int, factors: tuple[Polynomial, ...]):
@@ -248,6 +249,7 @@ class FactorizationWitness(_Value):
         _bind(self, "content", content)
         _bind(self, "factors", factors)
         _bind(self, "_degree_pairs", None)  # filled by _bipartition_degree_pairs
+        _bind(self, "_product", None)  # filled by _witness_product
 
     def reconstruct(self) -> Polynomial:
         out = Polynomial.constant(self.sign * self.content)
@@ -258,6 +260,14 @@ class FactorizationWitness(_Value):
     @property
     def factor_degrees(self) -> tuple[int, ...]:
         return tuple(g.degree for g in self.factors)
+
+
+def _witness_product(witness: FactorizationWitness) -> Polynomial:
+    """The witness multiplied back, once per witness: kronecker_factor checks
+    it, and a sweep verifies one witness under every prime."""
+    if witness._product is None:
+        _bind(witness, "_product", witness.reconstruct())
+    return witness._product
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
@@ -387,27 +397,58 @@ def _candidate_factor(
     return h if exact_divide(f, h) is not None else None
 
 
+_MAX_INNER_INDEX = 65536  # entries, unless the last point alone has more
+
+
+def _inner_start(sizes: list[int], leads: list[int], common: int, targets: int) -> int:
+    """The first inner point: minimises outer prefixes times keys per prefix
+    plus inner entries.  A prefix reads the shorter of the targets and its
+    class; inner sums fall into lcm(common / |B[j][k]|) residue classes."""
+
+    def cost(m: int) -> int:
+        inner = math.prod(sizes[m:])
+        classes = math.lcm(*(common // abs(b) for b in leads[m:]))
+        return math.prod(sizes[:m]) * min(targets, -(-inner // classes)) + inner
+
+    bound = max(sizes[-1], _MAX_INNER_INDEX)
+    return min((m for m in range(len(sizes)) if math.prod(sizes[m:]) <= bound), key=cost)
+
+
+def _lead_matches(
+    sums: dict[int, list[int]], partial: int, common: int, flead: int, scaled_leads: list[int]
+) -> list[int]:
+    """Ascending positions of the sums s in one residue class with
+    partial + s = common * L, L | flead: tests each sum, or looks up each
+    target common * L - partial, whichever list is shorter."""
+    if len(sums) <= len(scaled_leads):
+        hits = [js for s, js in sums.items() if (lead := (partial + s) // common) and flead % lead == 0]
+    else:
+        hits = [sums[t] for t in (c - partial for c in scaled_leads) if t in sums]
+    return hits[0] if len(hits) == 1 else sorted(itertools.chain(*hits))
+
+
 def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> Optional[Polynomial]:
     """A degree-k factor of the primitive polynomial f, or None after exhaustion.
 
     The candidates are the tuples of divisors of f's values at k + 1
-    points, in itertools.product order, one budget unit each.  A
-    candidate is integral only if the Lagrange denominator divides its
-    scaled leading coefficient sum(w[j] * B[j][k]).  So the values of the
-    last point are grouped by the residue of their term, and each prefix
-    of the other points looks up only the values that cancel its own
-    residue.  The rest cannot divide f and are charged unseen: each
-    prefix is charged once, for as many units as the per-candidate walk
-    would have spent, so the witness, the units spent and the point at
-    which the budget runs out are all unchanged.
+    points, in itertools.product order, one budget unit each.  Only a
+    candidate whose scaled leading coefficient sum(w[j] * B[j][k]) is
+    common * L, for a divisor L of f's leading coefficient, can divide f.
+    So the points are split (:func:`_inner_start`) into outer and inner
+    ones, every inner combination is indexed by its exact partial sum,
+    grouped by residue mod common, and each outer prefix with sum P finds
+    the inner sums S with P + S = common * L by lookup: it tests each sum
+    in its residue class or looks up each target common * L - P,
+    whichever list is shorter.  The rest are charged unseen: each prefix
+    is charged once, for as many units as the per-candidate walk would
+    have spent, so the witness, the units spent and the point at which
+    the budget runs out are all unchanged.
 
-    A matched candidate h is built and trial-divided only if it passes
-    two integer tests that every factor of f passes (Knuth, TAOCP Vol. 2,
-    4.6.2): its leading coefficient is nonzero and divides f's, and
-    h(x*) divides f(x*) at the probe point x*, the next point after the
-    k + 1 with f(x*) != 0.  A factor h has h(x*) * g(x*) = f(x*) != 0,
-    so neither test skips a factor; both are read off the scaled basis,
-    as common * h(x*) = sum(w[j] * E[j]) with E[j] = common * L_j(x*).
+    A match h is built and trial-divided only if h(x*) divides f(x*)
+    (Knuth, TAOCP Vol. 2, 4.6.2), read off the scaled basis as
+    common * h(x*) = sum(w[j] * E[j]) with E[j] = common * L_j(x*).  The
+    probe x* lies past Cauchy's root bound 1 + max|a_i| and past the
+    points, so f(x*) != 0 and no factor fails the test.
     """
     points = []
     values = []
@@ -417,44 +458,41 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> Optional[Polyno
             continue
         points.append(x)
         values.append(v)
-        if len(points) == k + 2:
+        if len(points) == k + 1:
             break
-    probe, probe_value = points.pop(), values.pop()
+    probe = 1 + max(*map(abs, f.coeffs), *map(abs, points))
     basis, common = _lagrange_basis(tuple(points))
-    *prefix_leads, last_lead = (b[k] for b in basis)
-    *prefix_probes, last_probe = (sum(c * probe**i for i, c in enumerate(b)) for b in basis)
+    leads = [b[k] for b in basis]
+    probes = [sum(c * probe**i for i, c in enumerate(b)) for b in basis]
     flead = f.leading_coefficient
-    scaled_probe_value = common * probe_value
+    scaled_probe_value = common * f(probe)
+    scaled_leads = [common * d for d in _candidate_values(flead, positive_only=False)]
     # h and -h divide alike, so pin h(points[0]) > 0: halves the search.
-    prefix_sets = [_candidate_values(values[0], positive_only=True)]
-    prefix_sets.extend(_candidate_values(v, positive_only=False) for v in values[1:-1])
-    last = _candidate_values(values[-1], positive_only=False)
-    by_residue: dict[int, list[int]] = {}
-    for j, w in enumerate(last):
-        by_residue.setdefault(w * last_lead % common, []).append(j)
-    size = len(last)
+    sets = [_candidate_values(values[0], positive_only=True)]
+    sets.extend(_candidate_values(v, positive_only=False) for v in values[1:])
+    m = _inner_start([len(s) for s in sets], leads, common, len(scaled_leads))
+    terms = [tuple(w * b for w in ws) for ws, b in zip(sets, leads)]
+    index = collections.defaultdict(dict)
+    for j, s in enumerate(map(sum, itertools.product(*terms[m:]))):
+        index[s % common].setdefault(s, []).append(j)
+    probe_terms = [tuple(w * e for w in ws) for ws, e in zip(sets[m:], probes[m:])]
+    inner_probes = list(map(sum, itertools.product(*probe_terms)))
+    size = len(inner_probes)
+    strides = [math.prod(map(len, sets[i + 1:])) for i in range(m, k + 1)]
     room = budget.cap - budget.spent
-    prefix_terms = [tuple(w * b for w in ws) for ws, b in zip(prefix_sets, prefix_leads)]
-    for prefix, partial in zip(
-        itertools.product(*prefix_sets), map(sum, itertools.product(*prefix_terms))
-    ):
-        matches = by_residue.get(-partial % common)
+    for prefix, partial in zip(itertools.product(*sets[:m]), map(sum, itertools.product(*terms[:m]))):
+        sums = index.get(-partial % common)
+        matches = _lead_matches(sums, partial, common, flead, scaled_leads) if sums else ()
         if matches:
-            prefix_probe = None
+            prefix_probe = sum(map(operator.mul, prefix, probes))
             for j in matches:
                 if j >= room:
                     break
-                w = last[j]
-                lead = (partial + w * last_lead) // common
-                if lead == 0 or flead % lead:
-                    continue
-                if prefix_probe is None:
-                    # summed once per prefix, and only if a lead passes: most fail
-                    prefix_probe = sum(v * e for v, e in zip(prefix, prefix_probes))
-                value = prefix_probe + w * last_probe
+                value = prefix_probe + inner_probes[j]
                 if value == 0 or scaled_probe_value % value:
                     continue
-                h = _candidate_factor(f, (*prefix, w), basis, common)
+                inner = (s[j // stride % len(s)] for s, stride in zip(sets[m:], strides))
+                h = _candidate_factor(f, (*prefix, *inner), basis, common)
                 if h is not None:
                     budget.spend(j + 1)
                     return h
@@ -699,7 +737,7 @@ def kronecker_factor(f: Polynomial, budget: Optional[int] = None) -> Factorizati
         content=content,
         factors=tuple(sorted(factors, key=lambda g: (g.degree, g.coeffs))),
     )
-    if witness.reconstruct() != f:
+    if _witness_product(witness) != f:
         raise WitnessIntegrityError(
             f"witness for {f} does not multiply back to its input"
         )
@@ -781,7 +819,7 @@ def verify_certificate(
     content divisible by p) are checked instead.  A witness that does
     not multiply back to f raises WitnessIntegrityError.
     """
-    if witness.reconstruct() != f:
+    if _witness_product(witness) != f:
         raise WitnessIntegrityError(
             f"witness does not multiply back to {f}"
         )

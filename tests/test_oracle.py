@@ -1,4 +1,5 @@
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -207,7 +208,7 @@ def test_kronecker_agrees_with_sympy():
 
 
 # ---------------------------------------------------------------------------
-# residue-indexed candidate search
+# split-index candidate search
 
 
 def _reference_factor_of_degree(f, k, budget):
@@ -370,8 +371,8 @@ def test_budget_units_on_the_seeded_corpus_are_pinned(monkeypatch):
 
 def test_candidates_built_on_the_seeded_corpus_are_pinned(monkeypatch):
     # Only matches that pass the leading-coefficient and probe-point
-    # tests are built and trial-divided: 1,916 of the 50,267 that the
-    # residue lookup alone would build.
+    # tests are built and trial-divided: 186 of the 50,267 that a residue
+    # lookup alone would build.
     built = 0
     real = oracle._candidate_factor
 
@@ -383,7 +384,7 @@ def test_candidates_built_on_the_seeded_corpus_are_pinned(monkeypatch):
     monkeypatch.setattr(oracle, "_candidate_factor", counting)
     for f in _search_corpus():
         kronecker_factor(f, budget=10**9)
-    assert built == 1_916
+    assert built == 186
 
 
 def test_budget_exhausting_search_reports_the_same_spend(monkeypatch):
@@ -392,6 +393,108 @@ def test_budget_exhausting_search_reports_the_same_spend(monkeypatch):
     f = _poly("(x^6-2x^5+3x^3+2x-2)(2x^6-2x^5-3x^3+3x^2-x-1)")
     with pytest.raises(OracleBudgetError, match="10000001 candidates exceed the cap of 10000000 "):
         kronecker_factor(f)
+
+
+def _lead_poly(rng, n, lead):
+    return Polynomial(
+        [rng.choice((-3, -2, -1, 1, 2, 3))] + [rng.randint(-3, 3) for _ in range(n - 1)] + [lead]
+    )
+
+
+def _composite_lead_searches():
+    """(f, k) searches on seeded inputs of degree 4-8 whose leading
+    coefficient has many divisors: 720720 (240) and 735134400 (1,344),
+    three quarters of them products, all within the oracle's limits."""
+    rng = random.Random(13)
+    out = []
+    for lead in (720720, 735134400):
+        count = 0
+        while count < 8:
+            n = rng.randint(4, 8)
+            if rng.random() < 0.25:
+                f = _lead_poly(rng, n, lead)
+            else:
+                a, d1 = rng.choice(_divisors(lead)), rng.randint(2, n - 2)
+                f = _lead_poly(rng, d1, a) * _lead_poly(rng, n - d1, lead // a)
+            if max(map(abs, f.coeffs)) <= MAX_ORACLE_COEFF:
+                count += 1
+                out.extend((content_and_primitive(f)[1], k) for k in range(2, n // 2 + 1))
+    return out
+
+
+def _wide_product_searches():
+    """k = 4-6 searches on seeded products of degree 8-12 with a factor of degree k."""
+    rng = random.Random(14)
+    out = []
+    for n, k in ((8, 4), (9, 4), (10, 4), (10, 5), (11, 5), (12, 5), (12, 6), (12, 6)):
+        out.append((_small_poly(rng, k) * _small_poly(rng, n - k), k))
+    return out
+
+
+def test_split_index_matches_the_per_candidate_walk_within_a_cap(monkeypatch):
+    # Each search runs under a cap that the per-candidate walk can reach
+    # quickly, and again with the cap at a random point inside it: the
+    # same factor or the same error, and the same units, either way.
+    lookups, splits = [], []
+    real_matches, real_start = oracle._lead_matches, oracle._inner_start
+
+    def matches(sums, partial, common, flead, scaled_leads):
+        got = real_matches(sums, partial, common, flead, scaled_leads)
+        leads = {s: (partial + s) // common for s in sums}
+        assert got == sorted(j for s, js in sums.items() if leads[s] and flead % leads[s] == 0 for j in js)
+        lookups.append(len(sums) <= len(scaled_leads))
+        return got
+
+    def start(sizes, leads, common, targets):
+        m = real_start(sizes, leads, common, targets)
+        splits.append(len(sizes) - m)
+        return m
+
+    monkeypatch.setattr(oracle, "_lead_matches", matches)
+    monkeypatch.setattr(oracle, "_inner_start", start)
+    rng = random.Random(89)
+    outcomes = []
+    for f, k in _composite_lead_searches() + _wide_product_searches():
+        for cap, pre in ((30_000, 0), (rng.randrange(30_000), rng.randrange(1000))):
+            expected = _outcome(_reference_factor_of_degree, f, k, pre + cap, pre)
+            assert _outcome(oracle._factor_of_degree, f, k, pre + cap, pre) == expected, (str(f), k)
+            outcomes.append(type(expected[0]))
+    # both key lists, both a one-point and a wider inner split, and both outcomes
+    assert set(lookups) == {True, False}
+    assert 1 in splits and max(splits) > 1
+    assert {Polynomial, str} <= set(outcomes)
+
+
+def test_the_split_keeps_its_index_within_the_bound():
+    # leads and common of 1 put every sum in one residue class; 2 targets
+    start = oracle._inner_start
+    # 300^2 inner entries would be cheaper, but exceed _MAX_INNER_INDEX
+    assert start([2, 300, 300, 300], [1] * 4, 1, 2) == 3
+    assert start([2, 200, 200, 200], [1] * 4, 1, 2) == 2
+    # the last point alone is always a choice, however many values it has,
+    # and a small search indexes no more than that
+    assert start([2, 3, 70_000], [1] * 3, 1, 2) == 2
+    assert start([2, 2, 40], [1] * 3, 1, 2) == 2
+
+
+def test_budget_exhausting_search_builds_a_bounded_index(monkeypatch):
+    # The FOUND 6 + 6 composite: its one degree-6 search indexes 46,080
+    # inner combinations (the last three of its seven points), below the bound.
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    sizes = []
+    real = oracle._inner_start
+
+    def start(sizes_, leads, common, targets):
+        m = real(sizes_, leads, common, targets)
+        sizes.append((len(sizes_) - m, math.prod(sizes_[m:])))
+        return m
+
+    monkeypatch.setattr(oracle, "_inner_start", start)
+    f = _poly("(x^6-2x^5+3x^3+2x-2)(2x^6-2x^5-3x^3+3x^2-x-1)")
+    with pytest.raises(OracleBudgetError, match="10000001 candidates exceed the cap of 10000000 "):
+        kronecker_factor(f)
+    assert sizes == [(3, 46_080)]
+    assert 46_080 <= oracle._MAX_INNER_INDEX
 
 
 def test_a_factor_that_does_not_divide_is_an_internal_error(monkeypatch):
@@ -1001,6 +1104,18 @@ def test_sweep_entry_enumerates_the_bipartitions_once(monkeypatch):
         _sweep_entry(summary, _poly(text), [2, 3, 5], True, None)
         assert len(enumerations) == 1
         assert sorted(checks) == ["check_dumas_consistency"] * 3 + ["verify_certificate"] * 3
+    assert summary.verified == 6 and summary.violations == []
+
+
+def test_sweep_entry_multiplies_each_witness_back_once(monkeypatch):
+    products = []
+    real = FactorizationWitness.reconstruct
+    monkeypatch.setattr(FactorizationWitness, "reconstruct", lambda w: products.append(w) or real(w))
+    summary = SweepSummary(corpus={})
+    for text in ("x^5+60*x^3+30*x^2+900*x+900", "x^3+30*x^2+30*x+900"):
+        del products[:]
+        _sweep_entry(summary, _poly(text), [2, 3, 5], True, None)
+        assert len(products) == 1
     assert summary.verified == 6 and summary.violations == []
 
 
