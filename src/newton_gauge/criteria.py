@@ -84,12 +84,22 @@ class CriteriaParameters(_Value):
         return {name: getattr(self, name) for name in self._fields}
 
 
+# A clause decides what it accepts: accepts(split, content_divisible) is
+# asked with the degree pair of each bipartition of a witness's factors,
+# or with None when the witness has a single factor.  The report fills a
+# clause's fields into its text.
+
+
 class Irreducible(_Value):
     """Disjunct: the polynomial has no split into two nonconstant factors
     and its content carries no valuation."""
 
     __slots__ = ()
     kind = "Irreducible"
+    text = "the polynomial is irreducible (content carries no valuation)"
+
+    def accepts(self, split: Optional[tuple[int, int]], content_divisible: bool) -> bool:
+        return split is None and not content_divisible
 
 
 class DegreeZeroFactor(_Value):
@@ -98,6 +108,10 @@ class DegreeZeroFactor(_Value):
 
     __slots__ = ()
     kind = "DegreeZeroFactor"
+    text = "a degree-zero factor has positive valuation (content divisible by the prime)"
+
+    def accepts(self, split: Optional[tuple[int, int]], content_divisible: bool) -> bool:
+        return content_divisible
 
 
 class FactorDegreeMultipleOf(_Value):
@@ -105,12 +119,13 @@ class FactorDegreeMultipleOf(_Value):
 
     __slots__ = ("modulus",)
     kind = "FactorDegreeMultipleOf"
+    text = "some factor degree is a multiple of {modulus}"
 
     def __init__(self, modulus: int):
         _bind(self, "modulus", modulus)
 
-    def satisfied_by_degrees(self, d1: int, d2: int) -> bool:
-        return d1 % self.modulus == 0 or d2 % self.modulus == 0
+    def accepts(self, split: Optional[tuple[int, int]], content_divisible: bool) -> bool:
+        return split is not None and any(d % self.modulus == 0 for d in split)
 
 
 class AlphaSplit(_Value):
@@ -123,12 +138,19 @@ class AlphaSplit(_Value):
 
     __slots__ = ("modulus", "total")
     kind = "AlphaSplit"
+    text = (
+        "a2*deg(f1) - a1*deg(f2) is divisible by {modulus}"
+        " for some a1, a2 >= 1 with a1 + a2 = {total}"
+    )
 
     def __init__(self, modulus: int, total: int):
         _bind(self, "modulus", modulus)
         _bind(self, "total", total)
 
-    def satisfied_by_degrees(self, d1: int, d2: int) -> bool:
+    def accepts(self, split: Optional[tuple[int, int]], content_divisible: bool) -> bool:
+        if split is None:
+            return False
+        d1, d2 = split
         # The condition is a1*(d1+d2) == total*d1 (mod modulus); its
         # solutions form one class mod modulus/g, so test the least
         # positive one against total-1.

@@ -56,16 +56,7 @@ import random
 import zlib
 from typing import Iterable, Iterator, Optional, Sequence
 
-from . import families
-from .criteria import (
-    AlphaSplit,
-    Analysis,
-    Certificate,
-    DegreeZeroFactor,
-    FactorDegreeMultipleOf,
-    Irreducible,
-    analyze,
-)
+from .criteria import Analysis, Certificate, analyze
 from .newton import newton_index
 from .polynomial import (
     AnalysisInput,
@@ -789,7 +780,7 @@ def _bipartition_degree_pairs(witness: FactorizationWitness) -> tuple[tuple[int,
 
 
 def _bipartition_degrees(factors: tuple[Polynomial, ...]) -> Iterator[tuple[int, int]]:
-    """Degree sums (d1, d2) of the unordered bipartitions of the factors.
+    """Degree sums (d1, d2), d1 <= d2, of the unordered bipartitions of the factors.
 
     Splits the factor multiset into two nonempty blocks; each unordered
     split appears once, in a fixed order (left <= right as multiplicity
@@ -802,10 +793,9 @@ def _bipartition_degrees(factors: tuple[Polynomial, ...]) -> Iterator[tuple[int,
         right = tuple(c - l for c, l in zip(counts, left))
         if not any(left) or not any(right) or left > right:
             continue
-        yield (
-            sum(v * d for v, d in zip(left, degrees)),
-            sum(v * d for v, d in zip(right, degrees)),
-        )
+        d1 = sum(v * d for v, d in zip(left, degrees))
+        d2 = sum(v * d for v, d in zip(right, degrees))
+        yield (d1, d2) if d1 <= d2 else (d2, d1)
 
 
 def verify_certificate(
@@ -814,9 +804,11 @@ def verify_certificate(
     """Check that the witness satisfies the certificate's disjunction.
 
     Every bipartition of the irreducible factors into two nonconstant
-    blocks must satisfy at least one clause; with at most one
-    nonconstant factor, the whole-polynomial clauses (irreducible, or
-    content divisible by p) are checked instead.  A witness that does
+    blocks must satisfy at least one clause; a witness with a single
+    factor has no bipartition, and then its one check is the clauses
+    asked with no split (irreducible, or content divisible by p).  Each
+    clause decides through its ``accepts``, and a check lists the kinds
+    it satisfied in the certificate's clause order.  A witness that does
     not multiply back to f raises WitnessIntegrityError.
     """
     if _witness_product(witness) != f:
@@ -826,46 +818,23 @@ def verify_certificate(
     if not cert.applies:
         raise ValueError("cannot verify a certificate that asserts nothing")
     content_val = p_adic_valuation(witness.content, p)
-    factors = witness.factors
-    if not factors:
+    if not witness.factors:
         raise InternalError(f"the witness for {f} has no nonconstant factor")
+    content_divisible = content_val > 0
 
-    degree_clauses = [
-        c for c in cert.clauses if isinstance(c, (FactorDegreeMultipleOf, AlphaSplit))
-    ]
-    has_irreducible = any(isinstance(c, Irreducible) for c in cert.clauses)
-    has_degree_zero = any(isinstance(c, DegreeZeroFactor) for c in cert.clauses)
-    content_split = has_degree_zero and content_val > 0
+    def satisfied(split: Optional[tuple[int, int]]) -> tuple[str, ...]:
+        return tuple(c.kind for c in cert.clauses if c.accepts(split, content_divisible))
 
-    checks = []
-    all_ok = True
-    for d1, d2 in _bipartition_degree_pairs(witness):
-        satisfied = []
-        if content_split:
-            satisfied.append(DegreeZeroFactor.kind)
-        for clause in degree_clauses:
-            if clause.satisfied_by_degrees(d1, d2):
-                satisfied.append(clause.kind)
-        if not satisfied:
-            all_ok = False
-        checks.append(
-            BipartitionCheck(degrees=(min(d1, d2), max(d1, d2)), satisfied=tuple(satisfied))
-        )
-
-    no_split = []
-    if not checks:
-        if has_irreducible and len(factors) == 1 and content_val == 0:
-            no_split.append(Irreducible.kind)
-        if content_split:
-            no_split.append(DegreeZeroFactor.kind)
-        all_ok = bool(no_split)
-
+    checks = tuple(
+        BipartitionCheck(split, satisfied(split)) for split in _bipartition_degree_pairs(witness)
+    )
+    no_split = () if checks else satisfied(None)
     return VerificationReport(
-        passed=all_ok,
+        passed=all(c.satisfied for c in checks) if checks else bool(no_split),
         content_valuation=content_val,
         factor_degrees=witness.factor_degrees,
-        bipartitions=tuple(checks),
-        no_split_clauses=tuple(no_split),
+        bipartitions=checks,
+        no_split_clauses=no_split,
     )
 
 
@@ -873,8 +842,7 @@ def check_dumas_consistency(
     pairs: Sequence[tuple[int, int]], witness: FactorizationWitness
 ) -> list[tuple[int, int]]:
     """Bipartition degree pairs of the witness missing from the allowed set."""
-    splits = {(min(d1, d2), max(d1, d2)) for d1, d2 in _bipartition_degree_pairs(witness)}
-    return sorted(splits.difference(pairs))
+    return sorted(set(_bipartition_degree_pairs(witness)).difference(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -991,11 +959,11 @@ def _identity_violations(analysis: Analysis) -> list[Violation]:
     if params is None:
         return []
     found = []
-    # u = n(n-s)(m_s - m_0), multiplied out over the table's valuations.
-    table, n, s = analysis.table, params.n, params.s
-    vn, v_0 = table.leading_valuation, table.entries[0].valuation  # a_0 != 0: index 0 first
-    v_s = next(e.valuation for e in table.entries if e.index == s)
-    if params.u != n * (vn - v_s) - (n - s) * (vn - v_0):
+    # u = n(n-s)(m_s - m_0), cross-multiplied by the slopes' denominators
+    n, s = params.n, params.s
+    m_s, m_0 = analysis.table.slope_at(s), analysis.table.slope_at(0)
+    b_s, b_0 = m_s.denominator, m_0.denominator
+    if params.u * b_s * b_0 != n * (n - s) * (m_s.numerator * b_0 - m_0.numerator * b_s):
         found.append(("identity-integrality", {"u": params.u}))
     reduced = (params.c_s // params.d) * params.n - (
         (params.n - params.s) // params.d
@@ -1015,7 +983,7 @@ def _identity_violations(analysis: Analysis) -> list[Violation]:
     return [Violation(kind, {**repro, **extra}) for kind, extra in found]
 
 
-def _spot_check(f: Polynomial, witness: FactorizationWitness, budget: Optional[int]) -> list[Violation]:
+def _spot_check(f: Polynomial, witness: FactorizationWitness) -> list[Violation]:
     """Deep self-check: sub-multiset products divide f; factors re-factor to themselves."""
     out = []
     repro = {"polynomial": str(f), "factors": [str(g) for g in witness.factors]}
@@ -1041,7 +1009,7 @@ def _spot_check(f: Polynomial, witness: FactorizationWitness, budget: Optional[i
     for g in factors:
         if g.degree < 2:
             continue
-        re_run = kronecker_factor(g, budget=budget)
+        re_run = kronecker_factor(g)
         if re_run.factors != (g,) or re_run.content != 1 or re_run.sign != 1:
             out.append(
                 Violation(
@@ -1064,15 +1032,11 @@ def _sweep_entry(
     f: Polynomial,
     primes: Sequence[int],
     verify: bool,
-    budget: Optional[int],
     expected: Optional[dict] = None,
 ) -> None:
     """Analyze one polynomial under every prime, factoring it at most once."""
     witness: Optional[FactorizationWitness] = None
     witness_failed = False
-    # Decided on the first verified prime: f's coefficients are then within
-    # the oracle's limits, so repr() cannot pass Python's int-to-str limit.
-    spot_check_due: Optional[bool] = None
     for p in primes:
         summary.total += 1
         analysis = analyze(AnalysisInput(f, p))
@@ -1085,7 +1049,7 @@ def _sweep_entry(
             continue
         if witness is None and not witness_failed:
             try:
-                witness = kronecker_factor(f, budget=budget)
+                witness = kronecker_factor(f)
             except OracleBudgetError:
                 witness_failed = True
         if witness_failed:
@@ -1122,12 +1086,11 @@ def _sweep_entry(
                 },
             }
             summary.violations.extend(Violation(kind, {**repro, **extra}) for kind, extra in found)
-        if spot_check_due is None:
-            spot_check_due = zlib.crc32(repr(f.coeffs).encode()) % 100 == 0
-        if spot_check_due:
-            spot_check_due = False
-            summary.spot_checks += 1
-            summary.violations.extend(_spot_check(f, witness, budget))
+    # A witness exists only when f's coefficients are within the oracle's
+    # limits, so repr() cannot pass Python's int-to-str limit.
+    if witness is not None and zlib.crc32(repr(f.coeffs).encode()) % 100 == 0:
+        summary.spot_checks += 1
+        summary.violations.extend(_spot_check(f, witness))
 
 
 def _family_violations(analysis: Analysis, expected: dict) -> list[Violation]:
@@ -1172,7 +1135,6 @@ def sweep(
     sample: Optional[int] = None,
     seed: int = 0,
     verify: bool = True,
-    budget: Optional[int] = None,
 ) -> SweepSummary:
     """Analyze and verify a corpus of polynomials; returns counters and violations.
 
@@ -1180,11 +1142,12 @@ def sweep(
     coefficients and nonzero end coefficients unless `sample` is given,
     in which case that many polynomials are drawn with the seeded
     generator.  Every certificate is verified against the brute-force
-    factorization; exact identities run on every entry, deep
-    self-checks on a 1% deterministic slice.  Raises InvalidInputError,
-    naming the argument, when the corpus would be empty or would hold
-    polynomials of degree below 2, and before enumerating an exhaustive
-    corpus of more than MAX_EXHAUSTIVE_POLYNOMIALS polynomials.
+    factorization, under the budget of :func:`oracle_budget`; exact
+    identities run on every entry, deep self-checks on a 1%
+    deterministic slice.  Raises InvalidInputError, naming the argument,
+    when the corpus would be empty or would hold polynomials of degree
+    below 2, and before enumerating an exhaustive corpus of more than
+    MAX_EXHAUSTIVE_POLYNOMIALS polynomials.
     """
     if min_degree < 2:
         raise InvalidInputError(f"min_degree must be at least 2, got {min_degree}", "min_degree")
@@ -1228,7 +1191,7 @@ def sweep(
         polys = exhaustive_polynomials(max_degree, coeff_bound, min_degree)
     summary = SweepSummary(corpus=corpus)
     for f in polys:
-        _sweep_entry(summary, f, primes, verify, budget)
+        _sweep_entry(summary, f, primes, verify)
     return summary
 
 
@@ -1238,7 +1201,6 @@ def sweep_family(
     primes: Sequence[int],
     *,
     verify: bool = True,
-    budget: Optional[int] = None,
 ) -> SweepSummary:
     """Sweep one built-in family, checking parameters against closed forms.
 
@@ -1249,6 +1211,8 @@ def sweep_family(
     enumerating a corpus of more than MAX_EXHAUSTIVE_POLYNOMIALS
     polynomials; example1 has (p-1)^4 per (n, p) cell.
     """
+    from . import families
+
     if family not in families.FAMILIES:
         raise InvalidInputError(
             f"unknown family {family!r} (expected one of {families.FAMILIES})", "family"
@@ -1278,7 +1242,7 @@ def sweep_family(
             before = len(summary.violations)
             count = 0
             for f in instances:
-                _sweep_entry(summary, f, [p], verify, budget, expected=expected)
+                _sweep_entry(summary, f, [p], verify, expected=expected)
                 count += 1
             row = {
                 "family": family,

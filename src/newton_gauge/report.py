@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, get_args
 
-from .criteria import Analysis, Certificate, find_dominant_index
+from .criteria import Analysis, Certificate, Clause, find_dominant_index
 
 if TYPE_CHECKING:
     from .oracle import FactorizationWitness, SweepSummary, VerificationReport
@@ -34,11 +34,7 @@ SCHEMA_VERSION = 1
 
 
 def _clause_dict(clause) -> dict:
-    out = {"kind": clause.kind}
-    for key in ("modulus", "total"):
-        if hasattr(clause, key):
-            out[key] = getattr(clause, key)
-    return out
+    return {"kind": clause.kind, **{name: getattr(clause, name) for name in clause._fields}}
 
 
 def certificate_dict(cert: Certificate) -> dict:
@@ -137,26 +133,11 @@ def load_schema() -> dict:
 # ---------------------------------------------------------------------------
 # Text rendering (same dict as the JSON output)
 
-_CLAUSE_TEXT = {
-    "Irreducible": "the polynomial is irreducible (content carries no valuation)",
-    "DegreeZeroFactor": "a degree-zero factor has positive valuation"
-    " (content divisible by the prime)",
-}
+_CLAUSE_TEXT = {c.kind: c.text for c in get_args(Clause)}
 
 
 def _clause_text(clause: dict) -> str:
-    kind = clause["kind"]
-    if kind in _CLAUSE_TEXT:
-        return _CLAUSE_TEXT[kind]
-    if kind == "FactorDegreeMultipleOf":
-        return f"some factor degree is a multiple of {clause['modulus']}"
-    if kind == "AlphaSplit":
-        total = clause["total"]
-        return (
-            f"a2*deg(f1) - a1*deg(f2) is divisible by {clause['modulus']}"
-            f" for some a1, a2 >= 1 with a1 + a2 = {total}"
-        )
-    return kind
+    return _CLAUSE_TEXT.get(clause["kind"], clause["kind"]).format_map(clause)
 
 
 def _points_line(points: list) -> str:

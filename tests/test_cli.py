@@ -588,6 +588,7 @@ def test_analyze_never_loads_the_oracle():
     assert _DATACLASS_IMPORTS.isdisjoint(modules)
     modules = _loaded_modules("verify", "--poly", "x^6+2*x^3+8", "--prime", "2")
     assert "newton_gauge.oracle" in modules
+    assert "newton_gauge.families" not in modules
     assert _DATACLASS_IMPORTS.isdisjoint(modules)
 
 

@@ -178,16 +178,47 @@ def test_theorem2_rejects_tight_case_and_defers_s0():
 
 def test_clause_semantics():
     fdm = FactorDegreeMultipleOf(3)
-    assert fdm.satisfied_by_degrees(3, 1)
-    assert fdm.satisfied_by_degrees(0, 5)
-    assert not fdm.satisfied_by_degrees(1, 2)
+    assert fdm.accepts((3, 1), False)
+    assert fdm.accepts((0, 5), False)
+    assert not fdm.accepts((1, 2), False)
 
     split = AlphaSplit(4, 2)
-    assert split.satisfied_by_degrees(2, 2)  # a1=1: 2-2=0
-    assert not split.satisfied_by_degrees(1, 2)
-    assert split.satisfied_by_degrees(1, 2) == split.satisfied_by_degrees(2, 1)
+    assert split.accepts((2, 2), False)  # a1=1: 2-2=0
+    assert not split.accepts((1, 2), False)
+    assert split.accepts((1, 2), False) == split.accepts((2, 1), False)
 
-    assert AlphaSplit(3, 3).satisfied_by_degrees(1, 5)  # a1=1: 2*1-5=-3
+    assert AlphaSplit(3, 3).accepts((1, 5), False)  # a1=1: 2*1-5=-3
+
+
+# (split, content divisible) -> accepted, for each clause: split None
+# means the witness has a single factor.
+_ACCEPTS_TABLE = [
+    (Irreducible(), None, False, True),
+    (Irreducible(), None, True, False),
+    (Irreducible(), (1, 2), False, False),
+    (Irreducible(), (1, 2), True, False),
+    (DegreeZeroFactor(), None, False, False),
+    (DegreeZeroFactor(), None, True, True),
+    (DegreeZeroFactor(), (1, 2), False, False),
+    (DegreeZeroFactor(), (1, 2), True, True),
+    (FactorDegreeMultipleOf(3), None, False, False),
+    (FactorDegreeMultipleOf(3), None, True, False),
+    (FactorDegreeMultipleOf(3), (1, 2), False, False),
+    (FactorDegreeMultipleOf(3), (1, 2), True, False),
+    (FactorDegreeMultipleOf(3), (3, 3), False, True),
+    (FactorDegreeMultipleOf(3), (3, 3), True, True),
+    (AlphaSplit(4, 2), None, False, False),
+    (AlphaSplit(4, 2), None, True, False),
+    (AlphaSplit(4, 2), (1, 2), False, False),
+    (AlphaSplit(4, 2), (1, 2), True, False),
+    (AlphaSplit(4, 2), (2, 2), False, True),
+    (AlphaSplit(4, 2), (2, 2), True, True),
+]
+
+
+@pytest.mark.parametrize("clause, split, content_divisible, accepted", _ACCEPTS_TABLE)
+def test_clause_accepts_table(clause, split, content_divisible, accepted):
+    assert clause.accepts(split, content_divisible) is accepted
 
 
 def test_alpha_split_closed_form_matches_the_loop():
@@ -200,16 +231,16 @@ def test_alpha_split_closed_form_matches_the_loop():
                         ((total - a1) * d1 - a1 * d2) % modulus == 0
                         for a1 in range(1, total)
                     )
-                    assert clause.satisfied_by_degrees(d1, d2) == by_loop, (
+                    assert clause.accepts((d1, d2), False) == by_loop, (
                         d1, d2, modulus, total,
                     )
 
 
 def test_alpha_split_huge_total_is_immediate():
     # the loop would run 10^12 times; the congruence answers at once
-    assert AlphaSplit(1, 10**12).satisfied_by_degrees(3, 4)
-    assert not AlphaSplit(7, 10**12).satisfied_by_degrees(3, 4)  # 7 | d1+d2, 7 !| total*d1
-    assert AlphaSplit(7, 10**12 + 1).satisfied_by_degrees(2, 3)  # least a1 = 5
+    assert AlphaSplit(1, 10**12).accepts((3, 4), False)
+    assert not AlphaSplit(7, 10**12).accepts((3, 4), False)  # 7 | d1+d2, 7 !| total*d1
+    assert AlphaSplit(7, 10**12 + 1).accepts((2, 3), False)  # least a1 = 5
 
 
 def test_certificate_validation():

@@ -9,9 +9,11 @@ import sympy
 
 from newton_gauge import families, oracle
 from newton_gauge.criteria import (
+    AlphaSplit,
     Analysis,
     Certificate,
     CriteriaParameters,
+    DegreeZeroFactor,
     FactorDegreeMultipleOf,
     Irreducible,
     analyze,
@@ -55,6 +57,7 @@ from newton_gauge.polynomial import (
     content_and_primitive,
     parse_polynomial,
 )
+from newton_gauge.valuation import p_adic_valuation
 
 
 def _poly(text):
@@ -861,6 +864,94 @@ def test_verify_failure_paths():
         verify_certificate(f, 2, none_cert, witness)
 
 
+def _reference_verify_certificate(f, p, cert, witness):
+    """The verification before each clause decided what it accepts: the
+    clauses are partitioned by type, and the satisfied kinds are listed
+    DegreeZeroFactor first, then the degree clauses in certificate order.
+    The degree clauses' own rule is asked through ``accepts``."""
+    if oracle._witness_product(witness) != f:
+        raise WitnessIntegrityError(f"witness does not multiply back to {f}")
+    if not cert.applies:
+        raise ValueError("cannot verify a certificate that asserts nothing")
+    content_val = p_adic_valuation(witness.content, p)
+    factors = witness.factors
+    if not factors:
+        raise InternalError(f"the witness for {f} has no nonconstant factor")
+
+    degree_clauses = [
+        c for c in cert.clauses if isinstance(c, (FactorDegreeMultipleOf, AlphaSplit))
+    ]
+    has_irreducible = any(isinstance(c, Irreducible) for c in cert.clauses)
+    has_degree_zero = any(isinstance(c, DegreeZeroFactor) for c in cert.clauses)
+    content_split = has_degree_zero and content_val > 0
+
+    checks = []
+    all_ok = True
+    for d1, d2 in oracle._bipartition_degree_pairs(witness):
+        satisfied = []
+        if content_split:
+            satisfied.append(DegreeZeroFactor.kind)
+        for clause in degree_clauses:
+            if clause.accepts((d1, d2), False):
+                satisfied.append(clause.kind)
+        if not satisfied:
+            all_ok = False
+        checks.append(
+            BipartitionCheck(degrees=(min(d1, d2), max(d1, d2)), satisfied=tuple(satisfied))
+        )
+
+    no_split = []
+    if not checks:
+        if has_irreducible and len(factors) == 1 and content_val == 0:
+            no_split.append(Irreducible.kind)
+        if content_split:
+            no_split.append(DegreeZeroFactor.kind)
+        all_ok = bool(no_split)
+
+    return VerificationReport(
+        passed=all_ok,
+        content_valuation=content_val,
+        factor_degrees=witness.factor_degrees,
+        bipartitions=tuple(checks),
+        no_split_clauses=tuple(no_split),
+    )
+
+
+def test_verify_matches_the_reference_on_the_acceptance_box():
+    theorems, shapes = set(), set()
+    for f in sampled_polynomials(5, 3, 400, seed=1401):
+        witness = kronecker_factor(f)
+        for p in (2, 3):
+            cert = analyze(AnalysisInput(f, p)).certificate
+            if not cert.applies:
+                continue
+            report = verify_certificate(f, p, cert, witness)
+            assert report == _reference_verify_certificate(f, p, cert, witness), (str(f), p)
+            theorems.add(cert.theorem)
+            shapes.add((bool(report.bipartitions), report.content_valuation > 0))
+    assert theorems == {"T1", "TA", "TB", "Dumas-s0"}  # T2 needs valuations above 1
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_verify_matches_the_reference_on_hand_built_certificates():
+    params = CriteriaParameters(n=2, s=1, c_s=1, c_n=1, d=1, u=1, modulus=1)
+    cases = [
+        # test_verify_failure_paths's certificates: one split, accepted by none
+        ("x^2-1", (FactorDegreeMultipleOf(5),)),
+        ("x^2-1", (Irreducible(),)),
+        # a single factor: no split, and no clause that accepts none
+        ("x^2+2", (FactorDegreeMultipleOf(5),)),
+        ("x^2+2", (DegreeZeroFactor(),)),
+    ]
+    for text, clauses in cases:
+        f = _poly(text)
+        witness = kronecker_factor(f)
+        cert = Certificate("T1", params, clauses)
+        report = verify_certificate(f, 2, cert, witness)
+        assert not report.passed
+        assert report == _reference_verify_certificate(f, 2, cert, witness)
+
+
 def test_verify_rejects_tampered_witness():
     f = _poly("x^2-1")
     bad = FactorizationWitness(sign=1, content=1, factors=(_poly("x+1"), _poly("x+1")))
@@ -886,9 +977,9 @@ def test_check_dumas_consistency():
 
 def test_spot_check_detects_wrong_factors():
     f = _poly("x^2-1")
-    assert _spot_check(f, kronecker_factor(f), None) == []
+    assert _spot_check(f, kronecker_factor(f)) == []
     wrong = FactorizationWitness(1, 1, (_poly("x+1"), _poly("x-1")))
-    assert _spot_check(_poly("x^2+2x+1"), wrong, None) != []
+    assert _spot_check(_poly("x^2+2x+1"), wrong) != []
 
 
 # ---------------------------------------------------------------------------
@@ -931,6 +1022,7 @@ def test_mini_sweep_is_clean():
     assert sum(summary.certificates.values()) == summary.total
     assert summary.certificates["none"] > 0
     assert summary.budget_errors == 0
+    assert summary.spot_checks == 3  # once per factored polynomial, not per prime
     assert summary.corpus["mode"] == "exhaustive"
 
 
@@ -941,8 +1033,9 @@ def test_sweep_without_verification():
     assert summary.passed
 
 
-def test_sweep_sampled_counts_budget_errors():
-    summary = sweep(4, 3, [2], sample=60, seed=9, budget=2)
+def test_sweep_sampled_counts_budget_errors(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, "2")
+    summary = sweep(4, 3, [2], sample=60, seed=9)
     assert summary.corpus["mode"] == "sample"
     assert summary.total == 60
     # tiny budget: most factorizations die, but that is not a violation
@@ -1037,7 +1130,7 @@ _BUNDLE_BASE = {
 
 def _entry_violations():
     summary = SweepSummary(corpus={})
-    _sweep_entry(summary, _poly(_BUNDLE_POLY), [2], True, None)
+    _sweep_entry(summary, _poly(_BUNDLE_POLY), [2], True)
     assert summary.verified == 1
     return summary.violations
 
@@ -1101,7 +1194,7 @@ def test_sweep_entry_enumerates_the_bipartitions_once(monkeypatch):
     # (x^2+30)(x^3+30x+30) and (x^2+30)(x+30): TA at p = 2, 3 and 5
     for text in ("x^5+60*x^3+30*x^2+900*x+900", "x^3+30*x^2+30*x+900"):
         del enumerations[:], checks[:]
-        _sweep_entry(summary, _poly(text), [2, 3, 5], True, None)
+        _sweep_entry(summary, _poly(text), [2, 3, 5], True)
         assert len(enumerations) == 1
         assert sorted(checks) == ["check_dumas_consistency"] * 3 + ["verify_certificate"] * 3
     assert summary.verified == 6 and summary.violations == []
@@ -1114,7 +1207,7 @@ def test_sweep_entry_multiplies_each_witness_back_once(monkeypatch):
     summary = SweepSummary(corpus={})
     for text in ("x^5+60*x^3+30*x^2+900*x+900", "x^3+30*x^2+30*x+900"):
         del products[:]
-        _sweep_entry(summary, _poly(text), [2, 3, 5], True, None)
+        _sweep_entry(summary, _poly(text), [2, 3, 5], True)
         assert len(products) == 1
     assert summary.verified == 6 and summary.violations == []
 
@@ -1122,7 +1215,7 @@ def test_sweep_entry_multiplies_each_witness_back_once(monkeypatch):
 def test_witness_pairs_stay_out_of_the_value_contract():
     witness = kronecker_factor(_poly("x^3+30*x^2+30*x+900"))
     fresh = FactorizationWitness(witness.sign, witness.content, witness.factors)
-    assert oracle._bipartition_degree_pairs(witness) == ((2, 1),)
+    assert oracle._bipartition_degree_pairs(witness) == ((1, 2),)
     assert witness == fresh and hash(witness) == hash(fresh)
     assert repr(witness) == repr(fresh)
     assert pickle.loads(pickle.dumps(witness)) == fresh
