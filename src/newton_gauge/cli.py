@@ -176,14 +176,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
     for p in primes:
         _require_prime(p, "primes")
     if args.family:
-        if args.family == "example1":
-            if not args.n:
-                raise InvalidInputError("--family example1 requires --n")
-            values = _csv_ints(args.n, "--n")
-        else:
-            if not args.d:
-                raise InvalidInputError("--family example2 requires --d")
-            values = _csv_ints(args.d, "--d")
+        name = "n" if args.family == "example1" else "d"
+        if not getattr(args, name):
+            raise InvalidInputError(f"--family {args.family} requires --{name}")
+        values = _csv_ints(getattr(args, name), f"--{name}")
         summary = sweep_family(
             args.family, values, primes, verify=not args.no_verify
         )

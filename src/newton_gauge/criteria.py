@@ -39,6 +39,7 @@ from .newton import NewtonPolygon, SlopeTable, newton_polygon, slope_table
 from .polynomial import AnalysisInput, InternalError, _bind, _Value
 
 __all__ = [
+    "THEOREM_TAGS",
     "CriteriaParameters",
     "Irreducible",
     "DegreeZeroFactor",
@@ -54,6 +55,9 @@ __all__ = [
     "dumas_degree_sets",
     "analyze",
 ]
+
+# The certificate tags, in report order.
+THEOREM_TAGS = ("T1", "TA", "T2", "TB", "Dumas-s0", "none")
 
 
 class CriteriaParameters(_Value):
@@ -170,12 +174,11 @@ Clause = Union[Irreducible, DegreeZeroFactor, FactorDegreeMultipleOf, AlphaSplit
 class Certificate(_Value):
     """Outcome of the criteria checks for one (polynomial, prime) input.
 
-    theorem is one of "T1", "T2", "TA", "TB", "Dumas-s0", "none"; the
-    TA/TB tags mark the d = 1, s != 0 specializations of T1/T2.  params
-    is absent exactly when theorem is "none".  clauses is the
-    disjunction any factorization must satisfy; notes give
-    machine-readable reasons a check did not fire.  A tag or params
-    that break these rules raise InternalError.
+    theorem is one of THEOREM_TAGS; the TA/TB tags mark the d = 1,
+    s != 0 specializations of T1/T2.  params is absent exactly when
+    theorem is "none".  clauses is the disjunction any factorization
+    must satisfy; notes give machine-readable reasons a check did not
+    fire.  A tag or params that break these rules raise InternalError.
     """
 
     __slots__ = ("theorem", "params", "clauses", "notes")
@@ -187,7 +190,7 @@ class Certificate(_Value):
         clauses: tuple[Clause, ...],
         notes: tuple[str, ...] = (),
     ):
-        if theorem not in ("T1", "T2", "TA", "TB", "Dumas-s0", "none"):
+        if theorem not in THEOREM_TAGS:
             raise InternalError(f"unknown theorem tag {theorem!r}")
         if (params is None) != (theorem == "none"):
             raise InternalError("params must be present iff a theorem applies")
@@ -337,7 +340,7 @@ class Analysis(_Value):
         table: SlopeTable,
         polygon: NewtonPolygon,
         certificate: Certificate,
-        dumas_pairs: tuple[tuple[int, int], ...] = (),
+        dumas_pairs: tuple[tuple[int, int], ...],
     ):
         _bind(self, "input", input)
         _bind(self, "table", table)

@@ -28,7 +28,6 @@ from .valuation import Slope, p_adic_valuation
 
 __all__ = [
     "ValuationPoint",
-    "Edge",
     "NewtonPolygon",
     "SlopeEntry",
     "SlopeTable",
@@ -50,28 +49,6 @@ class ValuationPoint(NamedTuple):
 def valuation_points(f: Polynomial, p: int) -> list[ValuationPoint]:
     """Points (i, v_p(a_i)) for the nonzero coefficients of f, ascending index."""
     return [ValuationPoint(i, p_adic_valuation(c, p)) for i, c in enumerate(f.coeffs) if c]
-
-
-class Edge(_Value):
-    """One polygon segment, with exact slope and lattice data."""
-
-    __slots__ = ("start", "end")
-
-    def __init__(self, start: ValuationPoint, end: ValuationPoint):
-        _bind(self, "start", start)
-        _bind(self, "end", end)
-
-    @property
-    def slope(self) -> Slope:
-        return Fraction(self.rise, self.width)
-
-    @property
-    def width(self) -> int:
-        return self.end.index - self.start.index
-
-    @property
-    def rise(self) -> int:
-        return self.end.valuation - self.start.valuation
 
 
 class NewtonPolygon(_Value):
@@ -108,10 +85,6 @@ class NewtonPolygon(_Value):
             width, rise = steps[k]
             if not 0 <= i - i0 <= width or (v - v0) * width < rise * (i - i0):
                 raise InternalError(f"point {pt} lies below the hull")
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(map(Edge, self.vertices, self.vertices[1:]))
 
 
 def lower_convex_hull(points: Sequence[ValuationPoint]) -> NewtonPolygon:

@@ -56,7 +56,7 @@ import random
 import zlib
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .criteria import Analysis, Certificate, analyze
+from .criteria import THEOREM_TAGS, Analysis, Certificate, analyze
 from .newton import newton_index
 from .polynomial import (
     AnalysisInput,
@@ -229,18 +229,19 @@ class FactorizationWitness(_Value):
 
     Factors are primitive, irreducible over the rationals, have positive
     leading coefficients, and are sorted by (degree, coefficients) so
-    the witness is deterministic.
+    the witness is deterministic.  Its product and bipartition degree
+    pairs are derived once, when it is built.
     """
 
-    __slots__ = ("sign", "content", "factors", "_degree_pairs", "_product")
+    __slots__ = ("sign", "content", "factors", "_product", "_degree_pairs")
     _fields = __slots__[:3]
 
     def __init__(self, sign: int, content: int, factors: tuple[Polynomial, ...]):
         _bind(self, "sign", sign)
         _bind(self, "content", content)
         _bind(self, "factors", factors)
-        _bind(self, "_degree_pairs", None)  # filled by _bipartition_degree_pairs
-        _bind(self, "_product", None)  # filled by _witness_product
+        _bind(self, "_product", self.reconstruct())
+        _bind(self, "_degree_pairs", tuple(_bipartition_degrees(factors)))
 
     def reconstruct(self) -> Polynomial:
         out = Polynomial.constant(self.sign * self.content)
@@ -251,14 +252,6 @@ class FactorizationWitness(_Value):
     @property
     def factor_degrees(self) -> tuple[int, ...]:
         return tuple(g.degree for g in self.factors)
-
-
-def _witness_product(witness: FactorizationWitness) -> Polynomial:
-    """The witness multiplied back, once per witness: kronecker_factor checks
-    it, and a sweep verifies one witness under every prime."""
-    if witness._product is None:
-        _bind(witness, "_product", witness.reconstruct())
-    return witness._product
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
@@ -728,7 +721,7 @@ def kronecker_factor(f: Polynomial, budget: Optional[int] = None) -> Factorizati
         content=content,
         factors=tuple(sorted(factors, key=lambda g: (g.degree, g.coeffs))),
     )
-    if _witness_product(witness) != f:
+    if witness._product != f:
         raise WitnessIntegrityError(
             f"witness for {f} does not multiply back to its input"
         )
@@ -771,14 +764,6 @@ class VerificationReport(_Value):
         _bind(self, "no_split_clauses", no_split_clauses)
 
 
-def _bipartition_degree_pairs(witness: FactorizationWitness) -> tuple[tuple[int, int], ...]:
-    """The witness's bipartition degree pairs, enumerated once per witness:
-    a sweep checks one witness under every prime."""
-    if witness._degree_pairs is None:
-        _bind(witness, "_degree_pairs", tuple(_bipartition_degrees(witness.factors)))
-    return witness._degree_pairs
-
-
 def _bipartition_degrees(factors: tuple[Polynomial, ...]) -> Iterator[tuple[int, int]]:
     """Degree sums (d1, d2), d1 <= d2, of the unordered bipartitions of the factors.
 
@@ -811,7 +796,7 @@ def verify_certificate(
     it satisfied in the certificate's clause order.  A witness that does
     not multiply back to f raises WitnessIntegrityError.
     """
-    if _witness_product(witness) != f:
+    if witness._product != f:
         raise WitnessIntegrityError(
             f"witness does not multiply back to {f}"
         )
@@ -826,7 +811,7 @@ def verify_certificate(
         return tuple(c.kind for c in cert.clauses if c.accepts(split, content_divisible))
 
     checks = tuple(
-        BipartitionCheck(split, satisfied(split)) for split in _bipartition_degree_pairs(witness)
+        BipartitionCheck(split, satisfied(split)) for split in witness._degree_pairs
     )
     no_split = () if checks else satisfied(None)
     return VerificationReport(
@@ -842,7 +827,7 @@ def check_dumas_consistency(
     pairs: Sequence[tuple[int, int]], witness: FactorizationWitness
 ) -> list[tuple[int, int]]:
     """Bipartition degree pairs of the witness missing from the allowed set."""
-    return sorted(set(_bipartition_degree_pairs(witness)).difference(pairs))
+    return sorted(set(witness._degree_pairs).difference(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -887,11 +872,7 @@ class SweepSummary(_Value):
     ):
         self.corpus = corpus
         self.total = total
-        self.certificates = (
-            {"T1": 0, "TA": 0, "T2": 0, "TB": 0, "Dumas-s0": 0, "none": 0}
-            if certificates is None
-            else certificates
-        )
+        self.certificates = dict.fromkeys(THEOREM_TAGS, 0) if certificates is None else certificates
         self.verified = verified
         self.budget_errors = budget_errors
         self.spot_checks = spot_checks
@@ -965,10 +946,8 @@ def _identity_violations(analysis: Analysis) -> list[Violation]:
     b_s, b_0 = m_s.denominator, m_0.denominator
     if params.u * b_s * b_0 != n * (n - s) * (m_s.numerator * b_0 - m_0.numerator * b_s):
         found.append(("identity-integrality", {"u": params.u}))
-    reduced = (params.c_s // params.d) * params.n - (
-        (params.n - params.s) // params.d
-    ) * params.c_n
-    if cert.base_theorem == "T1" and params.s != 0 and reduced != 1:
+    reduced = (params.c_s // params.d) * n - ((n - s) // params.d) * params.c_n
+    if cert.base_theorem == "T1" and s != 0 and reduced != 1:
         found.append(("identity-e1", {"value": reduced}))
     if cert.base_theorem == "T2" and reduced != params.u // params.d:
         found.append(("identity-e2", {"value": reduced, "expected": params.u // params.d}))
@@ -1126,6 +1105,12 @@ def _family_violations(analysis: Analysis, expected: dict) -> list[Violation]:
     return []
 
 
+def _require_distinct(values: Sequence[int], name: str) -> None:
+    """Refuse a repeated value: its entries would be analysed and counted twice."""
+    if len(set(values)) < len(values):
+        raise InvalidInputError(f"{name} must not repeat a value, got {list(values)}", name)
+
+
 def sweep(
     max_degree: int,
     coeff_bound: int,
@@ -1146,9 +1131,10 @@ def sweep(
     identities run on every entry, deep self-checks on a 1%
     deterministic slice.  Raises InvalidInputError, naming the argument,
     when the corpus would be empty or would hold polynomials of degree
-    below 2, and before enumerating an exhaustive corpus of more than
-    MAX_EXHAUSTIVE_POLYNOMIALS polynomials.
+    below 2, when a prime repeats, and before enumerating an exhaustive
+    corpus of more than MAX_EXHAUSTIVE_POLYNOMIALS polynomials.
     """
+    _require_distinct(primes, "primes")
     if min_degree < 2:
         raise InvalidInputError(f"min_degree must be at least 2, got {min_degree}", "min_degree")
     if min_degree > max_degree:
@@ -1207,9 +1193,10 @@ def sweep_family(
     `values` holds n's for example1 and d's for example2.  Each
     instance's certificate parameters must match the family's closed
     form exactly; rows summarizing each (value, prime) cell are
-    collected for reporting.  Raises InvalidInputError before
-    enumerating a corpus of more than MAX_EXHAUSTIVE_POLYNOMIALS
-    polynomials; example1 has (p-1)^4 per (n, p) cell.
+    collected for reporting.  Raises InvalidInputError when a value or
+    a prime repeats, and before enumerating a corpus of more than
+    MAX_EXHAUSTIVE_POLYNOMIALS polynomials; example1 has (p-1)^4 per
+    (n, p) cell.
     """
     from . import families
 
@@ -1217,25 +1204,27 @@ def sweep_family(
         raise InvalidInputError(
             f"unknown family {family!r} (expected one of {families.FAMILIES})", "family"
         )
-    per_value = sum((p - 1) ** 4 for p in primes) if family == "example1" else len(primes)
+    example1 = family == "example1"
+    value_name = "n" if example1 else "d"
+    _require_distinct(values, value_name)
+    _require_distinct(primes, "primes")
+    per_value = sum((p - 1) ** 4 for p in primes) if example1 else len(primes)
     size = len(values) * per_value
     if size > MAX_EXHAUSTIVE_POLYNOMIALS:
         raise InvalidInputError(
             f"the {family} corpus holds {size} polynomials, more than"
             f" {MAX_EXHAUSTIVE_POLYNOMIALS}; pass fewer values or smaller primes",
-            "n" if family == "example1" else "d",
+            value_name,
             "primes",
         )
     summary = SweepSummary(
         corpus={"family": family, "values": list(values), "primes": list(primes)}
     )
+    expected_of = families.example1_expected if example1 else families.example2_expected
     for value in values:
-        if family == "example1":
-            expected = families.example1_expected(value)
-        else:
-            expected = families.example2_expected(value)
+        expected = expected_of(value)
         for p in primes:
-            if family == "example1":
+            if example1:
                 instances: Iterable[Polynomial] = families.example1_instances(value, p)
             else:
                 instances = (families.example2_polynomial(value, p),)
@@ -1244,19 +1233,9 @@ def sweep_family(
             for f in instances:
                 _sweep_entry(summary, f, [p], verify, expected=expected)
                 count += 1
-            row = {
-                "family": family,
-                "parameter": value,
-                "prime": p,
-                "instances": count,
-                "s": expected["s"],
-                "u": expected["u"],
-                "d": expected["d"],
-                "modulus": expected["modulus"],
-                "theorem": expected["theorem"],
-                "m_s": str(expected["m_s"]),
-                "m_0": str(expected["m_0"]),
-                "matches_closed_form": len(summary.violations) == before,
-            }
+            row = {"family": family, "parameter": value, "prime": p, "instances": count}
+            row.update((key, expected[key]) for key in ("s", "u", "d", "modulus", "theorem"))
+            row.update(m_s=str(expected["m_s"]), m_0=str(expected["m_0"]))
+            row["matches_closed_form"] = len(summary.violations) == before
             summary.family_rows.append(row)
     return summary

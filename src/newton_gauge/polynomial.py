@@ -28,6 +28,7 @@ is linear in the number of terms.  Before expanding a product or power,
 it raises :class:`ParseError` at its operator when the result would
 pass degree ``MAX_PARSED_EXPONENT`` or could hold a coefficient of more
 than ``MAX_PARSED_COEFF_DIGITS`` digits; the zero map has degree -1.
+It raises it too at a '(' nested ``MAX_PARSED_NESTING`` + 1 deep.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ MAX_PARSED_EXPONENT = 10**6
 # limit on int-to-str conversion and can be printed.
 MAX_PARSED_COEFF_DIGITS = 4000
 _COEFF_LIMIT = 10**MAX_PARSED_COEFF_DIGITS
+# Parentheses nest at most this deep, so that the recursive-descent parser
+# stays well inside Python's recursion limit.
+MAX_PARSED_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -394,6 +398,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, Union[int, str], int]:
         return self.tokens[self.pos]
@@ -439,19 +444,20 @@ class _Parser:
             terms = _times(terms, rhs)
 
     def factor(self) -> dict[int, int]:
-        kind, value, _ = self.peek()
-        if kind == _TOK_OP and value == "-":
+        # A chain of unary minuses is read in a loop: it sets only the sign.
+        negate = False
+        while self.peek()[1] == "-":
             self.advance()
-            return {e: -c for e, c in self.factor().items()}
+            negate = not negate
         terms = self.atom()
-        kind2, value2, at = self.peek()
-        if kind2 == _TOK_OP and value2 == "^":
+        kind, value, at = self.peek()
+        if kind == _TOK_OP and value == "^":
             self.advance()
             k = self.exponent()
             degree = max(terms, default=-1) * k
             _check_expansion(degree, _power_reaches_limit(_norm1(terms), k), at)
-            return _power(terms, k)
-        return terms
+            terms = _power(terms, k)
+        return {e: -c for e, c in terms.items()} if negate else terms
 
     def atom(self) -> dict[int, int]:
         kind, value, at = self.advance()
@@ -460,7 +466,11 @@ class _Parser:
         if kind == _TOK_X:
             return {1: 1}
         if kind == _TOK_OP and value == "(":
+            self.depth += 1
+            if self.depth > MAX_PARSED_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_PARSED_NESTING}", at)
             terms = self.expression()
+            self.depth -= 1
             kind2, value2, at2 = self.advance()
             if not (kind2 == _TOK_OP and value2 == ")"):
                 raise ParseError("expected ')'", at2)

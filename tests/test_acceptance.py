@@ -279,7 +279,12 @@ def _hull_invariants_hold(polygon):
 
 def _concatenated_vertices(pf, pg):
     """Slope-sorted merge of the factor polygons' edge vectors."""
-    edges = sorted((e.slope, e.width, e.rise) for e in pf.edges + pg.edges)
+    vectors = [
+        (b.index - a.index, b.valuation - a.valuation)
+        for verts in (pf.vertices, pg.vertices)
+        for a, b in zip(verts, verts[1:])
+    ]
+    edges = sorted((Fraction(rise, width), width, rise) for width, rise in vectors)
     x = 0
     y = pf.vertices[0].valuation + pg.vertices[0].valuation
     verts = [(x, y)]

@@ -334,6 +334,23 @@ def test_sweep_family_rejects_an_oversized_corpus_before_enumerating(capsys, mon
     assert "the example1 corpus holds 100000000 polynomials, more than 1000000" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--primes", "2,2"], "--primes"),
+        (["--primes", "2,3,2", "--sample", "3"], "--primes"),
+        (["--family", "example2", "--d", "2,2", "--primes", "2"], "--d"),
+        (["--family", "example1", "--n", "5,5", "--primes", "2"], "--n"),
+        (["--family", "example2", "--d", "2", "--primes", "3,3"], "--primes"),
+    ],
+)
+def test_sweep_refuses_a_repeated_prime_or_family_value(capsys, argv, flag):
+    code, out, err = _run(capsys, "sweep", *argv)
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith(f"{flag}: ") and "must not repeat a value" in err
+
+
 def test_sweep_family_requires_values(capsys):
     code, _, err = _run(capsys, "sweep", "--family", "example1", "--primes", "2")
     assert code == EXIT_BAD_INPUT

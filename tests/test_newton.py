@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from newton_gauge import criteria, newton
 from newton_gauge.criteria import Analysis, _certify, analyze
 from newton_gauge.newton import (
-    Edge,
     NewtonPolygon,
     SlopeEntry,
     SlopeTable,
@@ -33,8 +32,13 @@ def _pts(*pairs):
     return [ValuationPoint(i, v) for i, v in pairs]
 
 
+def _edge_vectors(vertices):
+    """(width, rise) of each hull edge, from its vertex pair."""
+    return [(b.index - a.index, b.valuation - a.valuation) for a, b in zip(vertices, vertices[1:])]
+
+
 def _slopes(polygon):
-    return tuple(edge.slope for edge in polygon.edges)
+    return tuple(Fraction(rise, width) for width, rise in _edge_vectors(polygon.vertices))
 
 
 def _slope_map(table):
@@ -87,8 +91,7 @@ def test_newton_polygon_example():
     poly = newton_polygon(parse_polynomial("x^6+2*x^3+8"), 2)
     assert poly.vertices == tuple(_pts((0, 3), (3, 1), (6, 0)))
     assert _slopes(poly) == (Fraction(-2, 3), Fraction(-1, 3))
-    assert [e.width for e in poly.edges] == [3, 3]
-    assert [e.rise for e in poly.edges] == [-2, -1]
+    assert _edge_vectors(poly.vertices) == [(3, -2), (3, -1)]
 
 
 def test_hull_matches_gift_wrapping_reference():
@@ -191,8 +194,8 @@ def _random_poly(rng):
 #
 # The _reference_* helpers are the previous implementation: the maximum
 # slope and its ties recomputed with Fraction comparisons on every read,
-# the hull invariants checked through Edge slopes and every point against
-# every vertex pair, and the degree pairs read from Edge objects of a
+# the hull invariants checked through Fraction edge slopes and every point
+# against every vertex pair, and the degree pairs read from the edges of a
 # second, gift-wrapped hull.
 
 
@@ -245,9 +248,9 @@ def _reference_polygon_error(points, vertices):
     for a, b in zip(vertices, vertices[1:]):
         if a.index >= b.index:
             return "hull vertex indices must strictly increase"
-    edges = [Edge(a, b) for a, b in zip(vertices, vertices[1:])]
-    for e1, e2 in zip(edges, edges[1:]):
-        if e1.slope >= e2.slope:
+    slopes = [Fraction(rise, width) for width, rise in _edge_vectors(vertices)]
+    for m1, m2 in zip(slopes, slopes[1:]):
+        if m1 >= m2:
             return "hull edge slopes must strictly increase"
     for pt in points:
         for a, b in zip(vertices, vertices[1:]):
@@ -264,9 +267,9 @@ def _reference_polygon_error(points, vertices):
 
 def _reference_degree_pairs(vertices, n):
     achievable = {0}
-    for edge in (Edge(a, b) for a, b in zip(vertices, vertices[1:])):
-        g = math.gcd(edge.rise, edge.width)
-        e = edge.width // g
+    for width, rise in _edge_vectors(vertices):
+        g = math.gcd(rise, width)
+        e = width // g
         achievable = {a + k * e for a in achievable for k in range(g + 1)}
     return tuple(sorted({(min(a, n - a), max(a, n - a)) for a in achievable}))
 

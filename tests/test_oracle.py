@@ -869,7 +869,7 @@ def _reference_verify_certificate(f, p, cert, witness):
     clauses are partitioned by type, and the satisfied kinds are listed
     DegreeZeroFactor first, then the degree clauses in certificate order.
     The degree clauses' own rule is asked through ``accepts``."""
-    if oracle._witness_product(witness) != f:
+    if witness.reconstruct() != f:
         raise WitnessIntegrityError(f"witness does not multiply back to {f}")
     if not cert.applies:
         raise ValueError("cannot verify a certificate that asserts nothing")
@@ -887,7 +887,7 @@ def _reference_verify_certificate(f, p, cert, witness):
 
     checks = []
     all_ok = True
-    for d1, d2 in oracle._bipartition_degree_pairs(witness):
+    for d1, d2 in oracle._bipartition_degrees(witness.factors):
         satisfied = []
         if content_split:
             satisfied.append(DegreeZeroFactor.kind)
@@ -931,6 +931,68 @@ def test_verify_matches_the_reference_on_the_acceptance_box():
             shapes.add((bool(report.bipartitions), report.content_valuation > 0))
     assert theorems == {"T1", "TA", "TB", "Dumas-s0"}  # T2 needs valuations above 1
     assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _alpha_only_splits(report):
+    return {b.degrees for b in report.bipartitions if b.satisfied == (AlphaSplit.kind,)}
+
+
+def test_t2_with_modulus_two_accepts_odd_splits_by_alpha_split_alone():
+    f = _poly("-4*x^8+63*x^4+16")
+    cert = analyze(AnalysisInput(f, 2)).certificate
+    assert cert.theorem == "T2"
+    assert (cert.params.s, cert.params.d, cert.params.modulus, cert.params.u) == (4, 2, 2, 24)
+    assert cert.clauses[-1] == AlphaSplit(2, 12)
+    witness = kronecker_factor(f)
+    assert witness.factor_degrees == (1, 1, 2, 2, 2)
+    report = verify_certificate(f, 2, cert, witness)
+    assert report.passed
+    assert report == _reference_verify_certificate(f, 2, cert, witness)
+    # odd splits: no factor degree is even, so only the alpha split holds
+    assert _alpha_only_splits(report) == {(1, 7), (3, 5)}
+
+
+def _t2_product(rng, p):
+    """A seeded product whose polygon is a V: binomials x^k + u*p^j, whose
+    edges fall, times one factor whose single edge rises by j over k with
+    gcd(j, k) > 1 and whose interior points lie above that edge.  The
+    rising edge's start is then the strict dominant index, with d > 1
+    and u > d, so the certificate is T2 with modulus > 1."""
+
+    def unit():
+        return rng.choice([c for c in range(1 - p, p) if c])
+
+    f = Polynomial.constant(1)
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randint(1, 2)
+        f = f * Polynomial([unit() * p ** rng.randint(1, 2)] + [0] * (k - 1) + [1])
+    j, k = rng.choice([(2, 4), (2, 6), (4, 6)])
+    middle = [rng.choice([0, unit() * p ** (j * i // k + 1)]) for i in range(1, k)]
+    return f * Polynomial([unit()] + middle + [unit() * p ** j])
+
+
+def test_t2_on_seeded_products_accepts_splits_by_alpha_split_alone():
+    rng = random.Random(1502)
+    alpha_only = {2: 0, 3: 0}
+    for i in range(40):
+        p = (2, 3)[i % 2]
+        f = _t2_product(rng, p)
+        cert = analyze(AnalysisInput(f, p)).certificate
+        assert cert.theorem == "T2" and cert.params.modulus > 1, (str(f), p)
+        witness = kronecker_factor(f)
+        report = verify_certificate(f, p, cert, witness)
+        assert report.passed, (str(f), p)
+        assert report == _reference_verify_certificate(f, p, cert, witness)
+        alpha_only[p] += bool(_alpha_only_splits(report))
+    assert min(alpha_only.values()) >= 1, alpha_only
+
+
+def test_example2_family_sweep_verifies_t2():
+    summary = sweep_family("example2", [3], [2, 3, 5])
+    assert summary.passed
+    assert summary.certificates["T2"] == summary.verified == 3
+    assert summary.budget_errors == 0
+    assert [row["modulus"] for row in summary.family_rows] == [4, 4, 4]
 
 
 def test_verify_matches_the_reference_on_hand_built_certificates():
@@ -1213,12 +1275,16 @@ def test_sweep_entry_multiplies_each_witness_back_once(monkeypatch):
 
 
 def test_witness_pairs_stay_out_of_the_value_contract():
-    witness = kronecker_factor(_poly("x^3+30*x^2+30*x+900"))
+    f = _poly("x^3+30*x^2+30*x+900")
+    witness = kronecker_factor(f)
     fresh = FactorizationWitness(witness.sign, witness.content, witness.factors)
-    assert oracle._bipartition_degree_pairs(witness) == ((1, 2),)
+    assert witness._degree_pairs == fresh._degree_pairs == ((1, 2),)
+    assert witness._product == fresh._product == f
     assert witness == fresh and hash(witness) == hash(fresh)
     assert repr(witness) == repr(fresh)
-    assert pickle.loads(pickle.dumps(witness)) == fresh
+    copy = pickle.loads(pickle.dumps(witness))
+    assert copy == fresh
+    assert (copy._product, copy._degree_pairs) == (f, ((1, 2),))
 
 
 def _tampered_identity_violations(text, **params):
@@ -1367,6 +1433,21 @@ def test_sweep_family_example1_budget_edge():
 def test_sweep_family_rejects_unknown():
     with pytest.raises(InvalidInputError, match="unknown family"):
         sweep_family("example9", [2], [2])
+
+
+def test_repeated_primes_and_family_values_are_invalid_input():
+    for call, argument in (
+        (lambda: sweep(3, 1, [2, 2]), "primes"),
+        (lambda: sweep(3, 1, [2, 3, 2], sample=4), "primes"),
+        (lambda: sweep_family("example2", [2, 2], [2]), "d"),
+        (lambda: sweep_family("example2", [2], [3, 3]), "primes"),
+        (lambda: sweep_family("example1", [5, 6, 5], [2]), "n"),
+        (lambda: sweep_family("example1", [5], [2, 2]), "primes"),
+    ):
+        with pytest.raises(InvalidInputError, match="must not repeat a value") as info:
+            call()
+        assert info.value.arguments == (argument,)
+    assert sweep(3, 1, [2, 3], verify=False).total == 2 * sweep(3, 1, [2], verify=False).total
 
 
 def test_family_values_below_their_minimum_are_invalid_input():

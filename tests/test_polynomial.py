@@ -46,6 +46,21 @@ def test_parse_whitespace_signs_and_nesting():
     assert parse_polynomial("(x+1)^3") == Polynomial((1, 3, 3, 1))
 
 
+def test_deep_nesting_is_a_parse_error_and_minus_chains_are_read_in_a_loop():
+    depth = polynomial.MAX_PARSED_NESTING
+    assert parse_polynomial("(" * depth + "x+1" + ")" * depth) == Polynomial((1, 1))
+    for deeper in (depth + 1, 5000):
+        with pytest.raises(ParseError, match=f"nested deeper than {depth}") as info:
+            parse_polynomial("(" * deeper + "x+1" + ")" * deeper)
+        assert info.value.position == depth
+    # the cap is on depth, not on the number of parentheses
+    assert parse_polynomial("+".join(["(x)"] * (depth + 50))) == Polynomial((0, depth + 50))
+    # a chain of unary minuses sets only the sign, however long it is
+    assert parse_polynomial("x^2+" + "-" * 5000 + "3") == Polynomial((3, 0, 1))
+    assert parse_polynomial("-" * 5001 + "x^2") == Polynomial((0, 0, -1))
+    assert parse_polynomial("(-" * depth + "2" + ")" * depth) == Polynomial((2,))
+
+
 def test_parse_zero_and_cancellation():
     assert parse_polynomial("0").is_zero
     assert parse_polynomial("x^2-x^2").is_zero

@@ -3,7 +3,7 @@ import json
 import jsonschema
 import pytest
 
-from newton_gauge.criteria import analyze
+from newton_gauge.criteria import THEOREM_TAGS, analyze
 from newton_gauge.oracle import kronecker_factor, sweep, sweep_family, verify_certificate
 from newton_gauge.polynomial import AnalysisInput, parse_polynomial
 from newton_gauge.report import (
@@ -101,6 +101,13 @@ def test_reports_are_json_native():
         sweep_report(sweep_family("example2", [2], [2])),
     ):
         assert json.loads(json.dumps(report)) == report
+
+
+def test_the_schema_names_the_certificate_tags_in_report_order():
+    definitions = json.dumps(load_schema())
+    assert THEOREM_TAGS == ("T1", "TA", "T2", "TB", "Dumas-s0", "none")
+    assert json.dumps(list(THEOREM_TAGS)) in definitions
+    assert list(sweep_report(sweep(2, 1, [2], verify=False))["certificates"]) == list(THEOREM_TAGS)
 
 
 def test_reports_validate_against_schema():

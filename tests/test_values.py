@@ -6,13 +6,16 @@ its fields within one type, a ``Name(field=value, ...)`` repr, and no
 assignment or deletion (``SweepSummary`` alone stays mutable).
 """
 
+import ast
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from newton_gauge.criteria import (
+    THEOREM_TAGS,
     AlphaSplit,
     Analysis,
     Certificate,
@@ -22,7 +25,7 @@ from newton_gauge.criteria import (
     Irreducible,
     analyze,
 )
-from newton_gauge.newton import Edge, NewtonPolygon, SlopeEntry, SlopeTable, ValuationPoint
+from newton_gauge.newton import NewtonPolygon, SlopeEntry, SlopeTable, ValuationPoint
 from newton_gauge.oracle import (
     BipartitionCheck,
     FactorizationWitness,
@@ -41,7 +44,6 @@ _P0, _P3, _P6 = ValuationPoint(0, 3), ValuationPoint(3, 1), ValuationPoint(6, 0)
 # (class, field names in order, one value, a value that differs in one field)
 _CASES = [
     (AnalysisInput, ("poly", "prime"), (_F, 2), (_F, 3)),
-    (Edge, ("start", "end"), (_P0, _P3), (_P0, _P6)),
     (
         NewtonPolygon,
         ("points", "vertices"),
@@ -147,16 +149,17 @@ def test_values_of_different_types_are_unequal():
     assert Irreducible() == Irreducible()
     assert FactorDegreeMultipleOf(3) != AlphaSplit(3, 3)
     assert (Irreducible(), DegreeZeroFactor()) != (DegreeZeroFactor(), Irreducible())
-    assert Edge(_P0, _P3) != (_P0, _P3)
+    assert AnalysisInput(_F, 2) != (_F, 2)
     assert len({Irreducible(), DegreeZeroFactor(), Irreducible()}) == 2
 
 
 def test_defaults_and_kinds():
     assert Certificate("none", None, ()).notes == ()
-    analysis = Analysis(_INPUT, _ANALYSIS.table, _ANALYSIS.polygon, _ANALYSIS.certificate)
-    assert analysis.dumas_pairs == ()
+    with pytest.raises(TypeError):
+        Analysis(_INPUT, _ANALYSIS.table, _ANALYSIS.polygon, _ANALYSIS.certificate)
     summary = SweepSummary({})
     assert summary.certificates == {"T1": 0, "TA": 0, "T2": 0, "TB": 0, "Dumas-s0": 0, "none": 0}
+    assert tuple(summary.certificates) == THEOREM_TAGS
     assert (summary.total, summary.verified, summary.budget_errors, summary.spot_checks) == (0, 0, 0, 0)
     assert summary.violations == [] and summary.family_rows == []
     # mutable defaults are not shared between summaries
@@ -175,3 +178,41 @@ def test_sweep_summary_stays_mutable_and_unhashable():
     assert (summary.total, summary.corpus) == (1, {"mode": "sample"})
     with pytest.raises(TypeError):
         hash(summary)
+
+
+def test_witness_derives_its_product_and_degree_pairs_when_built():
+    x1, x2 = Polynomial((1, 1)), Polynomial((1, 0, 1))
+    witness = FactorizationWitness(-1, 2, (x1, x1, x2))
+    assert witness._product == Polynomial.constant(-2) * x1 * x1 * x2
+    assert witness._degree_pairs == ((2, 2), (1, 3))
+    # Rebuilt through __init__, so a copy derives them again.
+    for clone in (copy.copy(witness), pickle.loads(pickle.dumps(witness))):
+        assert (clone._product, clone._degree_pairs) == (witness._product, witness._degree_pairs)
+
+
+def _bind_calls_outside_init(path):
+    tree = ast.parse(path.read_text())
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "_bind"
+                and function != "__init__"
+            ):
+                found.append((path.name, child.lineno))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_values_are_bound_only_by_their_own_init():
+    package = Path(__file__).resolve().parent.parent / "src" / "newton_gauge"
+    found = [hit for path in sorted(package.glob("*.py")) for hit in _bind_calls_outside_init(path)]
+    assert found == []
