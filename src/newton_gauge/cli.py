@@ -23,9 +23,10 @@ Only verification and sweeps need the factorization oracle, so
 the parser, the Newton polygon, the criteria and the report modules,
 and nothing else from the package.
 
-``--poly TEXT`` may start with a minus (``--poly -x^7+2``): ``main``
-passes it to argparse as ``--poly=TEXT``, which argparse would
-otherwise read as an option.
+``--poly TEXT`` may start with a minus (``--poly -x^7+2``, or
+``--poly --x+3``, a double minus): ``main`` passes it to argparse as
+``--poly=TEXT``, which argparse would otherwise read as an option,
+unless TEXT is one of the parser's own long flags.
 """
 
 from __future__ import annotations
@@ -205,17 +206,31 @@ def _bad_input_message(exc: ValueError) -> str:
     return f"{flags}: {exc}" if flags else str(exc)
 
 
+@functools.cache
+def _long_flags() -> frozenset[str]:
+    """The long flags of every subcommand that :func:`build_parser` defines."""
+    (commands,) = build_parser()._subparsers._group_actions
+    return frozenset(
+        flag
+        for sub in commands.choices.values()
+        for flag in sub._option_string_actions
+        if flag.startswith("--")
+    )
+
+
 def _attach_poly_values(argv: Sequence[str]) -> list[str]:
     """Rewrite ``--poly -TEXT`` as ``--poly=-TEXT``.
 
     argparse reads a separate token that starts with "-" as an option,
-    so ``--poly -x^7+2`` would fail with "expected one argument".  A
-    token that starts with "--" is left alone: it is the next option,
-    and a missing value is reported as before.
+    so ``--poly -x^7+2`` or ``--poly --x+3`` would fail with "expected
+    one argument".  One of :func:`_long_flags`, alone or with ``=value``,
+    is left alone: it is the next option, and a missing value is
+    reported as before (``--poly --prime 2``).
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--poly" and token.startswith("-") and not token.startswith("--"):
+        after_poly = out and out[-1] == "--poly"
+        if after_poly and token.startswith("-") and token.partition("=")[0] not in _long_flags():
             out[-1] = f"--poly={token}"
         else:
             out.append(token)

@@ -5,37 +5,34 @@ rationals by pure enumeration: extract content and rational roots, then
 for each candidate degree k evaluate at the fixed points 0, 1, -1, 2,
 -2, ..., enumerate divisor tuples of the values, interpolate each tuple
 to a candidate factor and trial-divide.  Slow but transparently
-correct, and entirely independent of the polygon code it is used to
-check.  The divisors come from a pure-Python factorization of each
-value: trial division by the primes below 1000, then deterministic
+correct, and independent of the polygon code it checks.  The divisors
+come from trial division by the primes below 1000, deterministic
 Miller-Rabin (:func:`valuation.is_prime`) on the cofactor and
 Pollard-Brent rho (Brent, BIT 1980) to split it when composite.
 
 From degree 6 on, a modular degree analysis prunes that search first
 (Knuth, TAOCP Vol. 2, 4.6.2; Musser, JACM 1975).  For small primes q
 that do not divide the leading coefficient and keep f squarefree mod q
-(five of them below degree 8, up to fifteen from degree 8 on),
-distinct-degree factorization over F_q gives the degrees of f's
-factors mod q; an integer factor's degree must be a subset sum of them
-for every such q.  Degrees outside the intersection are never
-searched, and an intersection of {0, n} proves f irreducible outright.
-Since a searched degree with no factor returns nothing anyway, the
-witness is the same as without the analysis.
+(five below degree 8, up to fifteen from degree 8 on), distinct-degree
+factorization over F_q gives the degrees of f's factors mod q; an
+integer factor's degree must be a subset sum of them for every such q.
+Other degrees hold no factor and are never searched, so the witness is
+unchanged; {0, n} proves f irreducible.  The Frobenius map h -> h^q
+mod f is n packed ints, one per column x^(iq) mod f, with a 32-bit slot
+per coefficient, so each step is one sum of products and one unpack;
+at the oracle's limits no slot passes n^2 (q - 1)^3 < 2^32.
 
 Work is metered by candidate count (rational-root candidates plus
 divisor combinations); the degree analysis charges one unit per
-product mod f and per gcd over F_q.  Each divisor combination still
-costs one unit, but only those whose interpolated leading coefficient
-divides f's are looked at: the trailing points' combinations are
-indexed by their exact share of that coefficient, and each combination
-of the leading points looks them up, by its residue class or by the
-divisors of f's, whichever list is shorter, and is charged for the
-rest at once.  A match is built and trial-divided only when its value
-at a probe past Cauchy's root bound divides f's value there.
-Exceeding the cap raises :class:`OracleBudgetError`; so does exceeding
-the documented desk-scale limits (degree <= 12, |coefficients| <=
-10^9).  The cap defaults to 10^7 and can be overridden with the
-NEWTON_GAUGE_BUDGET environment variable.
+product mod f and per gcd over F_q.  Only divisor combinations whose
+interpolated leading coefficient divides f's are looked at: the
+trailing points' combinations are indexed by their exact share of that
+coefficient, each combination of the leading points looks them up, and
+the rest are charged at once.  A match is built and trial-divided only
+when its value at a probe past Cauchy's root bound divides f's value
+there.  Exceeding the cap (10^7, or NEWTON_GAUGE_BUDGET) or the
+desk-scale limits (degree <= 12, |coefficients| <= 10^9) raises
+:class:`OracleBudgetError`.
 
 `verify_certificate` then checks an analysis certificate against a
 witness: every bipartition of the irreducible factors must satisfy at
@@ -53,6 +50,7 @@ import math
 import operator
 import os
 import random
+import struct
 import zlib
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -288,11 +286,9 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
 
 def _evaluation_points() -> Iterator[int]:
     yield 0
-    k = 1
-    while True:
+    for k in itertools.count(1):
         yield k
         yield -k
-        k += 1
 
 
 @functools.lru_cache(maxsize=256)
@@ -326,13 +322,7 @@ def _lagrange_basis(points: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...
 
 def _candidate_values(value: int, positive_only: bool) -> tuple[int, ...]:
     divs = _divisors(value)
-    if positive_only:
-        return divs
-    out = []
-    for d in divs:
-        out.append(d)
-        out.append(-d)
-    return tuple(out)
+    return divs if positive_only else tuple(x for d in divs for x in (d, -d))
 
 
 def _rational_root_factor(f: Polynomial, budget: _Budget) -> Optional[Polynomial]:
@@ -421,12 +411,11 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> Optional[Polyno
     So the points are split (:func:`_inner_start`) into outer and inner
     ones, every inner combination is indexed by its exact partial sum,
     grouped by residue mod common, and each outer prefix with sum P finds
-    the inner sums S with P + S = common * L by lookup: it tests each sum
-    in its residue class or looks up each target common * L - P,
-    whichever list is shorter.  The rest are charged unseen: each prefix
-    is charged once, for as many units as the per-candidate walk would
-    have spent, so the witness, the units spent and the point at which
-    the budget runs out are all unchanged.
+    the inner sums S with P + S = common * L (:func:`_lead_matches`).
+    The rest are charged unseen: each prefix is charged once, for as
+    many units as the per-candidate walk would have spent, so the
+    witness, the units spent and the point at which the budget runs out
+    are all unchanged.
 
     A match h is built and trial-divided only if h(x*) divides f(x*)
     (Knuth, TAOCP Vol. 2, 4.6.2), read off the scaled basis as
@@ -491,10 +480,10 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> Optional[Polyno
 # Modular degree analysis
 #
 # Over F_q a polynomial is a list of residues, lowest degree first; Euclid's
-# operands have no trailing zeros.  Every factor of f over Z reduces to a
-# product of factors of f mod q, so when q keeps the degree and f stays
-# squarefree mod q, the degree of any integer factor is a subset sum of the
-# degrees mod q.
+# operands have no trailing zeros.  The Frobenius map packs residues into
+# ints, 32 bits a slot.  Every factor of f over Z reduces to a product of
+# factors of f mod q, so when q keeps the degree and f stays squarefree mod
+# q, the degree of any integer factor is a subset sum of the degrees mod q.
 
 _DEGREE_ANALYSIS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # Below this degree the search never reaches k = 3 and the analysis costs
@@ -506,6 +495,7 @@ _DEGREE_ANALYSIS_MIN_DEGREE = 6
 # five primes leave about 9% of random degree-10 irreducibles unproven.
 _DEGREE_ANALYSIS_ALL_PRIMES_DEGREE = 8
 _DEGREE_ANALYSIS_FEW_PRIMES = 5
+_SLOT_BITS = 8 * struct.calcsize("<I")
 
 
 def _fq_rem(a: list[int], m: list[int], q: int) -> list[int]:
@@ -541,36 +531,40 @@ def _fq_gcd_degree(a: list[int], b: list[int], q: int) -> int:
     return len(a) - 1
 
 
-def _frobenius_matrix(f: list[int], q: int, meter: _Budget) -> list[tuple[int, ...]]:
-    """The matrix of h -> h^q mod f over F_q, for the monic f of degree n.
+def _fq_unpack(slots: struct.Struct, packed: int, q: int) -> list[int]:
+    return [c % q for c in slots.unpack(packed.to_bytes(slots.size, "little"))]
 
-    Row k, column i holds the coefficient of x^k in x^(i*q) mod f, so
-    h^q mod f = sum(h[i] * row[i]) in each row: over F_q the q-th power
-    is additive and fixes constants.  This turns each Frobenius step of
-    the distinct-degree loop into one matrix-vector product.  One budget
-    unit per column.
+
+def _frobenius_matrix(f: list[int], q: int, slots: struct.Struct, meter: _Budget) -> list[int]:
+    """The columns x^(i*q) mod f, packed, of h -> h^q mod f over F_q for the monic f.
+
+    Over F_q the q-th power is additive and fixes constants, so h^q mod f
+    is sum(h[i] * column[i]): each Frobenius step of the distinct-degree
+    loop is one sum of products and one unpack.  One unit per column.
     """
     n = len(f) - 1
-    low = f[:n]
-    # x^(q + j) mod f for j < n, by shifting: x * v folds x^n = -low back in
+    top = _SLOT_BITS * (n - 1)
+    minus_low = int.from_bytes(slots.pack(*[-c % q for c in f[:n]]), "little")
+    # x^(q + j) mod f for j < n, in a shift register: x * v folds the top
+    # slot back in as x^n = -low, and only that slot is reduced, so every
+    # slot stays at most n (q - 1)^2
     e = min(q, n - 1)
-    v = [0] * n
-    v[e] = 1
+    v = 1 << _SLOT_BITS * e
     shifted = [v] if e == q else []
     while len(shifted) < n:
-        top = v[-1]
-        v = [(c - top * fc) % q for c, fc in zip((0, *v), low)]
+        v = ((v & (1 << top) - 1) << _SLOT_BITS) + (v >> top) % q * minus_low
         e += 1
         if e >= q:
             shifted.append(v)
     meter.spend(2)
-    # x^((i + 1) * q) = x^q * x^(i * q): column i + 1 is times_xq applied to column i
-    times_xq = list(zip(*shifted))
-    columns = [[1] + [0] * (n - 1), shifted[0]]
+    # x^((i + 1) q) = x^q x^(iq): column i + 1 is sum(c_k * shifted[k]) for column i's c_k
+    column = _fq_unpack(slots, shifted[0], q)
+    columns = [1, int.from_bytes(slots.pack(*column), "little")]
     while len(columns) < n:
         meter.spend()
-        columns.append([sum(map(operator.mul, columns[-1], row)) % q for row in times_xq])
-    return list(zip(*columns))
+        column = _fq_unpack(slots, sum(map(operator.mul, column, shifted)), q)
+        columns.append(int.from_bytes(slots.pack(*column), "little"))
+    return columns
 
 
 def _distinct_degrees(f: list[int], q: int, meter: _Budget) -> list[int]:
@@ -581,15 +575,16 @@ def _distinct_degrees(f: list[int], q: int, meter: _Budget) -> list[int]:
     the factors of each degree e that divides d.  Once no factor of degree
     up to d is left, what is left of f is irreducible.
     """
-    frobenius = _frobenius_matrix(f, q, meter)
-    degrees: list[int] = []
     left = len(f) - 1
+    slots = struct.Struct(f"<{left}I")
+    columns = _frobenius_matrix(f, q, slots, meter)
+    degrees: list[int] = []
     h = [0, 1]  # x^(q^d) mod f
     d = 0
     while 2 * (d + 1) <= left:
         d += 1
         meter.spend(2)  # one Frobenius step, one gcd
-        h = [sum(map(operator.mul, h, row)) % q for row in frobenius]
+        h = _fq_unpack(slots, sum(map(operator.mul, h, columns)), q)
         h_minus_x = h.copy()
         h_minus_x[1] = (h_minus_x[1] - 1) % q
         known = sum(e for e in degrees if d % e == 0)
@@ -716,15 +711,10 @@ def kronecker_factor(f: Polynomial, budget: Optional[int] = None) -> Factorizati
     if prim.degree >= 1:
         factors.append(prim)
 
-    witness = FactorizationWitness(
-        sign=sign,
-        content=content,
-        factors=tuple(sorted(factors, key=lambda g: (g.degree, g.coeffs))),
-    )
+    factors.sort(key=lambda g: (g.degree, g.coeffs))
+    witness = FactorizationWitness(sign, content, tuple(factors))
     if witness._product != f:
-        raise WitnessIntegrityError(
-            f"witness for {f} does not multiply back to its input"
-        )
+        raise WitnessIntegrityError(f"witness for {f} does not multiply back to its input")
     return witness
 
 
@@ -797,9 +787,7 @@ def verify_certificate(
     not multiply back to f raises WitnessIntegrityError.
     """
     if witness._product != f:
-        raise WitnessIntegrityError(
-            f"witness does not multiply back to {f}"
-        )
+        raise WitnessIntegrityError(f"witness does not multiply back to {f}")
     if not cert.applies:
         raise ValueError("cannot verify a certificate that asserts nothing")
     content_val = p_adic_valuation(witness.content, p)
@@ -978,24 +966,15 @@ def _spot_check(f: Polynomial, witness: FactorizationWitness) -> list[Violation]
                 if i not in subset:
                     expected = expected * factors[i]
             if quotient != expected:
-                out.append(
-                    Violation(
-                        "irreducibility-spot-check",
-                        {**repro, "subset": list(subset)},
-                    )
-                )
-                return out
+                return [Violation("irreducibility-spot-check", {**repro, "subset": list(subset)})]
     for g in factors:
         if g.degree < 2:
             continue
         re_run = kronecker_factor(g)
         if re_run.factors != (g,) or re_run.content != 1 or re_run.sign != 1:
-            out.append(
-                Violation(
-                    "irreducibility-spot-check",
-                    {**repro, "factor": str(g), "refactored": [str(h) for h in re_run.factors]},
-                )
-            )
+            refactored = [str(h) for h in re_run.factors]
+            extra = {"factor": str(g), "refactored": refactored}
+            out.append(Violation("irreducibility-spot-check", {**repro, **extra}))
     return out
 
 
@@ -1042,16 +1021,13 @@ def _sweep_entry(
             found.append(("certificate", {"failed_bipartitions": failed}))
         bad_pairs = check_dumas_consistency(analysis.dumas_pairs, witness)
         if bad_pairs:
-            found.append(
-                ("dumas", {"missing_pairs": bad_pairs,
-                           "allowed": [list(q) for q in analysis.dumas_pairs]})
-            )
+            allowed = [list(q) for q in analysis.dumas_pairs]
+            found.append(("dumas", {"missing_pairs": bad_pairs, "allowed": allowed}))
         index_from_factors = max(newton_index(g, p) for g in witness.factors)
         if index_from_factors != analysis.table.newton_index:
-            found.append(
-                ("index-multiplicativity", {"from_factors": str(index_from_factors),
-                                            "direct": str(analysis.table.newton_index)})
-            )
+            direct = str(analysis.table.newton_index)
+            extra = {"from_factors": str(index_from_factors), "direct": direct}
+            found.append(("index-multiplicativity", extra))
         if found:
             # The bundle is built only here: passing entries never need it.
             repro = {
@@ -1106,7 +1082,10 @@ def _family_violations(analysis: Analysis, expected: dict) -> list[Violation]:
 
 
 def _require_distinct(values: Sequence[int], name: str) -> None:
-    """Refuse a repeated value: its entries would be analysed and counted twice."""
+    """Refuse an empty axis, which checks nothing, and a repeated value,
+    whose entries would be analysed and counted twice."""
+    if not values:
+        raise InvalidInputError(f"{name} must not be empty", name)
     if len(set(values)) < len(values):
         raise InvalidInputError(f"{name} must not repeat a value, got {list(values)}", name)
 
@@ -1131,8 +1110,8 @@ def sweep(
     identities run on every entry, deep self-checks on a 1%
     deterministic slice.  Raises InvalidInputError, naming the argument,
     when the corpus would be empty or would hold polynomials of degree
-    below 2, when a prime repeats, and before enumerating an exhaustive
-    corpus of more than MAX_EXHAUSTIVE_POLYNOMIALS polynomials.
+    below 2, when primes is empty or repeats a value, and before
+    enumerating an exhaustive corpus past MAX_EXHAUSTIVE_POLYNOMIALS.
     """
     _require_distinct(primes, "primes")
     if min_degree < 2:
@@ -1144,9 +1123,7 @@ def sweep(
             "max_degree",
         )
     if coeff_bound < 1:
-        raise InvalidInputError(
-            f"coeff_bound must be at least 1, got {coeff_bound}", "coeff_bound"
-        )
+        raise InvalidInputError(f"coeff_bound must be at least 1, got {coeff_bound}", "coeff_bound")
     if sample is not None and sample < 1:
         raise InvalidInputError(f"sample must be at least 1, got {sample}", "sample")
     if sample is None and (
@@ -1193,9 +1170,9 @@ def sweep_family(
     `values` holds n's for example1 and d's for example2.  Each
     instance's certificate parameters must match the family's closed
     form exactly; rows summarizing each (value, prime) cell are
-    collected for reporting.  Raises InvalidInputError when a value or
-    a prime repeats, and before enumerating a corpus of more than
-    MAX_EXHAUSTIVE_POLYNOMIALS polynomials; example1 has (p-1)^4 per
+    collected for reporting.  Raises InvalidInputError when values or
+    primes is empty or repeats a value, and before enumerating a corpus
+    of more than MAX_EXHAUSTIVE_POLYNOMIALS; example1 has (p-1)^4 per
     (n, p) cell.
     """
     from . import families

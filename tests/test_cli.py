@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -174,11 +175,21 @@ def test_poly_value_may_start_with_a_minus(capsys, command):
     assert "polynomial        -x^7+2" in separate[1]
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_poly_value_may_start_with_a_double_minus(capsys, command):
+    joined = _run(capsys, command, "--poly=--x^7+2", "--prime", "2")
+    separate = _run(capsys, command, "--poly", "--x^7+2", "--prime", "2")
+    assert joined[0] == EXIT_OK
+    assert separate == joined
+    assert "polynomial        x^7+2" in separate[1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["analyze", "--prime", "2", "--poly"],
         ["analyze", "--poly", "--prime", "2"],
+        ["analyze", "--poly", "--prime=2"],
         ["verify", "--poly", "--json", "--prime", "2"],
     ],
 )
@@ -607,6 +618,31 @@ def test_analyze_never_loads_the_oracle():
     assert "newton_gauge.oracle" in modules
     assert "newton_gauge.families" not in modules
     assert _DATACLASS_IMPORTS.isdisjoint(modules)
+
+
+def _compile_peak_bytes(path):
+    source = path.read_bytes()
+    tracemalloc.start()
+    try:
+        compile(source, str(path), "exec", dont_inherit=True)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the compiler's peak memory is pinned on CPython 3.11",
+)
+def test_compiling_the_oracle_stays_below_3_mib():
+    # A cold verify child compiles oracle.py from source.  CPython 3.11's
+    # compiler peak steps from about 2.7 to over 3.2 MiB once the module
+    # grows by a few hundred bytes of code (comments barely count), and
+    # that step showed in a cold child's peak RSS.
+    path = Path(newton_gauge.__file__).with_name("oracle.py")
+    peaks = {_compile_peak_bytes(path) for _ in range(3)}
+    assert len(peaks) == 1
+    assert peaks.pop() <= 3 * 2**20
 
 
 def test_budget_exhaustion_exits_3_in_a_fresh_process():

@@ -134,9 +134,9 @@ def _run(*argv):
 
 
 def _poly_args(text):
-    # argparse reads a separate token that starts with "--" as the next
-    # option, so such a text is attached to its flag, as a user would.
-    return [f"--poly={text}"] if text.startswith("--") else ["--poly", text]
+    # A text that starts with "-" or "--" follows its flag as a separate
+    # token too: the CLI attaches it, since no text is one of its flags.
+    return ["--poly", text]
 
 
 @hypothesis.settings(_settings, max_examples=250)

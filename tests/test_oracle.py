@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -749,6 +750,47 @@ def test_fq_kernels_match_the_reference_kernels():
     assert degrees_seen == set(range(6, 13))
 
 
+# The packed Frobenius kernel at the oracle's limits.  Its largest slot is
+# a column of x^(iq) mod f: the sum over k < n of a residue (at most q - 1)
+# times a shift-register slot (at most n (q - 1)^2, since each of the n
+# steps a slot takes to reach the top adds at most (q - 1)^2).
+
+
+def _slot_bound(n, q):
+    return n * (q - 1) * n * (q - 1) ** 2
+
+
+def test_packed_slots_fit_their_width_at_the_oracle_limits():
+    q = max(oracle._DEGREE_ANALYSIS_PRIMES)
+    assert oracle._SLOT_BITS == 8 * struct.calcsize("<I") == 32
+    assert _slot_bound(MAX_ORACLE_DEGREE, q) < 2**oracle._SLOT_BITS
+    # a full slot survives the unpack, lowest degree first
+    full = 2**oracle._SLOT_BITS - 1
+    packed = full << oracle._SLOT_BITS | 7
+    assert oracle._fq_unpack(struct.Struct("<2I"), packed, 2**40) == [7, full]
+
+
+@pytest.mark.parametrize("residue", [46, 1], ids=["f-all-q-1", "minus-f-all-q-1"])
+def test_packed_kernel_at_its_bound_matches_the_reference(monkeypatch, residue):
+    # n = 12, q = 47: every low coefficient of f, or of -f, is q - 1
+    n, q = MAX_ORACLE_DEGREE, max(oracle._DEGREE_ANALYSIS_PRIMES)
+    f = [residue] * n + [1]
+    largest = []
+    unpack = oracle._fq_unpack
+
+    def watched(slots, packed, modulus):
+        largest.append(max(slots.unpack(packed.to_bytes(slots.size, "little"))))
+        return unpack(slots, packed, modulus)
+
+    monkeypatch.setattr(oracle, "_fq_unpack", watched)
+    meter, reference_meter = _SpendLog(10**9), _SpendLog(10**9)
+    degrees = oracle._distinct_degrees(list(f), q, meter)
+    assert degrees == _reference_distinct_degrees(list(f), q, reference_meter)
+    assert meter.amounts == reference_meter.amounts
+    assert sum(degrees) == n
+    assert q * q < max(largest) <= _slot_bound(n, q)
+
+
 def _budget_outcome(analysis, f, cap, spent):
     meter = _SpendLog(cap, spent)
     stream = []
@@ -1448,6 +1490,19 @@ def test_repeated_primes_and_family_values_are_invalid_input():
             call()
         assert info.value.arguments == (argument,)
     assert sweep(3, 1, [2, 3], verify=False).total == 2 * sweep(3, 1, [2], verify=False).total
+
+
+def test_empty_primes_and_family_values_are_invalid_input():
+    for call, argument in (
+        (lambda: sweep(3, 1, []), "primes"),
+        (lambda: sweep(3, 1, (), sample=4), "primes"),
+        (lambda: sweep_family("example2", [], [2]), "d"),
+        (lambda: sweep_family("example2", [3], []), "primes"),
+        (lambda: sweep_family("example1", [], [2]), "n"),
+    ):
+        with pytest.raises(InvalidInputError, match="must not be empty") as info:
+            call()
+        assert info.value.arguments == (argument,)
 
 
 def test_family_values_below_their_minimum_are_invalid_input():
