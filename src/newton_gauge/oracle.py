@@ -1,14 +1,18 @@
 """Brute-force factorization oracle (Kronecker interpolation) and verification.
 
 The oracle factors integer polynomials into irreducibles over the
-rationals by pure enumeration: extract content and rational roots, then
-for each candidate degree k evaluate at the fixed points 0, 1, -1, 2,
--2, ..., enumerate divisor tuples of the values, interpolate each tuple
-to a candidate factor and trial-divide.  Slow but transparently
-correct, and independent of the polygon code it checks.  The divisors
-come from trial division by the primes below 1000, deterministic
-Miller-Rabin (:func:`valuation.is_prime`) on the cofactor and
-Pollard-Brent rho (Brent, BIT 1980) to split it when composite.
+rationals by pure enumeration.  After content and powers of x, one loop
+over the factor degree k tests rational roots at k = 1 and, from k = 2
+on, evaluates at the fixed points 0, 1, -1, 2, -2, ..., enumerates
+divisor tuples of the values, interpolates each tuple to a candidate
+factor and trial-divides.  Each search returns its factor with the
+cofactor of the one division that accepted it; the loop goes on with
+that cofactor until 2k exceeds its degree, so a linear remainder is
+never searched.  Slow but transparently correct, and independent of
+the polygon code it checks.  The divisors come from trial division by
+the primes below 1000, deterministic Miller-Rabin
+(:func:`valuation.is_prime`) on what is left and Pollard-Brent rho
+(Brent, BIT 1980) to split it when composite.
 
 From degree 6 on, a modular degree analysis prunes that search first
 (Knuth, TAOCP Vol. 2, 4.6.2; Musser, JACM 1975).  For small primes q
@@ -63,6 +67,7 @@ from .polynomial import (
     OracleBudgetError,
     Polynomial,
     _bind,
+    _require_prime,
     _Value,
     content_and_primitive,
 )
@@ -325,12 +330,13 @@ def _candidate_values(value: int, positive_only: bool) -> tuple[int, ...]:
     return divs if positive_only else tuple(x for d in divs for x in (d, -d))
 
 
-def _rational_root_factor(f: Polynomial, budget: _Budget) -> Optional[Polynomial]:
-    """A primitive linear factor q*x - r of f, or None.
+def _rational_root_factor(f: Polynomial, budget: _Budget) -> Optional[tuple[Polynomial, Polynomial]]:
+    """A primitive linear factor q*x - r of f and its cofactor, or None.
 
     Candidates r/q run over divisors of the constant and leading
     coefficients in a fixed order; each test costs one budget unit.
-    The root test evaluates sum a_i r^i q^(n-i) in integers.
+    The root test evaluates sum a_i r^i q^(n-i) in integers, and the
+    root found is divided out once: InternalError if that fails.
     """
     a0 = f.constant_term
     an = f.leading_coefficient
@@ -349,14 +355,18 @@ def _rational_root_factor(f: Polynomial, budget: _Budget) -> Optional[Polynomial
                     rpow *= r
                     qpow //= q
                 if acc == 0:
-                    return Polynomial((-r, q))
+                    h = Polynomial((-r, q))
+                    cofactor = exact_divide(f, h)
+                    if cofactor is None:
+                        raise InternalError(f"the oracle's factor {h} does not divide {f}")
+                    return h, cofactor
     return None
 
 
 def _candidate_factor(
     f: Polynomial, combo: tuple[int, ...], basis: tuple, common: int
-) -> Optional[Polynomial]:
-    """The candidate interpolating combo when it is a factor of f, else None."""
+) -> Optional[tuple[Polynomial, Polynomial]]:
+    """The candidate interpolating combo and its cofactor when it divides f, else None."""
     coeffs = []
     for c in range(len(combo)):
         acc = sum(w * b[c] for w, b in zip(combo, basis))
@@ -368,7 +378,8 @@ def _candidate_factor(
     if hc != 1:
         # an imprimitive candidate cannot divide a primitive polynomial
         return None
-    return h if exact_divide(f, h) is not None else None
+    cofactor = exact_divide(f, h)
+    return None if cofactor is None else (h, cofactor)
 
 
 _MAX_INNER_INDEX = 65536  # entries, unless the last point alone has more
@@ -401,8 +412,8 @@ def _lead_matches(
     return hits[0] if len(hits) == 1 else sorted(itertools.chain(*hits))
 
 
-def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> Optional[Polynomial]:
-    """A degree-k factor of the primitive polynomial f, or None after exhaustion.
+def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> Optional[tuple[Polynomial, Polynomial]]:
+    """A degree-k factor of the primitive f and its cofactor, or None after exhaustion.
 
     The candidates are the tuples of divisors of f's values at k + 1
     points, in itertools.product order, one budget unit each.  Only a
@@ -465,10 +476,10 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> Optional[Polyno
                 if value == 0 or scaled_probe_value % value:
                     continue
                 inner = (s[j // stride % len(s)] for s, stride in zip(sets[m:], strides))
-                h = _candidate_factor(f, (*prefix, *inner), basis, common)
-                if h is not None:
+                found = _candidate_factor(f, (*prefix, *inner), basis, common)
+                if found is not None:
                     budget.spend(j + 1)
-                    return h
+                    return found
         # Past the cap this charges room + 1 and raises, as the
         # per-candidate walk would at its (room + 1)-th candidate.
         budget.spend(min(size, room + 1))
@@ -643,14 +654,6 @@ def _allowed_factor_degrees(f: Polynomial, meter: _Budget) -> frozenset[int]:
     return frozenset(k for k in range(n + 1) if allowed >> k & 1)
 
 
-def _divide_out(f: Polynomial, h: Polynomial) -> Polynomial:
-    """f / h for a factor h that the search found; InternalError if h does not divide f."""
-    quotient = exact_divide(f, h)
-    if quotient is None:
-        raise InternalError(f"the oracle's factor {h} does not divide {f}")
-    return quotient
-
-
 def kronecker_factor(f: Polynomial, budget: Optional[int] = None) -> FactorizationWitness:
     """Complete factorization of f into irreducibles over the rationals.
 
@@ -687,27 +690,21 @@ def kronecker_factor(f: Polynomial, budget: Optional[int] = None) -> Factorizati
         allowed = _allowed_factor_degrees(prim, meter)
     else:
         allowed = frozenset(range(prim.degree + 1))
-    while 1 in allowed and prim.degree >= 1:
-        root_factor = _rational_root_factor(prim, meter)
-        if root_factor is None:
-            break
-        factors.append(root_factor)
-        prim = _divide_out(prim, root_factor)
-    k = 2
+    # k = 1 tests rational roots; a remainder of degree 1 needs no search.
+    k = 1
     while 2 * k <= prim.degree:
-        if k not in allowed:
-            k += 1
-            continue
-        h = _factor_of_degree(prim, k, meter)
-        if h is None:
+        found = None
+        if k in allowed:
+            found = _rational_root_factor(prim, meter) if k == 1 else _factor_of_degree(prim, k, meter)
+        if found is None:
             # no factor of degree k exists; anything found later at
             # degree k' > k is irreducible since smaller splits are gone
             k += 1
             continue
+        h, prim = found
         if h.leading_coefficient < 0:
-            h = -h
+            h, prim = -h, -prim
         factors.append(h)
-        prim = _divide_out(prim, h)
     if prim.degree >= 1:
         factors.append(prim)
 
@@ -1110,9 +1107,12 @@ def sweep(
     identities run on every entry, deep self-checks on a 1%
     deterministic slice.  Raises InvalidInputError, naming the argument,
     when the corpus would be empty or would hold polynomials of degree
-    below 2, when primes is empty or repeats a value, and before
-    enumerating an exhaustive corpus past MAX_EXHAUSTIVE_POLYNOMIALS.
+    below 2, when primes holds a non-prime, is empty or repeats a value,
+    and before enumerating an exhaustive corpus past
+    MAX_EXHAUSTIVE_POLYNOMIALS.
     """
+    for p in primes:
+        _require_prime(p, "primes")
     _require_distinct(primes, "primes")
     if min_degree < 2:
         raise InvalidInputError(f"min_degree must be at least 2, got {min_degree}", "min_degree")
@@ -1170,10 +1170,10 @@ def sweep_family(
     `values` holds n's for example1 and d's for example2.  Each
     instance's certificate parameters must match the family's closed
     form exactly; rows summarizing each (value, prime) cell are
-    collected for reporting.  Raises InvalidInputError when values or
-    primes is empty or repeats a value, and before enumerating a corpus
-    of more than MAX_EXHAUSTIVE_POLYNOMIALS; example1 has (p-1)^4 per
-    (n, p) cell.
+    collected for reporting.  Raises InvalidInputError when primes holds
+    a non-prime, when values or primes is empty or repeats a value, and
+    before enumerating a corpus of more than MAX_EXHAUSTIVE_POLYNOMIALS;
+    example1 has (p-1)^4 per (n, p) cell.
     """
     from . import families
 
@@ -1183,6 +1183,8 @@ def sweep_family(
         )
     example1 = family == "example1"
     value_name = "n" if example1 else "d"
+    for p in primes:
+        _require_prime(p, "primes")
     _require_distinct(values, value_name)
     _require_distinct(primes, "primes")
     per_value = sum((p - 1) ** 4 for p in primes) if example1 else len(primes)

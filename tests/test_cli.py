@@ -146,13 +146,19 @@ def test_internal_error_exits_5(capsys, monkeypatch):
 
 
 def test_non_dividing_oracle_factor_exits_5(capsys, monkeypatch):
-    monkeypatch.setattr(
-        "newton_gauge.oracle._factor_of_degree", lambda f, k, budget: Polynomial([1, 1, 1])
-    )
+    # a search whose factor and cofactor do not multiply back to f
+    h = Polynomial([1, 1, 1])
+    monkeypatch.setattr("newton_gauge.oracle._factor_of_degree", lambda f, k, budget: (h, h))
     code, out, err = _run(capsys, "verify", "--poly", "x^4+4x^2+4", "--prime", "2")
     assert code == EXIT_INTERNAL
     assert out == ""
-    assert err.startswith("internal error: the oracle's factor x^2+x+1 does not divide")
+    assert err.startswith("internal error: witness for x^4+4*x^2+4 does not multiply back")
+    # a root whose one division fails
+    monkeypatch.setattr("newton_gauge.oracle.exact_divide", lambda f, g: None)
+    code, out, err = _run(capsys, "verify", "--poly", "x^2-1", "--prime", "2")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("internal error: the oracle's factor x-1 does not divide x^2-1")
 
 
 def test_stray_value_error_exits_5(capsys, monkeypatch):
@@ -198,6 +204,32 @@ def test_missing_poly_value_is_still_a_usage_error(capsys, argv):
         main(argv)
     assert info.value.code == EXIT_BAD_INPUT
     assert "argument --poly: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--pol", "x^7+2", "--prime", "2"],
+        ["analyze", "--pol", "-x^7+2", "--prime", "2"],
+        ["verify", "--poly", "x^7+2", "--prim", "2"],
+        ["analyze", "--poly", "x^7+2", "--prime", "2", "--verif"],
+        ["sweep", "--prim", "2"],
+        ["--hel"],
+    ],
+)
+def test_flags_must_be_spelled_in_full(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("usage: ")
+
+
+def test_a_flag_prefix_after_poly_is_polynomial_text(capsys):
+    # --verif is no flag, so it is the text of --poly, and a bad one
+    code, out, err = _run(capsys, "analyze", "--prime", "2", "--poly", "--verif")
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("--poly: unknown variable 'v'")
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys):

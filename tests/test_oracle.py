@@ -87,11 +87,13 @@ def test_oracle_budget_env(monkeypatch):
 
 
 def test_budget_exhaustion(monkeypatch):
+    # x^2+1 tests the roots 1 and -1: 2 units
+    assert kronecker_factor(_poly("x^2+1"), budget=2).factors == (_poly("x^2+1"),)
     with pytest.raises(OracleBudgetError, match="raise NEWTON_GAUGE_BUDGET"):
-        kronecker_factor(_poly("x^2-1"), budget=1)
+        kronecker_factor(_poly("x^2+1"), budget=1)
     monkeypatch.setenv(BUDGET_ENV_VAR, "1")
     with pytest.raises(OracleBudgetError):
-        kronecker_factor(_poly("x^2-1"))
+        kronecker_factor(_poly("x^2+1"))
 
 
 def test_desk_scale_limits():
@@ -216,7 +218,8 @@ def test_kronecker_agrees_with_sympy():
 
 
 def _reference_factor_of_degree(f, k, budget):
-    """The per-candidate Kronecker walk that _factor_of_degree replaces.
+    """The per-candidate Kronecker walk that _factor_of_degree replaces:
+    the first factor found and its cofactor, or None.
 
     Charges one unit per candidate, in itertools.product order, and
     evaluates every candidate.
@@ -258,8 +261,9 @@ def _reference_factor_of_degree(f, k, budget):
         hc, _ = content_and_primitive(h)
         if hc != 1:
             continue
-        if exact_divide(f, h) is not None:
-            return h
+        cofactor = exact_divide(f, h)
+        if cofactor is not None:
+            return h, cofactor
     return None
 
 
@@ -368,9 +372,53 @@ def test_budget_is_exact_at_the_total_spend(monkeypatch):
 
 def test_budget_units_on_the_seeded_corpus_are_pinned(monkeypatch):
     # Computed with the per-candidate walk; any change to what a search
-    # charges changes this total.
+    # charges changes this total.  A remainder of degree 1 is a factor
+    # without a root search.
     total = sum(_metered_factor(monkeypatch, f, 10**9)[1] for f in _search_corpus())
-    assert total == 714_959
+    assert total == 714_946
+
+
+def test_a_linear_remainder_is_never_searched(monkeypatch):
+    # x - 1 is found at the root 1, and x + 1 is what is left: 1 unit
+    witness, units = _metered_factor(monkeypatch, _poly("x^2-1"), 10**9)
+    assert _factor_strings(witness) == ["x-1", "x+1"]
+    assert units == 1
+    degrees = []
+    real = oracle._rational_root_factor
+    monkeypatch.setattr(
+        oracle, "_rational_root_factor", lambda f, budget: degrees.append(f.degree) or real(f, budget)
+    )
+    for f in _search_corpus():
+        kronecker_factor(f, budget=10**9)
+    assert min(degrees) == 2
+
+
+def test_each_factor_is_divided_out_once(monkeypatch):
+    # Every search returns the cofactor of the one division that accepted
+    # its factor, so no dividend is divided again once a factor of it was
+    # found, and no division is repeated.
+    calls = []
+    real = oracle.exact_divide
+
+    def recording(f, g):
+        quotient = real(f, g)
+        calls.append((f, g, quotient is not None))
+        return quotient
+
+    monkeypatch.setattr(oracle, "exact_divide", recording)
+    found = 0
+    for f in _search_corpus():
+        del calls[:]
+        witness = kronecker_factor(f, budget=10**9)
+        divided = [(g, h) for g, h, ok in calls if ok]
+        assert all(h in witness.factors or -h in witness.factors for _, h in divided), str(f)
+        for i, (g, h, ok) in enumerate(calls):
+            later = [(g2, h2) for g2, h2, _ in calls[i + 1:]]
+            assert (g, h) not in later, (str(f), str(h))
+            if ok:
+                assert g not in [g2 for g2, _ in later], (str(f), str(h))
+        found += len(divided)
+    assert found > 100
 
 
 def test_candidates_built_on_the_seeded_corpus_are_pinned(monkeypatch):
@@ -466,7 +514,7 @@ def test_split_index_matches_the_per_candidate_walk_within_a_cap(monkeypatch):
     # both key lists, both a one-point and a wider inner split, and both outcomes
     assert set(lookups) == {True, False}
     assert 1 in splits and max(splits) > 1
-    assert {Polynomial, str} <= set(outcomes)
+    assert {tuple, str} <= set(outcomes)
 
 
 def test_the_split_keeps_its_index_within_the_bound():
@@ -502,12 +550,15 @@ def test_budget_exhausting_search_builds_a_bounded_index(monkeypatch):
 
 
 def test_a_factor_that_does_not_divide_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(oracle, "_factor_of_degree", lambda f, k, budget: _poly("x^2+x+1"))
-    with pytest.raises(InternalError, match="factor x\\^2\\+x\\+1 does not divide"):
+    # A search whose factor and cofactor do not multiply back to f
+    h = _poly("x^2+x+1")
+    monkeypatch.setattr(oracle, "_factor_of_degree", lambda f, k, budget: (h, h))
+    with pytest.raises(WitnessIntegrityError, match=r"witness for x\^4\+4\*x\^2\+4 does not multiply back"):
         kronecker_factor(_poly("x^4+4x^2+4"))
-    monkeypatch.setattr(oracle, "_rational_root_factor", lambda f, budget: _poly("x-3"))
-    with pytest.raises(InternalError, match="factor x-3 does not divide"):
-        kronecker_factor(_poly("x^2-2"))
+    # A root that passes the evaluation test but fails its one division
+    monkeypatch.setattr(oracle, "exact_divide", lambda f, g: None)
+    with pytest.raises(InternalError, match=r"factor x-1 does not divide x\^2-1"):
+        kronecker_factor(_poly("x^2-1"))
 
 
 # ---------------------------------------------------------------------------
@@ -1037,6 +1088,23 @@ def test_example2_family_sweep_verifies_t2():
     assert [row["modulus"] for row in summary.family_rows] == [4, 4, 4]
 
 
+def test_the_p_power_box_of_degree_3_produces_every_tag():
+    # Coefficients from {0, +-1, +-2, +-3, +-4, +-8, +-9} reach valuation 3
+    # at p = 2 and 2 at p = 3, so T2 appears, unlike in the acceptance box.
+    values = (0, 1, -1, 2, -2, 3, -3, 4, -4, 8, -8, 9, -9)
+    summary = SweepSummary(corpus={})
+    for a3, a0, a1, a2 in itertools.product([v for v in values if v > 0], values[1:], values, values):
+        _sweep_entry(summary, Polynomial((a0, a1, a2, a3)), [2, 3], True)
+    assert summary.total == 2 * 12_168
+    assert summary.certificates == {
+        "T1": 2_880, "TA": 1_600, "T2": 1_144, "TB": 7_544, "Dumas-s0": 1_952, "none": 9_216,
+    }
+    assert summary.verified == 15_120
+    assert summary.spot_checks == 124
+    assert summary.violations == []
+    assert summary.budget_errors == 0
+
+
 def test_verify_matches_the_reference_on_hand_built_certificates():
     params = CriteriaParameters(n=2, s=1, c_s=1, c_n=1, d=1, u=1, modulus=1)
     cases = [
@@ -1490,6 +1558,21 @@ def test_repeated_primes_and_family_values_are_invalid_input():
             call()
         assert info.value.arguments == (argument,)
     assert sweep(3, 1, [2, 3], verify=False).total == 2 * sweep(3, 1, [2], verify=False).total
+
+
+def test_sweep_primes_are_checked_before_any_entry_runs(monkeypatch):
+    monkeypatch.setattr(oracle, "_sweep_entry", lambda *args, **kwargs: pytest.fail("an entry ran"))
+    for call in (
+        lambda: sweep(2, 1, [4]),
+        lambda: sweep(2, 1, [2, 4], sample=3),
+        lambda: sweep(2, 1, [4, 4]),
+        lambda: sweep_family("example2", [2], [4]),
+        lambda: sweep_family("example2", [2, 2], [3, 4]),
+        lambda: sweep_family("example1", [5], [3, 1]),
+    ):
+        with pytest.raises(InvalidInputError, match="is not (a valid )?prime") as info:
+            call()
+        assert info.value.arguments == ("primes",)
 
 
 def test_empty_primes_and_family_values_are_invalid_input():
