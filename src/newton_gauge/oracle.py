@@ -3,16 +3,16 @@
 The oracle factors integer polynomials into irreducibles over the
 rationals by pure enumeration.  After content and powers of x, one loop
 over the factor degree k tests rational roots at k = 1 and, from k = 2
-on, evaluates at the fixed points 0, 1, -1, 2, -2, ..., enumerates
-divisor tuples of the values, interpolates each tuple to a candidate
-factor and trial-divides.  Each search returns its factor with the
-cofactor of the one division that accepted it; the loop goes on with
-that cofactor until 2k exceeds its degree, so a linear remainder is
-never searched.  Slow but transparently correct, and independent of
-the polygon code it checks.  The divisors come from trial division by
-the primes below 1000, deterministic Miller-Rabin
-(:func:`valuation.is_prime`) on what is left and Pollard-Brent rho
-(Brent, BIT 1980) to split it when composite.
+on, evaluates at the first k + 1 of the fixed points 0, 1, -1, 2, -2,
+3, -3 (none a root by then), enumerates divisor tuples of the values,
+interpolates each tuple to a candidate factor and trial-divides.  Each
+search returns its factor with the cofactor of the one division that
+accepted it; the loop goes on with that cofactor until 2k exceeds its
+degree, so a linear remainder is never searched.  Slow but transparently
+correct, and independent of the polygon code it checks.  The divisors
+come from trial division by the primes below 1000, deterministic
+Miller-Rabin (:func:`valuation.is_prime`) on what is left and
+Pollard-Brent rho (Brent, BIT 1980) to split it when composite.
 
 From degree 6 on, a modular degree analysis prunes that search first
 (Knuth, TAOCP Vol. 2, 4.6.2; Musser, JACM 1975).  For small primes q
@@ -289,11 +289,8 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
     return Polynomial(quotient)
 
 
-def _evaluation_points() -> Iterator[int]:
-    yield 0
-    for k in itertools.count(1):
-        yield k
-        yield -k
+# A degree-k search interpolates at the first k + 1; k <= MAX_ORACLE_DEGREE // 2.
+_POINTS = (0, 1, -1, 2, -2, 3, -3)
 
 
 @functools.lru_cache(maxsize=256)
@@ -374,10 +371,7 @@ def _candidate_factor(
             return None
         coeffs.append(acc // common)
     h = Polynomial(coeffs)
-    hc, _ = content_and_primitive(h)
-    if hc != 1:
-        # an imprimitive candidate cannot divide a primitive polynomial
-        return None
+    # f is primitive, so exact_divide refuses an imprimitive h (Gauss's lemma)
     cofactor = exact_divide(f, h)
     return None if cofactor is None else (h, cofactor)
 
@@ -415,8 +409,10 @@ def _lead_matches(
 def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> Optional[tuple[Polynomial, Polynomial]]:
     """A degree-k factor of the primitive f and its cofactor, or None after exhaustion.
 
-    The candidates are the tuples of divisors of f's values at k + 1
-    points, in itertools.product order, one budget unit each.  Only a
+    The candidates are the tuples of divisors of f's values at the k + 1
+    points _POINTS[: k + 1], in itertools.product order, one budget unit
+    each.  The caller has removed every rational root, so no value is 0;
+    one that is raises InternalError naming f and k.  Only a
     candidate whose scaled leading coefficient sum(w[j] * B[j][k]) is
     common * L, for a divisor L of f's leading coefficient, can divide f.
     So the points are split (:func:`_inner_start`) into outer and inner
@@ -434,18 +430,12 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> Optional[tuple[
     probe x* lies past Cauchy's root bound 1 + max|a_i| and past the
     points, so f(x*) != 0 and no factor fails the test.
     """
-    points = []
-    values = []
-    for x in _evaluation_points():
-        v = f(x)
-        if v == 0:
-            continue
-        points.append(x)
-        values.append(v)
-        if len(points) == k + 1:
-            break
+    points = _POINTS[: k + 1]
+    values = [f(x) for x in points]
+    if 0 in values:
+        raise InternalError(f"the degree-{k} search of {f} met an integer root")
     probe = 1 + max(*map(abs, f.coeffs), *map(abs, points))
-    basis, common = _lagrange_basis(tuple(points))
+    basis, common = _lagrange_basis(points)
     leads = [b[k] for b in basis]
     probes = [sum(c * probe**i for i, c in enumerate(b)) for b in basis]
     flead = f.leading_coefficient
@@ -1041,8 +1031,12 @@ def _sweep_entry(
     # A witness exists only when f's coefficients are within the oracle's
     # limits, so repr() cannot pass Python's int-to-str limit.
     if witness is not None and zlib.crc32(repr(f.coeffs).encode()) % 100 == 0:
-        summary.spot_checks += 1
-        summary.violations.extend(_spot_check(f, witness))
+        try:
+            summary.violations.extend(_spot_check(f, witness))
+        except OracleBudgetError:  # a factor's search can cost more than f's
+            summary.budget_errors += 1
+        else:
+            summary.spot_checks += 1
 
 
 def _family_violations(analysis: Analysis, expected: dict) -> list[Violation]:

@@ -161,6 +161,16 @@ def test_non_dividing_oracle_factor_exits_5(capsys, monkeypatch):
     assert err.startswith("internal error: the oracle's factor x-1 does not divide x^2-1")
 
 
+def test_a_root_reaching_the_split_search_exits_5(capsys, monkeypatch):
+    # With the root search patched to find nothing, x^4-1 would factor as
+    # (x^2-1)(x^2+1), which multiplies back: only the search's guard sees it.
+    monkeypatch.setattr("newton_gauge.oracle._rational_root_factor", lambda f, budget: None)
+    code, out, err = _run(capsys, "verify", "--poly", "x^4-1", "--prime", "2")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: the degree-2 search of x^4-1 met an integer root\n"
+
+
 def test_stray_value_error_exits_5(capsys, monkeypatch):
     def broken(inp):
         raise ValueError("a defect, not bad input")

@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import struct
+import types
 from fractions import Fraction
 
 import pytest
@@ -217,24 +218,25 @@ def test_kronecker_agrees_with_sympy():
 # split-index candidate search
 
 
+_REFERENCE_POINTS = (0, 1, -1, 2, -2, 3, -3)
+
+
+def _has_root_at_the_points(f, k):
+    return any(f(x) == 0 for x in _REFERENCE_POINTS[: k + 1])
+
+
 def _reference_factor_of_degree(f, k, budget):
     """The per-candidate Kronecker walk that _factor_of_degree replaces:
-    the first factor found and its cofactor, or None.
+    the first factor found and its cofactor, or None, for an f with no
+    root at its k + 1 points.
 
     Charges one unit per candidate, in itertools.product order, and
     evaluates every candidate.
     """
-    points = []
-    values = []
-    for x in oracle._evaluation_points():
-        v = f(x)
-        if v == 0:
-            continue
-        points.append(x)
-        values.append(v)
-        if len(points) == k + 1:
-            break
-    basis, common = oracle._lagrange_basis(tuple(points))
+    points = _REFERENCE_POINTS[: k + 1]
+    values = [f(x) for x in points]
+    assert 0 not in values, (str(f), k)
+    basis, common = oracle._lagrange_basis(points)
     lead_col = tuple(b[k] for b in basis)
     flead = f.leading_coefficient
     candidate_sets = [oracle._candidate_values(values[0], positive_only=True)]
@@ -506,11 +508,22 @@ def test_split_index_matches_the_per_candidate_walk_within_a_cap(monkeypatch):
     monkeypatch.setattr(oracle, "_inner_start", start)
     rng = random.Random(89)
     outcomes = []
-    for f, k in _composite_lead_searches() + _wide_product_searches():
-        for cap, pre in ((30_000, 0), (rng.randrange(30_000), rng.randrange(1000))):
+    searches = _composite_lead_searches() + _wide_product_searches()
+    rooted = [(f, k) for f, k in searches if _has_root_at_the_points(f, k)]
+    for f, k in searches:
+        # drawn for every search, so each root-free search keeps its caps
+        caps = ((30_000, 0), (rng.randrange(30_000), rng.randrange(1000)))
+        if (f, k) in rooted:
+            # kronecker_factor removes every root first, so a root at the
+            # points is a broken invariant, not an input to search
+            with pytest.raises(InternalError, match=f"degree-{k} search of .* met an integer root"):
+                oracle._factor_of_degree(f, k, _Budget(10**9))
+            continue
+        for cap, pre in caps:
             expected = _outcome(_reference_factor_of_degree, f, k, pre + cap, pre)
             assert _outcome(oracle._factor_of_degree, f, k, pre + cap, pre) == expected, (str(f), k)
             outcomes.append(type(expected[0]))
+    assert (len(searches), len(rooted)) == (39, 3)
     # both key lists, both a one-point and a wider inner split, and both outcomes
     assert set(lookups) == {True, False}
     assert 1 in splits and max(splits) > 1
@@ -559,6 +572,20 @@ def test_a_factor_that_does_not_divide_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(oracle, "exact_divide", lambda f, g: None)
     with pytest.raises(InternalError, match=r"factor x-1 does not divide x\^2-1"):
         kronecker_factor(_poly("x^2-1"))
+
+
+def test_the_fixed_points_serve_every_search():
+    # a search at k <= MAX_ORACLE_DEGREE // 2 reads the first k + 1 points
+    assert len(oracle._POINTS) == MAX_ORACLE_DEGREE // 2 + 1
+    assert len(set(oracle._POINTS)) == len(oracle._POINTS)
+
+
+def test_a_root_left_for_the_split_search_is_an_internal_error(monkeypatch):
+    # With the root search patched to find nothing, x^4-1 reaches the
+    # degree-2 search with its roots 1 and -1 still in it.
+    monkeypatch.setattr(oracle, "_rational_root_factor", lambda f, budget: None)
+    with pytest.raises(InternalError, match=r"the degree-2 search of x\^4-1 met an integer root"):
+        kronecker_factor(_poly("x^4-1"))
 
 
 # ---------------------------------------------------------------------------
@@ -1105,6 +1132,28 @@ def test_the_p_power_box_of_degree_3_produces_every_tag():
     assert summary.budget_errors == 0
 
 
+def test_a_seeded_p_power_sample_of_degree_4_to_6_produces_every_tag():
+    # The same values as the degree-3 box, 3,000 seeded draws of degree
+    # 4 + i mod 3 with a nonzero constant and a positive leading coefficient.
+    values = (0, 1, -1, 2, -2, 3, -3, 4, -4, 8, -8, 9, -9)
+    leads = [v for v in values if v > 0]
+    rng = random.Random(5)
+    summary = SweepSummary(corpus={})
+    for i in range(3_000):
+        a0 = rng.choice(values[1:])
+        middle = [rng.choice(values) for _ in range(3 + i % 3)]
+        f = Polynomial([a0, *middle, rng.choice(leads)])
+        _sweep_entry(summary, f, [2, 3], True)
+    assert summary.total == 2 * 3_000
+    assert summary.certificates == {
+        "T1": 217, "TA": 91, "T2": 311, "TB": 2_117, "Dumas-s0": 141, "none": 3_123,
+    }
+    assert summary.verified == 2_877
+    assert summary.spot_checks == 25
+    assert summary.violations == []
+    assert summary.budget_errors == 0
+
+
 def test_verify_matches_the_reference_on_hand_built_certificates():
     params = CriteriaParameters(n=2, s=1, c_s=1, c_n=1, d=1, u=1, modulus=1)
     cases = [
@@ -1152,6 +1201,37 @@ def test_spot_check_detects_wrong_factors():
     assert _spot_check(f, kronecker_factor(f)) == []
     wrong = FactorizationWitness(1, 1, (_poly("x+1"), _poly("x-1")))
     assert _spot_check(_poly("x^2+2x+1"), wrong) != []
+
+
+def test_a_refactored_factor_that_splits_is_a_spot_check_violation(monkeypatch):
+    f = _poly("x^4-1")
+    witness = kronecker_factor(f)
+    assert _factor_strings(witness) == ["x-1", "x+1", "x^2+1"]
+    # the re-run of x^2+1 returns a split
+    split = FactorizationWitness(1, 1, (_poly("x+1"), _poly("x+1")))
+    monkeypatch.setattr(oracle, "kronecker_factor", lambda g: split)
+    (violation,) = _spot_check(f, witness)
+    assert violation.kind == "irreducibility-spot-check"
+    assert violation.detail == {
+        "polynomial": "x^4-1",
+        "factors": ["x-1", "x+1", "x^2+1"],
+        "factor": "x^2+1",
+        "refactored": ["x+1", "x+1"],
+    }
+
+
+def test_a_spot_check_out_of_budget_counts_as_a_budget_error(monkeypatch):
+    # f factors in 373 units, but re-factoring its degree-7 factor takes
+    # 5,442; the entry is put in the spot-checked slice by hand.
+    monkeypatch.setenv(BUDGET_ENV_VAR, "3000")
+    monkeypatch.setattr(oracle, "zlib", types.SimpleNamespace(crc32=lambda data: 0))
+    f = _poly("72*x^9-18*x^8+3*x^7-174*x^6+6*x^5+37*x^4+29*x^3+79*x^2-49*x-18")
+    assert kronecker_factor(f).factor_degrees == (2, 7)
+    summary = SweepSummary(corpus={})
+    _sweep_entry(summary, f, [2, 3], True)
+    assert summary.certificates["TB"] == 2
+    assert (summary.verified, summary.spot_checks, summary.budget_errors) == (2, 0, 1)
+    assert summary.violations == []
 
 
 # ---------------------------------------------------------------------------
