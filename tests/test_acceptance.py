@@ -360,7 +360,7 @@ def test_criterion_7_oracle_self_consistency(capsys, corpus_sweep):
     _verdict(
         capsys, 7, ok,
         f"witness re-multiplication enforced on all {summary.verified} oracle"
-        f" runs; {summary.spot_checks} deep spot checks (divisor products and"
+        f" runs; {summary.spot_checks} deep spot checks (witness product and"
         f" re-factorization), {len(spot_failures)} failures",
     )
 

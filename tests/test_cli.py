@@ -440,6 +440,23 @@ def test_sweep_rejects_empty_corpus_arguments(capsys):
     assert "sample must be at least 1" in err
 
 
+def test_a_sample_sweep_past_the_parsers_degree_limit_is_refused(capsys, monkeypatch):
+    def draw(*args):
+        raise AssertionError("a refused sample must not be drawn")
+
+    # Drawing one polynomial of degree 10^9 would take hours and hundreds of GB.
+    monkeypatch.setattr("newton_gauge.oracle.sampled_polynomials", draw)
+    for degree in ("1000001", "1000000000"):
+        code, out, err = _run(
+            capsys, "sweep", "--sample", "1", "--min-degree", degree, "--max-degree", degree
+        )
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err == (
+            "--max-degree: max_degree must not exceed 1000000, the parser's degree"
+            f" limit, got {degree}\n"
+        )
+
+
 def test_sweep_rejects_an_oversized_exhaustive_corpus(capsys):
     code, _, err = _run(capsys, "sweep", "--max-degree", "7", "--no-verify")
     assert code == EXIT_BAD_INPUT

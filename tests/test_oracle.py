@@ -1,3 +1,4 @@
+import collections.abc
 import itertools
 import math
 import pickle
@@ -290,7 +291,7 @@ def _search_corpus():
     (degree 2-5), 80 u*p^e inputs of degree 6-7 (half of them products)
     and 24 built products of degree 8-10."""
     rng = random.Random(8)
-    out = sampled_polynomials(5, 3, 120, seed=8)
+    out = list(sampled_polynomials(5, 3, 120, seed=8))
     for i in range(80):
         p, n = rng.choice((2, 3)), rng.randint(6, 7)
         if i % 2:
@@ -1220,6 +1221,43 @@ def test_a_refactored_factor_that_splits_is_a_spot_check_violation(monkeypatch):
     }
 
 
+def test_a_witness_that_does_not_multiply_back_is_one_spot_check_violation():
+    wrong = FactorizationWitness(1, 1, (_poly("x+1"), _poly("x+1"), _poly("x-1")))
+    (violation,) = _spot_check(_poly("x^3-1"), wrong)
+    assert violation.kind == "irreducibility-spot-check"
+    assert violation.detail == {
+        "polynomial": "x^3-1",
+        "factors": ["x+1", "x+1", "x-1"],
+        "product": "x^3+x^2-x-1",
+    }
+
+
+def test_the_spot_check_divides_nothing(monkeypatch):
+    # The witness's product proves every sub-multiset divides f: the
+    # 2^12 - 2 proper sub-multisets of 12 linear factors are not divided out.
+    f = Polynomial.constant(1)
+    for a in range(1, 7):
+        f = f * _poly(f"x^2-{a * a}")
+    witness = kronecker_factor(f)
+    assert witness.factor_degrees == (1,) * 12
+    calls = []
+    real = oracle.exact_divide
+    monkeypatch.setattr(oracle, "exact_divide", lambda f, g: calls.append(g) or real(f, g))
+    assert _spot_check(f, witness) == []
+    assert calls == []
+
+
+def test_the_spot_check_refactors_each_distinct_factor_once(monkeypatch):
+    f = _poly("(x^2+1)^2*(x^2+2)")
+    witness = kronecker_factor(f)
+    assert _factor_strings(witness) == ["x^2+1", "x^2+1", "x^2+2"]
+    refactored = []
+    real = oracle.kronecker_factor
+    monkeypatch.setattr(oracle, "kronecker_factor", lambda g: refactored.append(str(g)) or real(g))
+    assert _spot_check(f, witness) == []
+    assert refactored == ["x^2+1", "x^2+2"]
+
+
 def test_a_spot_check_out_of_budget_counts_as_a_budget_error(monkeypatch):
     # f factors in 373 units, but re-factoring its degree-7 factor takes
     # 5,442; the entry is put in the spot-checked slice by hand.
@@ -1256,13 +1294,20 @@ def test_exhaustive_polynomials_enumeration():
 
 
 def test_sampled_polynomials_deterministic():
-    a = sampled_polynomials(5, 3, 50, seed=11)
-    b = sampled_polynomials(5, 3, 50, seed=11)
-    c = sampled_polynomials(5, 3, 50, seed=12)
+    a = list(sampled_polynomials(5, 3, 50, seed=11))
+    b = list(sampled_polynomials(5, 3, 50, seed=11))
+    c = list(sampled_polynomials(5, 3, 50, seed=12))
     assert a == b
     assert a != c
     assert len(a) == 50
     assert all(2 <= f.degree <= 5 and f[0] != 0 for f in a)
+
+
+def test_sampled_polynomials_are_drawn_one_at_a_time():
+    # A sample sweep holds one polynomial at a time, however large the count.
+    drawn = sampled_polynomials(5, 3, 10**4, seed=11)
+    assert isinstance(drawn, collections.abc.Iterator)
+    assert next(drawn) == list(sampled_polynomials(5, 3, 1, seed=11))[0]
 
 
 def test_mini_sweep_is_clean():
@@ -1320,6 +1365,23 @@ def test_sweep_rejects_an_oversized_exhaustive_corpus():
         with pytest.raises(InvalidInputError, match="use --sample"):
             sweep(max_degree, coeff_bound, [2], min_degree=min_degree, verify=False)
     assert sweep(6, 3, [2], sample=3, verify=False).total == 3
+
+
+def test_a_sample_past_the_parsers_degree_limit_is_refused(monkeypatch):
+    from newton_gauge.polynomial import MAX_PARSED_EXPONENT
+
+    def draw(*args):
+        raise AssertionError("a refused sample must not be drawn")
+
+    # Drawing one polynomial of degree 10^9 would take hours and hundreds of GB.
+    monkeypatch.setattr(oracle, "sampled_polynomials", draw)
+    for min_degree, max_degree in ((2, MAX_PARSED_EXPONENT + 1), (10**9, 10**9)):
+        with pytest.raises(InvalidInputError, match="max_degree must not exceed 1000000") as info:
+            sweep(max_degree, 3, [2], min_degree=min_degree, sample=1)
+        assert info.value.arguments == ("max_degree",)
+    # At the limit itself the sample is drawn; draw none, so nothing is built.
+    monkeypatch.setattr(oracle, "sampled_polynomials", lambda *args: iter(()))
+    assert sweep(MAX_PARSED_EXPONENT, 3, [2], sample=1).total == 0
 
 
 # ---------------------------------------------------------------------------
