@@ -895,17 +895,18 @@ def _capped_corpus_size(max_degree: int, coeff_bound: int, min_degree: int) -> i
 
 def sampled_polynomials(
     max_degree: int, coeff_bound: int, count: int, seed: int, min_degree: int = 2
-) -> Iterator[Polynomial]:
-    """Deterministic random corpus with nonzero end coefficients, drawn
-    one polynomial at a time."""
+) -> list[Polynomial]:
+    """Deterministic random corpus with nonzero end coefficients."""
     rng = random.Random(seed)
     ends = [c for c in range(-coeff_bound, coeff_bound + 1) if c != 0]
+    out = []
     for _ in range(count):
         n = rng.randint(min_degree, max_degree)
         coeffs = [rng.choice(ends)]
         coeffs.extend(rng.randint(-coeff_bound, coeff_bound) for _ in range(n - 1))
         coeffs.append(rng.choice(ends))
-        yield Polynomial(coeffs)
+        out.append(Polynomial(coeffs))
+    return out
 
 
 def _identity_violations(analysis: Analysis) -> list[Violation]:
@@ -1086,10 +1087,10 @@ def sweep(
 
     Exhaustive over degrees min_degree..max_degree with bounded
     coefficients and nonzero end coefficients unless `sample` is given,
-    in which case that many polynomials are drawn, one at a time, with
-    the seeded generator.  Every certificate is verified against the
-    brute-force factorization, under the budget of :func:`oracle_budget`;
-    exact identities run on every entry, deep self-checks on a 1%
+    in which case that many polynomials are drawn with the seeded
+    generator.  Every certificate is verified against the brute-force
+    factorization, under the budget of :func:`oracle_budget`; exact
+    identities run on every entry, deep self-checks on a 1%
     deterministic slice.  Raises InvalidInputError, naming the argument,
     when the corpus would be empty or would hold polynomials of degree
     below 2, when primes holds a non-prime, is empty or repeats a value,

@@ -16,6 +16,7 @@ import importlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -55,10 +56,14 @@ def test_oracle_hooks_resolve():
 
 
 @pytest.mark.parametrize("workload", ["sweep-acceptance", "verify-padic", "analyze-bigval"])
-def test_traced_work_counters_are_pinned(workload):
+def test_traced_work_counters_are_pinned(workload, tmp_path):
     """One untimed traced pass repeats every deterministic work counter
     pinned in bench_counters.json.  A change that means to change the
-    work re-pins the file and gives each old and new value."""
+    work re-pins the file and gives each old and new value.
+
+    bench/run.py writes its spans and records under the checkout that
+    holds it, so the pass runs a copy of bench/ beside a link to src/ in
+    tmp_path, and leaves the working tree as it was."""
     tracer = _tracer()
     if not RUN.is_file():
         pytest.skip("bench/run.py is not in this checkout")
@@ -67,8 +72,11 @@ def test_traced_work_counters_are_pinned(workload):
     pinned = json.loads(COUNTERS.read_text())
     env = {k: v for k, v in os.environ.items() if k != "NEWTON_GAUGE_BUDGET"}
     argv = ["--workload", workload, "--seed", str(pinned["seed"]), "--seconds", "0", "--trace", "1"]
+    shutil.copytree(RUN.parent, tmp_path / "bench", ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    run = tmp_path / "bench" / RUN.name
     proc = subprocess.run(
-        [sys.executable, str(RUN), *argv], cwd=ROOT, env=env, capture_output=True, text=True
+        [sys.executable, str(run), *argv], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
     metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
