@@ -2,7 +2,7 @@
 
 Given a polynomial with integer coefficients and a prime p, this
 package computes the p-adic valuation points and their lower convex
-hull, the exact rational slope table and Newton index, and emits
+hull, the slope table and Newton index as exact integer pairs, and emits
 certificates constraining the degrees any factorization can have.  A
 brute-force Kronecker factorization oracle verifies every certificate
 at desk scale.
@@ -32,7 +32,6 @@ from .criteria import (
 from .newton import (
     NewtonPolygon,
     SlopeTable,
-    ValuationPoint,
     lower_convex_hull,
     newton_index,
     newton_polygon,
@@ -51,7 +50,7 @@ from .polynomial import (
     parse_polynomial,
 )
 from .report import analysis_report, load_schema, sweep_report
-from .valuation import Slope, p_adic_valuation, validate_prime
+from .valuation import format_slope, p_adic_valuation, validate_prime
 
 __version__ = "0.1.0"
 
@@ -95,10 +94,8 @@ __all__ = [
     "OracleBudgetError",
     "ParseError",
     "Polynomial",
-    "Slope",
     "SlopeTable",
     "SweepSummary",
-    "ValuationPoint",
     "VerificationReport",
     "WitnessIntegrityError",
     "analysis_report",
@@ -111,6 +108,7 @@ __all__ = [
     "dumas_degree_sets",
     "find_dominant_index",
     "format_polynomial",
+    "format_slope",
     "kronecker_factor",
     "load_schema",
     "lower_convex_hull",

@@ -26,8 +26,9 @@ a1 + a2 = u/d is divisible by modulus.  At s = 0 every interior point
 lies strictly above the chord from (0, v(a_0)) to (n, v(a_n)), so the
 polygon is a single segment.  The slope table finds s once, comparing
 cross-multiplied integers, and the Newton index it reports is the slope
-of the polygon's last edge (see ``newton``); the parameters and the
-decision use integer arithmetic only.
+of the polygon's last edge (see ``newton``).  The parameters, the
+decision and the degree pairs, bitmask subset sums, use integer
+arithmetic only; a slope becomes text only in a "none" note.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import Optional, Union
 
 from .newton import NewtonPolygon, SlopeTable, newton_polygon, slope_table
 from .polynomial import AnalysisInput, InternalError, _bind, _Value
+from .valuation import format_slope
 
 __all__ = [
     "THEOREM_TAGS",
@@ -220,8 +222,8 @@ def find_dominant_index(table: SlopeTable) -> Optional[int]:
 def _parameters(table: SlopeTable, s: int) -> CriteriaParameters:
     n = table.degree
     vn = table.leading_valuation
-    vs = next(e.valuation for e in table.entries if e.index == s)
-    v0 = table.entries[0].valuation  # a_0 != 0, so index 0 comes first
+    vs = next(v for i, v in table.entries if i == s)
+    v0 = table.entries[0][1]  # a_0 != 0, so index 0 comes first
     c_s = vn - vs
     c_n = vn - v0
     d = math.gcd(vs - vn, n - s)
@@ -245,7 +247,8 @@ def _certify(table: SlopeTable) -> Certificate:
     s = find_dominant_index(table)
     if s is None:
         ties = ",".join(str(i) for i in table.index_of_max)
-        return _none(f"no-strict-dominant-index: max slope {table.newton_index} at indices {ties}")
+        top = format_slope(*table.newton_index)
+        return _none(f"no-strict-dominant-index: max slope {top} at indices {ties}")
     params = _parameters(table, s)
     d, u = params.d, params.u
     if s == 0 and d == 1:
@@ -313,16 +316,19 @@ def _degree_pairs(polygon: NewtonPolygon, n: int) -> tuple[tuple[int, int], ...]
 
     A product's polygon concatenates its factors' polygons, so a factor's
     degree is a sum of per-edge terms k*e, with e the edge's reduced slope
-    denominator and 0 <= k <= its lattice length.  The subset sums, paired
-    with their complements, give the set; it always contains (0, n).
+    denominator and 0 <= k <= its lattice length.  Bit a of ``sums`` is
+    set when a is such a subset sum.  The polygon spans 0..n (a_0 != 0),
+    so the edges' terms add up to n and a is a sum iff n - a is: the
+    pairs (a, n - a) with a <= n/2 give the set; it always holds (0, n).
     """
-    achievable = {0}
+    sums = 1
     vertices = polygon.vertices
     for (i0, v0), (i1, v1) in zip(vertices, vertices[1:]):
         g = math.gcd(v1 - v0, i1 - i0)
         e = (i1 - i0) // g
-        achievable = {a + k * e for a in achievable for k in range(g + 1)}
-    return tuple(sorted({(min(a, n - a), max(a, n - a)) for a in achievable}))
+        for _ in range(g):
+            sums |= sums << e
+    return tuple((a, n - a) for a in range(n // 2 + 1) if sums >> a & 1)
 
 
 class Analysis(_Value):

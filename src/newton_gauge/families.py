@@ -1,7 +1,9 @@
 """Built-in demonstration families with closed-form expected parameters.
 
 Two one-parameter families of analysis inputs whose criteria parameters
-are known exactly, used by the sweep harness and the CLI:
+are known exactly, used by the sweep harness and the CLI.  The expected
+slopes m_i are (rise, width) pairs in lowest terms, as
+``SlopeTable.slope_at`` returns them (gcd(n*(n-3)-1, n) = 1):
 
 * example1(n, p): degree n >= 5, coefficients
       a_0 + p^(n-4)*a_1*x + p^(n*(n-3)-1)*(a_2*x^2 + a_n*x^n)
@@ -17,7 +19,6 @@ are known exactly, used by the sweep harness and the CLI:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
@@ -65,9 +66,9 @@ def example1_expected(n: int) -> dict:
         "u": n - 1,
         "modulus": 1,
         "theorem": "T1",
-        "m_s": Fraction(n - 3),
-        "m_0": Fraction(n * (n - 3) - 1, n),
-        "m_2": Fraction(0),
+        "m_s": (n - 3, 1),
+        "m_0": (n * (n - 3) - 1, n),
+        "m_2": (0, 1),
     }
 
 
@@ -93,8 +94,8 @@ def example2_expected(d: int) -> dict:
         "u": d * d - 1,
         "modulus": d + 1,
         "theorem": "TB" if d == 2 else "T2",
-        "m_s": Fraction(-1, d + 1),
-        "m_0": Fraction(-1, d),
+        "m_s": (-1, d + 1),
+        "m_0": (-1, d),
     }
 
 

@@ -13,23 +13,24 @@ Newton index is the slope of the last hull edge.  Indices with a_i = 0
 contribute no slope (morally slope minus infinity), so skipping them is
 exact.  The index is multiplicative: e(f*g) = max(e(f), e(g)).
 
-Slopes are compared as cross-multiplied integers, a/b >= c/d iff
-a*d >= c*b for widths b, d > 0; ``Fraction`` values are built only as
-results (the table's entries, the index), never to compare.
+Points are plain (index, valuation) pairs and a slope is a plain
+(rise, width) pair of ints with width > 0.  Slopes are compared as
+cross-multiplied integers, a/b >= c/d iff a*d >= c*b, so no rational
+number is ever built.  A slope handed to a caller (``newton_index``,
+``SlopeTable.slope_at``) is in lowest terms, so equal slopes are equal
+pairs; ``valuation.format_slope`` prints one.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+import math
+from typing import Iterable, Optional, Sequence
 
 from .polynomial import AnalysisInput, InternalError, Polynomial, _bind, _Value
-from .valuation import Slope, p_adic_valuation
+from .valuation import p_adic_valuation
 
 __all__ = [
-    "ValuationPoint",
     "NewtonPolygon",
-    "SlopeEntry",
     "SlopeTable",
     "valuation_points",
     "lower_convex_hull",
@@ -39,16 +40,15 @@ __all__ = [
 ]
 
 
-class ValuationPoint(NamedTuple):
-    """Lattice point (exponent, valuation of that coefficient)."""
+# A lattice point (exponent, valuation of that coefficient), and a slope
+# (rise, width) with width > 0.
+Point = tuple[int, int]
+Slope = tuple[int, int]
 
-    index: int
-    valuation: int
 
-
-def valuation_points(f: Polynomial, p: int) -> list[ValuationPoint]:
+def valuation_points(f: Polynomial, p: int) -> list[Point]:
     """Points (i, v_p(a_i)) for the nonzero coefficients of f, ascending index."""
-    return [ValuationPoint(i, p_adic_valuation(c, p)) for i, c in enumerate(f.coeffs) if c]
+    return [(i, p_adic_valuation(c, p)) for i, c in enumerate(f.coeffs) if c]
 
 
 class NewtonPolygon(_Value):
@@ -62,13 +62,13 @@ class NewtonPolygon(_Value):
 
     __slots__ = ("points", "vertices")
 
-    def __init__(self, points: tuple[ValuationPoint, ...], vertices: tuple[ValuationPoint, ...]):
+    def __init__(self, points: tuple[Point, ...], vertices: tuple[Point, ...]):
         _bind(self, "points", points)
         _bind(self, "vertices", vertices)
         if len(vertices) < 2:
             raise InternalError("a polygon needs at least two vertices")
-        steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(vertices, vertices[1:])]
-        if min(width for width, _ in steps) <= 0:
+        steps = [(i1 - i0, v1 - v0) for (i0, v0), (i1, v1) in zip(vertices, vertices[1:])]
+        if min(steps)[0] <= 0:  # the least width
             raise InternalError("hull vertex indices must strictly increase")
         for (w1, r1), (w2, r2) in zip(steps, steps[1:]):
             if r1 * w2 >= r2 * w1:
@@ -87,7 +87,7 @@ class NewtonPolygon(_Value):
                 raise InternalError(f"point {pt} lies below the hull")
 
 
-def lower_convex_hull(points: Sequence[ValuationPoint]) -> NewtonPolygon:
+def lower_convex_hull(points: Sequence[Point]) -> NewtonPolygon:
     """Lower convex hull of points sorted by index, as a NewtonPolygon.
 
     Monotone-chain construction; the predicate is an integer cross
@@ -96,7 +96,7 @@ def lower_convex_hull(points: Sequence[ValuationPoint]) -> NewtonPolygon:
     """
     if len(points) < 2:
         raise ValueError("need at least two points for a hull")
-    hull: list[ValuationPoint] = []
+    hull: list[Point] = []
     for pt in points:
         i, v = pt
         while len(hull) >= 2:
@@ -113,27 +113,32 @@ def newton_polygon(f: Polynomial, p: int) -> NewtonPolygon:
     return lower_convex_hull(valuation_points(f, p))
 
 
-class SlopeEntry(NamedTuple):
-    index: int
-    valuation: int
-    slope: Slope
-
-
-def _argmax(slopes: Sequence[tuple[int, int]]) -> list[int]:
-    """Positions of the largest rise/width among (rise, width) pairs, width > 0."""
-    best, at = None, []
-    for k, (rise, width) in enumerate(slopes):
-        gap = 1 if best is None else rise * best[1] - best[0] * width
+def _steepest(
+    points: Iterable[Point], n: int, vn: int
+) -> tuple[tuple[int, ...], Optional[Slope]]:
+    """Indices i attaining the largest slope (vn - v)/(n - i) over points
+    (i, v) with i < n, in ascending order, and that slope in lowest terms;
+    ((), None) when there are no points."""
+    at: list[int] = []
+    best_rise = best_width = 0
+    for i, v in points:
+        rise, width = vn - v, n - i
+        gap = rise * best_width - best_rise * width if at else 1
         if gap > 0:
-            best, at = (rise, width), [k]
+            best_rise, best_width, at = rise, width, [i]
         elif gap == 0:
-            at.append(k)
-    return at
+            at.append(i)
+    if not at:
+        return (), None
+    g = math.gcd(best_rise, best_width)
+    return tuple(at), (best_rise // g, best_width // g)
 
 
 class SlopeTable(_Value):
     """All slopes m_i(f) for i < n with a_i != 0, plus the extremes.
 
+    ``entries`` are the points (i, v_p(a_i)) for i < n, ascending; the
+    slope of an entry is (leading_valuation - v, degree - i).
     ``newton_index`` (None for an empty table) and ``index_of_max``, the
     indices attaining it in ascending order, are found once, when the
     table is built; they are derived, not fields.
@@ -142,30 +147,34 @@ class SlopeTable(_Value):
     __slots__ = ("degree", "leading_valuation", "entries", "index_of_max", "newton_index")
     _fields = __slots__[:3]
 
-    def __init__(self, degree: int, leading_valuation: int, entries: tuple[SlopeEntry, ...]):
+    def __init__(self, degree: int, leading_valuation: int, entries: tuple[Point, ...]):
         _bind(self, "degree", degree)
         _bind(self, "leading_valuation", leading_valuation)
         _bind(self, "entries", entries)
-        at = _argmax([(leading_valuation - e.valuation, degree - e.index) for e in entries])
-        _bind(self, "index_of_max", tuple(entries[k].index for k in at))
-        _bind(self, "newton_index", entries[at[0]].slope if at else None)
+        at, index = _steepest(entries, degree, leading_valuation)
+        _bind(self, "index_of_max", at)
+        _bind(self, "newton_index", index)
 
     def slope_at(self, i: int) -> Optional[Slope]:
-        for entry in self.entries:
-            if entry.index == i:
-                return entry.slope
+        """The slope m_i in lowest terms, or None when a_i = 0 or i >= n."""
+        for j, v in self.entries:
+            if j == i:
+                rise, width = self.leading_valuation - v, self.degree - i
+                g = math.gcd(rise, width)
+                return rise // g, width // g
         return None
 
 
 def slope_table(inp: AnalysisInput) -> SlopeTable:
     """Slope table of a validated analysis input."""
-    *points, (n, vn) = valuation_points(inp.poly, inp.prime)
-    entries = tuple(SlopeEntry(i, v, Fraction(vn - v, n - i)) for i, v in points)
-    return SlopeTable(degree=n, leading_valuation=vn, entries=entries)
+    points = valuation_points(inp.poly, inp.prime)
+    n, vn = points.pop()
+    return SlopeTable(n, vn, tuple(points))
 
 
 def newton_index(f: Polynomial, p: int) -> Slope:
-    """Largest slope max_i (v(a_n) - v(a_i)) / (n - i) over i < n with a_i != 0.
+    """Largest slope max_i (v(a_n) - v(a_i)) / (n - i) over i < n with
+    a_i != 0, in lowest terms.
 
     Unlike :func:`slope_table` this accepts any nonconstant,
     non-monomial polynomial, so it also applies to degree-1 factors
@@ -175,6 +184,6 @@ def newton_index(f: Polynomial, p: int) -> Slope:
         raise ValueError("newton index needs degree >= 1")
     if all(c == 0 for c in f.coeffs[:-1]):
         raise ValueError("newton index of a monomial is undefined")
-    *points, (n, vn) = valuation_points(f, p)
-    slopes = [(vn - v, n - i) for i, v in points]
-    return Fraction(*slopes[_argmax(slopes)[0]])
+    points = valuation_points(f, p)
+    n, vn = points.pop()
+    return _steepest(points, n, vn)[1]

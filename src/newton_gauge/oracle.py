@@ -72,7 +72,7 @@ from .polynomial import (
     _Value,
     content_and_primitive,
 )
-from .valuation import is_prime, p_adic_valuation
+from .valuation import format_slope, is_prime, p_adic_valuation
 
 __all__ = [
     "OracleBudgetError",
@@ -909,6 +909,10 @@ def sampled_polynomials(
     return out
 
 
+# Orders (rise, width) slopes, width > 0, by value.
+_slope_key = functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+
+
 def _identity_violations(analysis: Analysis) -> list[Violation]:
     """Exact identities that must hold whenever parameters exist."""
     cert = analysis.certificate
@@ -916,11 +920,10 @@ def _identity_violations(analysis: Analysis) -> list[Violation]:
     if params is None:
         return []
     found = []
-    # u = n(n-s)(m_s - m_0), cross-multiplied by the slopes' denominators
+    # u = n(n-s)(m_s - m_0), cross-multiplied by the slopes' widths
     n, s = params.n, params.s
-    m_s, m_0 = analysis.table.slope_at(s), analysis.table.slope_at(0)
-    b_s, b_0 = m_s.denominator, m_0.denominator
-    if params.u * b_s * b_0 != n * (n - s) * (m_s.numerator * b_0 - m_0.numerator * b_s):
+    (r_s, b_s), (r_0, b_0) = analysis.table.slope_at(s), analysis.table.slope_at(0)
+    if params.u * b_s * b_0 != n * (n - s) * (r_s * b_0 - r_0 * b_s):
         found.append(("identity-integrality", {"u": params.u}))
     reduced = (params.c_s // params.d) * n - ((n - s) // params.d) * params.c_n
     if cert.base_theorem == "T1" and s != 0 and reduced != 1:
@@ -1002,10 +1005,13 @@ def _sweep_entry(
         if bad_pairs:
             allowed = [list(q) for q in analysis.dumas_pairs]
             found.append(("dumas", {"missing_pairs": bad_pairs, "allowed": allowed}))
-        index_from_factors = max(newton_index(g, p) for g in set(witness.factors))
+        # Slopes in lowest terms: equal exactly when equal as pairs.
+        index_from_factors = max(
+            (newton_index(g, p) for g in set(witness.factors)), key=_slope_key
+        )
         if index_from_factors != analysis.table.newton_index:
-            direct = str(analysis.table.newton_index)
-            extra = {"from_factors": str(index_from_factors), "direct": direct}
+            direct = format_slope(*analysis.table.newton_index)
+            extra = {"from_factors": format_slope(*index_from_factors), "direct": direct}
             found.append(("index-multiplicativity", extra))
         if found:
             # The bundle is built only here: passing entries never need it.
@@ -1041,7 +1047,7 @@ def _family_violations(analysis: Analysis, expected: dict) -> list[Violation]:
         repro = {
             "polynomial": str(analysis.input.poly),
             "prime": analysis.input.prime,
-            "expected": {k: str(v) for k, v in expected.items()},
+            "expected": {k: _expected_text(v) for k, v in expected.items()},
         }
         return [Violation("family-parameters", {**repro, **extra})]
 
@@ -1057,11 +1063,15 @@ def _family_violations(analysis: Analysis, expected: dict) -> list[Violation]:
     if "m_2" in expected:
         slope_checks["m_2"] = 2
     for key, index in slope_checks.items():
-        if analysis.table.slope_at(index) != expected[key]:
-            return violation(
-                {"slope_index": index, "actual_slope": str(analysis.table.slope_at(index))}
-            )
+        slope = analysis.table.slope_at(index)
+        if slope != expected[key]:
+            return violation({"slope_index": index, "actual_slope": format_slope(*slope)})
     return []
+
+
+def _expected_text(value) -> str:
+    """A closed-form value as a family row or bundle prints it; slopes are pairs."""
+    return format_slope(*value) if isinstance(value, tuple) else str(value)
 
 
 def _require_distinct(values: Sequence[int], name: str) -> None:
@@ -1207,7 +1217,7 @@ def sweep_family(
                 count += 1
             row = {"family": family, "parameter": value, "prime": p, "instances": count}
             row.update((key, expected[key]) for key in ("s", "u", "d", "modulus", "theorem"))
-            row.update(m_s=str(expected["m_s"]), m_0=str(expected["m_0"]))
+            row.update(m_s=format_slope(*expected["m_s"]), m_0=format_slope(*expected["m_0"]))
             row["matches_closed_form"] = len(summary.violations) == before
             summary.family_rows.append(row)
     return summary

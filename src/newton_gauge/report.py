@@ -2,10 +2,11 @@
 
 A report is a plain dict with JSON-native leaves only (strings, ints,
 bools, lists, dicts), so `json.loads(json.dumps(report)) == report`
-holds by construction.  Rationals are serialized exactly as lowest-term
-strings "p/q" (or "p" for integers), never as floats.  The same dict
-feeds both the JSON and the aligned text renderers, and validates
-against the schema shipped as report.schema.json.
+holds by construction.  Slopes, (rise, width) integer pairs in the
+analysis, are serialized exactly as lowest-term strings "p/q" (or "p"
+for integers), never as floats.  The same dict feeds both the JSON and
+the aligned text renderers, and validates against the schema shipped as
+report.schema.json.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Optional, get_args
 
 from .criteria import Analysis, Certificate, Clause, find_dominant_index
+from .valuation import format_slope
 
 if TYPE_CHECKING:
     from .oracle import FactorizationWitness, SweepSummary, VerificationReport
@@ -73,6 +75,7 @@ def analysis_report(
 ) -> dict:
     """Full analysis report; pass a verification section to embed it."""
     table = analysis.table
+    n, vn = table.degree, table.leading_valuation
     dominant = find_dominant_index(table)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -81,22 +84,16 @@ def analysis_report(
             "polynomial": str(analysis.input.poly),
             "prime": analysis.input.prime,
         },
-        "valuation_points": [[pt.index, pt.valuation] for pt in analysis.polygon.points],
-        "polygon_vertices": [
-            [pt.index, pt.valuation] for pt in analysis.polygon.vertices
-        ],
+        "valuation_points": [list(pt) for pt in analysis.polygon.points],
+        "polygon_vertices": [list(pt) for pt in analysis.polygon.vertices],
         "slope_table": {
-            "degree": table.degree,
-            "leading_valuation": table.leading_valuation,
+            "degree": n,
+            "leading_valuation": vn,
             "entries": [
-                {
-                    "index": e.index,
-                    "valuation": e.valuation,
-                    "slope": str(e.slope),
-                }
-                for e in table.entries
+                {"index": i, "valuation": v, "slope": format_slope(vn - v, n - i)}
+                for i, v in table.entries
             ],
-            "newton_index": str(table.newton_index),
+            "newton_index": format_slope(*table.newton_index),
             "index_of_max": list(table.index_of_max),
             "dominant_index": dominant,
         },

@@ -1,10 +1,10 @@
 """Exact arithmetic substrate: p-adic valuations of integers and primality.
 
 Valuations are plain non-negative ints and are defined for nonzero
-integers only: every caller skips zero coefficients.  A slope a caller
-reads is a ``fractions.Fraction`` in lowest terms; the analysis itself
-compares slopes as cross-multiplied integers, and the Newton index is
-the slope of the last hull edge (see ``newton``).
+integers only: every caller skips zero coefficients.  A slope is a pair
+(rise, width) of ints with width > 0, compared as cross-multiplied
+integers (see ``newton``); :func:`format_slope` prints one in lowest
+terms, the only place a slope becomes text.
 
 Everything here is a pure function over immutable values and is safe to
 call concurrently.
@@ -12,17 +12,13 @@ call concurrently.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 __all__ = [
-    "Slope",
+    "format_slope",
     "p_adic_valuation",
     "validate_prime",
 ]
-
-# Exact rational slope; lowest terms and denominator > 0 are guaranteed
-# by the Fraction constructor.
-Slope = Fraction
 
 # Miller-Rabin with the first thirteen primes (2..41) as bases is exact
 # below 3317044064679887385961981 ~ 3.3 * 10^24, the least strong
@@ -47,6 +43,14 @@ def p_adic_valuation(n: int, p: int) -> int:
         n //= p
         e += 1
     return e
+
+
+def format_slope(rise: int, width: int) -> str:
+    """The slope rise/width, width > 0, in lowest terms: "3/2", "-1/3", "4"."""
+    g = math.gcd(rise, width)
+    if g == width:
+        return str(rise // g)
+    return f"{rise // g}/{width // g}"
 
 
 def is_prime(n: int) -> bool:

@@ -679,6 +679,33 @@ def test_analyze_never_loads_the_oracle():
     assert _DATACLASS_IMPORTS.isdisjoint(modules)
 
 
+# Runs sweep(3, 3, [2, 3]), then reports its totals and every module loaded.
+_SWEEP_MODULES_CHILD = """\
+import json, sys
+from newton_gauge import sweep
+summary = sweep(3, 3, [2, 3])
+print(json.dumps({"passed": summary.passed, "total": summary.total,
+                  "modules": sorted(sys.modules)}))
+"""
+
+
+def test_analyze_and_sweep_never_load_fractions_or_decimal():
+    # Slopes are integer pairs from the valuations to the report's text;
+    # importing fractions would also load decimal.
+    rationals = {"fractions", "decimal"}
+    modules = _loaded_modules("analyze", "--poly", "x^6+2*x^3+8", "--prime", "2", "--json")
+    assert rationals.isdisjoint(modules)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SWEEP_MODULES_CHILD],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    status = json.loads(proc.stdout)
+    assert status["passed"] and status["total"] == 2 * (6 * 6 * 7 + 6 * 6 * 7 * 7)
+    assert "newton_gauge.oracle" in status["modules"]
+    assert rationals.isdisjoint(status["modules"])
+
+
 def _compile_peak_bytes(path):
     source = path.read_bytes()
     tracemalloc.start()

@@ -88,7 +88,7 @@ def test_u_matches_slope_gap_identity():
             continue
         checked += 1
         params = compute_parameters(inp, s)
-        m_s = table.slope_at(s)
+        m_s = Fraction(*table.slope_at(s))
         m_0 = Fraction(params.c_n, params.n)
         assert params.u == params.n * (params.n - params.s) * (m_s - m_0)
         assert params.u % params.d == 0
@@ -309,8 +309,8 @@ def _reference_parameters(inp, s):
     table = slope_table(inp)
     n = table.degree
     vn = table.leading_valuation
-    vs = next(e.valuation for e in table.entries if e.index == s)
-    v0 = next(e.valuation for e in table.entries if e.index == 0)
+    vs = next(v for i, v in table.entries if i == s)
+    v0 = next(v for i, v in table.entries if i == 0)
     c_s = vn - vs
     c_n = vn - v0
     d = math.gcd(vs - vn, n - s)
@@ -320,7 +320,7 @@ def _reference_parameters(inp, s):
 
 def _reference_no_dominant_note(table):
     ties = ",".join(str(i) for i in table.index_of_max)
-    return f"no-strict-dominant-index: max slope {table.newton_index} at indices {ties}"
+    return f"no-strict-dominant-index: max slope {Fraction(*table.newton_index)} at indices {ties}"
 
 
 def _reference_theorem1(inp):

@@ -1,4 +1,4 @@
-from fractions import Fraction
+import math
 
 import pytest
 
@@ -66,8 +66,14 @@ def test_example1_matches_expected_parameters():
 
 def test_example1_expected_values():
     e = example1_expected(5)
-    assert e["m_0"] == Fraction(9, 5)
+    assert e["m_0"] == (9, 5)
     assert (e["c_s"], e["c_n"], e["d"], e["u"]) == (8, 9, 4, 4)
+    # slope_at returns lowest terms, so the closed forms must be in them too
+    for expected in [*map(example1_expected, range(5, 40)), *map(example2_expected, range(2, 40))]:
+        for key in ("m_s", "m_0", "m_2"):
+            if key in expected:
+                rise, width = expected[key]
+                assert width > 0 and math.gcd(rise, width) == 1, (key, expected[key])
 
 
 def test_example2_polynomial_shape():

@@ -4,19 +4,25 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
+from typing import NamedTuple
 
 import hypothesis
 import pytest
 from hypothesis import strategies as st
 
 from newton_gauge import criteria, newton
-from newton_gauge.criteria import Analysis, _certify, analyze
+from newton_gauge.criteria import (
+    AlphaSplit,
+    Certificate,
+    CriteriaParameters,
+    DegreeZeroFactor,
+    FactorDegreeMultipleOf,
+    Irreducible,
+    analyze,
+)
 from newton_gauge.newton import (
     NewtonPolygon,
-    SlopeEntry,
     SlopeTable,
-    ValuationPoint,
     lower_convex_hull,
     newton_index,
     newton_polygon,
@@ -24,17 +30,17 @@ from newton_gauge.newton import (
     valuation_points,
 )
 from newton_gauge.polynomial import AnalysisInput, InternalError, Polynomial, parse_polynomial
-from newton_gauge.report import analysis_report
+from newton_gauge.report import SCHEMA_VERSION, analysis_report, certificate_dict
 from newton_gauge.valuation import p_adic_valuation
 
 
 def _pts(*pairs):
-    return [ValuationPoint(i, v) for i, v in pairs]
+    return list(pairs)
 
 
 def _edge_vectors(vertices):
     """(width, rise) of each hull edge, from its vertex pair."""
-    return [(b.index - a.index, b.valuation - a.valuation) for a, b in zip(vertices, vertices[1:])]
+    return [(bi - ai, bv - av) for (ai, av), (bi, bv) in zip(vertices, vertices[1:])]
 
 
 def _slopes(polygon):
@@ -42,11 +48,15 @@ def _slopes(polygon):
 
 
 def _slope_map(table):
-    return {e.index: e.slope for e in table.entries}
+    return {i: table.slope_at(i) for i, _ in table.entries}
 
 
 def _index_of_product(f, g, p):
     return slope_table(AnalysisInput(f * g, p)).newton_index
+
+
+def _max_slope(*slopes):
+    return max(slopes, key=lambda m: Fraction(*m))
 
 
 def _naive_lower_hull(points):
@@ -55,13 +65,10 @@ def _naive_lower_hull(points):
     current = pts[0]
     verts = [current]
     while current != pts[-1]:
-        rest = [q for q in pts if q.index > current.index]
+        rest = [q for q in pts if q[0] > current[0]]
         nxt = min(
             rest,
-            key=lambda q: (
-                Fraction(q.valuation - current.valuation, q.index - current.index),
-                -q.index,
-            ),
+            key=lambda q: (Fraction(q[1] - current[1], q[0] - current[0]), -q[0]),
         )
         verts.append(nxt)
         current = nxt
@@ -99,7 +106,7 @@ def test_hull_matches_gift_wrapping_reference():
     for _ in range(2000):
         count = rng.randint(2, 12)
         indices = sorted(rng.sample(range(0, 30), count))
-        points = [ValuationPoint(i, rng.randint(0, 12)) for i in indices]
+        points = [(i, rng.randint(0, 12)) for i in indices]
         assert lower_convex_hull(points).vertices == _naive_lower_hull(points)
 
 
@@ -126,31 +133,33 @@ def test_slope_table_example():
     table = slope_table(AnalysisInput(parse_polynomial("x^6+2*x^3+8"), 2))
     assert table.degree == 6
     assert table.leading_valuation == 0
-    assert _slope_map(table) == {0: Fraction(-1, 2), 3: Fraction(-1, 3)}
-    assert table.newton_index == Fraction(-1, 3)
+    assert table.entries == ((0, 3), (3, 1))
+    assert _slope_map(table) == {0: (-1, 2), 3: (-1, 3)}
+    assert table.newton_index == (-1, 3)
     assert table.index_of_max == (3,)
-    assert table.slope_at(3) == Fraction(-1, 3)
+    assert table.slope_at(3) == (-1, 3)
     assert table.slope_at(1) is None
 
 
 def test_slope_table_records_ties():
     table = slope_table(AnalysisInput(parse_polynomial("x^2+3x+9"), 3))
-    assert _slope_map(table) == {0: Fraction(-1), 1: Fraction(-1)}
+    assert _slope_map(table) == {0: (-1, 1), 1: (-1, 1)}
     assert table.index_of_max == (0, 1)
 
 
 def test_slope_table_steep_interior_point():
     f = parse_polynomial("512x^5+512x^2+2x+1")
     table = slope_table(AnalysisInput(f, 2))
-    assert _slope_map(table) == {0: Fraction(9, 5), 1: Fraction(2), 2: Fraction(0)}
-    assert table.newton_index == Fraction(2)
+    assert _slope_map(table) == {0: (9, 5), 1: (2, 1), 2: (0, 1)}
+    assert table.newton_index == (2, 1)
     assert table.index_of_max == (1,)
 
 
 def test_newton_index_on_low_degree_factors():
-    assert newton_index(parse_polynomial("x+2"), 2) == Fraction(-1)
-    assert newton_index(parse_polynomial("x+1"), 2) == Fraction(0)
-    assert newton_index(parse_polynomial("2x+8"), 2) == Fraction(-2)
+    assert newton_index(parse_polynomial("x+2"), 2) == (-1, 1)
+    assert newton_index(parse_polynomial("x+1"), 2) == (0, 1)
+    assert newton_index(parse_polynomial("2x+8"), 2) == (-2, 1)
+    assert newton_index(parse_polynomial("x^2+4"), 2) == (-1, 1)
     with pytest.raises(ValueError, match="degree >= 1"):
         newton_index(parse_polynomial("5"), 2)
     with pytest.raises(ValueError, match="monomial"):
@@ -160,12 +169,12 @@ def test_newton_index_on_low_degree_factors():
 def test_newton_index_of_product_examples():
     f = parse_polynomial("x+2")
     g = parse_polynomial("x+4")
-    assert _index_of_product(f, g, 2) == Fraction(-1)
-    assert _index_of_product(f, g, 2) == max(
+    assert _index_of_product(f, g, 2) == (-1, 1)
+    assert _index_of_product(f, g, 2) == _max_slope(
         newton_index(f, 2), newton_index(g, 2)
     )
     h = parse_polynomial("x+1")
-    assert _index_of_product(h, h, 2) == Fraction(0)
+    assert _index_of_product(h, h, 2) == (0, 1)
 
 
 def test_newton_index_multiplicative_random():
@@ -174,7 +183,7 @@ def test_newton_index_multiplicative_random():
         p = rng.choice([2, 3, 5])
         f = _random_poly(rng)
         g = _random_poly(rng)
-        assert _index_of_product(f, g, p) == max(
+        assert _index_of_product(f, g, p) == _max_slope(
             newton_index(f, p), newton_index(g, p)
         )
 
@@ -190,13 +199,16 @@ def _random_poly(rng):
 
 
 # ---------------------------------------------------------------------------
-# The integer analysis core against the Fraction-based code it replaced.
+# The integer analysis core against Fraction-based references of the code
+# it replaced.
 #
-# The _reference_* helpers are the previous implementation: the maximum
-# slope and its ties recomputed with Fraction comparisons on every read,
-# the hull invariants checked through Fraction edge slopes and every point
-# against every vertex pair, and the degree pairs read from the edges of a
-# second, gift-wrapped hull.
+# The _reference_* helpers compute as earlier versions did: every table
+# entry's slope a Fraction, the maximum slope and its ties recomputed with
+# Fraction comparisons on every read, u = n(n-s)(m_s - m_0) in Fraction
+# arithmetic and the certificate from the decision table, the hull
+# invariants checked through Fraction edge slopes and every point against
+# every vertex pair, and the degree pairs as a set of subset sums read from
+# the edges of a second, gift-wrapped hull.
 
 
 def _v(c, p):
@@ -205,11 +217,17 @@ def _v(c, p):
     return newton.p_adic_valuation(c, p)
 
 
+class _RefEntry(NamedTuple):
+    index: int
+    valuation: int
+    slope: Fraction
+
+
 def _reference_entries(f, p):
     n = f.degree
     vn = _v(f.leading_coefficient, p)
     return tuple(
-        SlopeEntry(i, _v(c, p), Fraction(vn - _v(c, p), n - i))
+        _RefEntry(i, _v(c, p), Fraction(vn - _v(c, p), n - i))
         for i, c in enumerate(f.coeffs[:-1])
         if c != 0
     )
@@ -224,40 +242,45 @@ def _reference_index_of_max(entries):
     return tuple(e.index for e in entries if e.slope == best)
 
 
-class _ReferenceTable:
-    """Reads a slope table the way SlopeTable did: nothing is kept."""
-
-    def __init__(self, f, p):
-        self.degree = f.degree
-        self.leading_valuation = _v(f.leading_coefficient, p)
-        self.entries = _reference_entries(f, p)
-
-    @property
-    def newton_index(self):
-        return _reference_newton_index(self.entries)
-
-    @property
-    def index_of_max(self):
-        return _reference_index_of_max(self.entries)
+def _reference_certificate(n, entries):
+    ties = _reference_index_of_max(entries)
+    if len(ties) > 1:
+        top, at = _reference_newton_index(entries), ",".join(map(str, ties))
+        return Certificate("none", None, (), (f"no-strict-dominant-index: max slope {top} at indices {at}",))
+    (s,) = ties
+    m_s, m_0 = (next(e.slope for e in entries if e.index == i) for i in (s, 0))
+    c_s, c_n, u = m_s * (n - s), m_0 * n, n * (n - s) * (m_s - m_0)
+    assert c_s.denominator == c_n.denominator == u.denominator == 1
+    c_s, c_n, u = int(c_s), int(c_n), int(u)
+    d = math.gcd(c_s, n - s)
+    modulus = (n - s) // d
+    params = CriteriaParameters(n, s, c_s, c_n, d, u, modulus)
+    clauses = (Irreducible(), DegreeZeroFactor(), FactorDegreeMultipleOf(modulus))
+    if s == 0:
+        if d == 1:
+            return Certificate("T1", params, clauses[:2])
+        return Certificate("Dumas-s0", params, clauses)
+    if u == d:
+        return Certificate("TA" if d == 1 else "T1", params, clauses)
+    return Certificate("TB" if d == 1 else "T2", params, clauses + (AlphaSplit(modulus, u // d),))
 
 
 def _reference_polygon_error(points, vertices):
     """The InternalError message the old NewtonPolygon raised, or None."""
     if len(vertices) < 2:
         return "a polygon needs at least two vertices"
-    for a, b in zip(vertices, vertices[1:]):
-        if a.index >= b.index:
+    for (ai, _), (bi, _) in zip(vertices, vertices[1:]):
+        if ai >= bi:
             return "hull vertex indices must strictly increase"
     slopes = [Fraction(rise, width) for width, rise in _edge_vectors(vertices)]
     for m1, m2 in zip(slopes, slopes[1:]):
         if m1 >= m2:
             return "hull edge slopes must strictly increase"
     for pt in points:
-        for a, b in zip(vertices, vertices[1:]):
-            if a.index <= pt.index <= b.index:
-                if (pt.valuation - a.valuation) * (b.index - a.index) < (
-                    b.valuation - a.valuation
-                ) * (pt.index - a.index):
+        i, v = pt
+        for (ai, av), (bi, bv) in zip(vertices, vertices[1:]):
+            if ai <= i <= bi:
+                if (v - av) * (bi - ai) < (bv - av) * (i - ai):
                     return f"point {pt} lies below the hull"
                 break
         else:
@@ -276,18 +299,50 @@ def _reference_degree_pairs(vertices, n):
 
 def _reference_report(inp):
     f, p = inp.poly, inp.prime
-    table = _ReferenceTable(f, p)
-    points = tuple(ValuationPoint(i, _v(c, p)) for i, c in enumerate(f.coeffs) if c)
+    entries = _reference_entries(f, p)
+    ties = _reference_index_of_max(entries)
+    points = tuple((i, _v(c, p)) for i, c in enumerate(f.coeffs) if c)
     vertices = _naive_lower_hull(points)
     assert _reference_polygon_error(points, vertices) is None
-    polygon = SimpleNamespace(points=points, vertices=vertices)
     pairs = _reference_degree_pairs(vertices, f.degree)
-    return analysis_report(Analysis(inp, table, polygon, _certify(table), pairs))
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "analysis",
+        "input": {"polynomial": str(f), "prime": p},
+        "valuation_points": [list(pt) for pt in points],
+        "polygon_vertices": [list(pt) for pt in vertices],
+        "slope_table": {
+            "degree": f.degree,
+            "leading_valuation": points[-1][1],
+            "entries": [
+                {"index": e.index, "valuation": e.valuation, "slope": str(e.slope)}
+                for e in entries
+            ],
+            "newton_index": str(_reference_newton_index(entries)),
+            "index_of_max": list(ties),
+            "dominant_index": ties[0] if len(ties) == 1 else None,
+        },
+        "certificate": certificate_dict(_reference_certificate(f.degree, entries)),
+        "dumas_degree_pairs": [list(pair) for pair in pairs],
+    }
 
 
 def _assert_reports_agree(inp):
-    report = analysis_report(analyze(inp))
-    assert report == _reference_report(inp)
+    analysis = analyze(inp)
+    report = analysis_report(analysis)
+    expected = _reference_report(inp)
+    assert report == expected
+    # The values behind the text: slopes in lowest terms, equal to the
+    # reference's Fractions, and the certificate and pairs as built.
+    entries = _reference_entries(inp.poly, inp.prime)
+    table = analysis.table
+    for i, _ in table.entries:
+        m = next(e.slope for e in entries if e.index == i)
+        assert table.slope_at(i) == (m.numerator, m.denominator)
+    m = _reference_newton_index(entries)
+    assert table.newton_index == (m.numerator, m.denominator)
+    assert analysis.certificate == _reference_certificate(inp.degree, entries)
+    assert [list(pair) for pair in analysis.dumas_pairs] == expected["dumas_degree_pairs"]
     return report
 
 
@@ -313,6 +368,31 @@ def test_reports_match_the_reference_on_the_exhaustive_box():
             if len(report["polygon_vertices"]) > 2:
                 seen.add("several segments")
     assert seen == {"tie", "s=0", "single segment", "several segments"}
+
+
+def test_reports_match_the_reference_on_a_seeded_acceptance_box_sample():
+    # The acceptance box: degrees 2-5, |a_i| <= 3 with a_0, a_n != 0, p = 2, 3.
+    rng = random.Random(20_001)
+    ends = [c for c in range(-3, 4) if c]
+    tags = Counter()
+    for _ in range(3_000):
+        n = rng.randint(2, 5)
+        f = Polynomial([rng.choice(ends), *(rng.randint(-3, 3) for _ in range(n - 1)), rng.choice(ends)])
+        for p in (2, 3):
+            tags[_assert_reports_agree(AnalysisInput(f, p))["certificate"]["theorem"]] += 1
+    assert set(tags) == {"T1", "TA", "TB", "Dumas-s0", "none"}
+
+
+def test_reports_match_the_reference_on_the_p_power_degree_3_box():
+    # Every cubic with coefficients in {0, +-1, +-2, +-3, +-4, +-8, +-9},
+    # a_0 != 0 and a_3 > 0: valuations up to 3 at p = 2 and 2 at p = 3.
+    values = (0, 1, -1, 2, -2, 3, -3, 4, -4, 8, -8, 9, -9)
+    tags = Counter()
+    for a3, a0, a1, a2 in itertools.product([v for v in values if v > 0], values[1:], values, values):
+        for p in (2, 3):
+            inp = AnalysisInput(Polynomial((a0, a1, a2, a3)), p)
+            tags[_assert_reports_agree(inp)["certificate"]["theorem"]] += 1
+    assert set(tags) == set(criteria.THEOREM_TAGS)
 
 
 def _bigval_shaped(rng, valuations):
@@ -368,7 +448,8 @@ def test_newton_index_matches_the_reference_down_to_degree_one():
             if all(c == 0 for c in f.coeffs[:-1]):
                 continue
             for p in (2, 3):
-                assert newton_index(f, p) == _reference_newton_index(_reference_entries(f, p))
+                m = _reference_newton_index(_reference_entries(f, p))
+                assert newton_index(f, p) == (m.numerator, m.denominator)
 
 
 def test_slope_table_argmax_matches_the_reference_on_built_tables():
@@ -377,13 +458,12 @@ def test_slope_table_argmax_matches_the_reference_on_built_tables():
         n = rng.randint(1, 9)
         vn = rng.randint(0, 6)
         indices = sorted(rng.sample(range(n), rng.randint(1, n)))
-        entries = tuple(
-            SlopeEntry(i, v, Fraction(vn - v, n - i))
-            for i, v in ((i, rng.randint(0, 6)) for i in indices)
-        )
+        entries = tuple((i, rng.randint(0, 6)) for i in indices)
+        reference = tuple(_RefEntry(i, v, Fraction(vn - v, n - i)) for i, v in entries)
         table = SlopeTable(n, vn, entries)
-        assert table.newton_index == _reference_newton_index(entries)
-        assert table.index_of_max == _reference_index_of_max(entries)
+        m = _reference_newton_index(reference)
+        assert table.newton_index == (m.numerator, m.denominator)
+        assert table.index_of_max == _reference_index_of_max(reference)
         rebuilt = pickle.loads(pickle.dumps(table))
         assert (rebuilt.index_of_max, rebuilt.newton_index) == (table.index_of_max, table.newton_index)
     assert SlopeTable(3, 0, ()).index_of_max == ()
@@ -394,7 +474,7 @@ def test_polygon_checks_match_the_reference():
     messages = Counter()
     for _ in range(3000):
         count = rng.randint(2, 8)
-        points = [ValuationPoint(i, rng.randint(0, 6)) for i in sorted(rng.sample(range(12), count))]
+        points = [(i, rng.randint(0, 6)) for i in sorted(rng.sample(range(12), count))]
         if rng.random() < 0.2:
             rng.shuffle(points)
         hull = list(_naive_lower_hull(points))
@@ -404,7 +484,7 @@ def test_polygon_checks_match_the_reference():
         elif choice < 0.6:
             vertices = sorted(rng.sample(points, rng.randint(1, count)))
         elif choice < 0.8:
-            vertices = [ValuationPoint(i, v + rng.choice((-1, 0, 1))) for i, v in hull]
+            vertices = [(i, v + rng.choice((-1, 0, 1))) for i, v in hull]
         else:
             vertices = rng.sample(points, rng.randint(2, count))
         expected = _reference_polygon_error(tuple(points), tuple(vertices))

@@ -1464,7 +1464,7 @@ def test_sweep_entry_dumas_violation_bundle(monkeypatch):
 
 
 def test_sweep_entry_index_violation_bundle(monkeypatch):
-    monkeypatch.setattr(oracle, "newton_index", lambda g, p: Fraction(7, 2))
+    monkeypatch.setattr(oracle, "newton_index", lambda g, p: (7, 2))
     _assert_bundle(
         _entry_violations(),
         "index-multiplicativity",
@@ -1608,14 +1608,17 @@ _FAMILY_EXPECTED = {
                 "n": 5, "s": 1, "c_s": 8, "c_n": 9, "d": 4, "u": 4, "modulus": 1}}},
         ),
         ({"u": 5}, {"actual": {"s": 1, "c_s": 8, "c_n": 9, "d": 4, "u": 4, "modulus": 1}}),
-        ({"m_0": Fraction(1)}, {"slope_index": 0, "actual_slope": "9/5"}),
+        ({"m_0": (1, 1)}, {"slope_index": 0, "actual_slope": "9/5"}),
+        ({"m_s": (-3, 2)}, {"slope_index": 1, "actual_slope": "2"}),
     ],
 )
 def test_family_violation_bundle(changes, extra):
+    # A closed-form slope is a (rise, width) pair, printed as its Fraction.
+    texts = {k: str(Fraction(*v) if isinstance(v, tuple) else v) for k, v in changes.items()}
     expected = {
         "polynomial": "512*x^5+512*x^2+2*x+1",
         "prime": 2,
-        "expected": {**_FAMILY_EXPECTED, **{k: str(v) for k, v in changes.items()}},
+        "expected": {**_FAMILY_EXPECTED, **texts},
         **extra,
     }
     violations = _family_bundle(**changes)

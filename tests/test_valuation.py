@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +7,7 @@ from newton_gauge.polynomial import AnalysisInput, InvalidInputError, parse_poly
 from newton_gauge.valuation import (
     MAX_PRIME,
     MILLER_RABIN_LIMIT,
+    format_slope,
     is_prime,
     p_adic_valuation,
     validate_prime,
@@ -17,6 +19,16 @@ def test_valuation_of_zero_raises():
         p_adic_valuation(0, 2)
     with pytest.raises(ValueError, match="valuation of 0"):
         p_adic_valuation(0, 97)
+
+
+def test_format_slope_prints_what_fraction_prints():
+    assert (format_slope(3, 2), format_slope(-2, 6), format_slope(8, 2)) == ("3/2", "-1/3", "4")
+    assert format_slope(0, 7) == format_slope(0, 1) == "0"
+    rng = random.Random(11)
+    cases = [(r, w) for r in range(-30, 31) for w in range(1, 31)]
+    cases += [(rng.randint(-(10**40), 10**40), rng.randint(1, 10**40)) for _ in range(500)]
+    for rise, width in cases:
+        assert format_slope(rise, width) == str(Fraction(rise, width)), (rise, width)
 
 
 def test_small_valuations():

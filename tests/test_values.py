@@ -9,7 +9,6 @@ assignment or deletion (``SweepSummary`` alone stays mutable).
 import ast
 import copy
 import pickle
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,7 +24,7 @@ from newton_gauge.criteria import (
     Irreducible,
     analyze,
 )
-from newton_gauge.newton import NewtonPolygon, SlopeEntry, SlopeTable, ValuationPoint
+from newton_gauge.newton import NewtonPolygon, SlopeTable
 from newton_gauge.oracle import (
     BipartitionCheck,
     FactorizationWitness,
@@ -39,7 +38,7 @@ _F = Polynomial((8, 0, 0, 2, 0, 0, 1))
 _INPUT = AnalysisInput(_F, 2)
 _ANALYSIS = analyze(_INPUT)
 _PARAMS = _ANALYSIS.certificate.params
-_P0, _P3, _P6 = ValuationPoint(0, 3), ValuationPoint(3, 1), ValuationPoint(6, 0)
+_P0, _P3, _P6 = (0, 3), (3, 1), (6, 0)
 
 # (class, field names in order, one value, a value that differs in one field)
 _CASES = [
@@ -53,8 +52,8 @@ _CASES = [
     (
         SlopeTable,
         ("degree", "leading_valuation", "entries"),
-        (6, 0, (SlopeEntry(0, 3, Fraction(-1, 2)),)),
-        (6, 0, (SlopeEntry(0, 3, Fraction(-1, 2)), SlopeEntry(3, 1, Fraction(-1, 3)))),
+        (6, 0, (_P0,)),
+        (6, 0, (_P0, _P3)),
     ),
     (
         CriteriaParameters,
