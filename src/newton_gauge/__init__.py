@@ -8,10 +8,12 @@ brute-force Kronecker factorization oracle verifies every certificate
 at desk scale.
 
 Importing the package loads the analysis modules only.  The oracle's
-names (``kronecker_factor``, ``verify_certificate``, ``sweep`` and the
-rest of ``_ORACLE_NAMES``) are resolved on first access through a
-module ``__getattr__`` (PEP 562), so ``newton-gauge analyze`` never
-imports or compiles ``oracle.py``.
+names (``kronecker_factor``, ``verify_certificate`` and the rest of
+``_ORACLE_NAMES``) and the sweeps' (``sweep``, ``sweep_family`` and
+``SweepSummary``, from ``sweeps.py``) are resolved on first access
+through a module ``__getattr__`` (PEP 562).  So ``newton-gauge
+analyze`` never imports or compiles ``oracle.py``, and ``newton-gauge
+verify`` never compiles ``sweeps.py``.
 """
 
 from .criteria import (
@@ -57,26 +59,27 @@ __version__ = "0.1.0"
 _ORACLE_NAMES = frozenset(
     (
         "FactorizationWitness",
-        "SweepSummary",
         "VerificationReport",
         "WitnessIntegrityError",
         "check_dumas_consistency",
         "kronecker_factor",
-        "sweep",
-        "sweep_family",
         "verify_certificate",
     )
 )
+_SWEEP_NAMES = frozenset(("SweepSummary", "sweep", "sweep_family"))
 
 
 def __getattr__(name: str):
-    # Not cached in this namespace: every access reads the oracle's current
-    # attribute, so a function rebound there (by a tracer or a test) is seen.
+    # Not cached in this namespace: every access reads the defining module's
+    # current attribute, so a function rebound there (by a tracer or a test)
+    # is seen.
     if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from . import oracle as module
+    elif name in _SWEEP_NAMES:
+        from . import sweeps as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
 
 __all__ = [
     "AlphaSplit",

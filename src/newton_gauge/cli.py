@@ -19,9 +19,10 @@ subcommand from the aligned text rendering to the JSON report; both
 come from the same report dict.
 
 Only verification and sweeps need the factorization oracle, so
-``oracle`` is imported inside those paths: a plain ``analyze`` loads
-the parser, the Newton polygon, the criteria and the report modules,
-and nothing else from the package.
+``oracle`` is imported inside those paths, and ``sweeps`` only inside
+the sweep path: a plain ``analyze`` loads the parser, the Newton
+polygon, the criteria and the report modules, and nothing else from the
+package, and ``verify`` adds the oracle alone.
 
 ``--poly TEXT`` may start with a minus (``--poly -x^7+2``, or
 ``--poly --x+3``, a double minus): ``main`` passes it to argparse as
@@ -157,7 +158,7 @@ def _run_analysis(args: argparse.Namespace, with_verify: bool) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    from .oracle import sweep, sweep_family
+    from .sweeps import sweep, sweep_family
 
     if args.n is not None and args.family != "example1":
         raise InvalidInputError("--n is only for --family example1")

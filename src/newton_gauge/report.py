@@ -19,7 +19,8 @@ from .criteria import Analysis, Certificate, Clause, find_dominant_index
 from .valuation import format_slope
 
 if TYPE_CHECKING:
-    from .oracle import FactorizationWitness, SweepSummary, VerificationReport
+    from .oracle import FactorizationWitness, VerificationReport
+    from .sweeps import SweepSummary
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -34,11 +34,10 @@ from newton_gauge.oracle import (
     BUDGET_ENV_VAR,
     MAX_ORACLE_COEFF,
     OracleBudgetError,
-    exhaustive_polynomials,
     kronecker_factor,
-    sweep,
 )
 from newton_gauge.polynomial import AnalysisInput, Polynomial, parse_polynomial
+from newton_gauge.sweeps import exhaustive_polynomials, sweep
 from newton_gauge.report import load_schema
 
 

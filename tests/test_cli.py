@@ -367,6 +367,17 @@ def test_sweep_family_past_the_int_str_limit(capsys):
     assert "result            PASS" in out
 
 
+def test_sweep_family_values_past_their_bound_are_bad_input(capsys):
+    code, out, err = _run(capsys, "sweep", "--family", "example2", "--d", "1000", "--primes", "2")
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == (
+        "--d: d = 1000 gives degree 1001000, more than the parser's degree limit 1000000\n"
+    )
+    code, out, err = _run(capsys, "sweep", "--family", "example1", "--n", "143", "--primes", "2")
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == "--n/--primes: n = 143 at p = 2 gives a top coefficient of more than 20000 bits\n"
+
+
 def test_sweep_family_values_below_their_minimum_are_bad_input(capsys):
     code, _, err = _run(capsys, "sweep", "--family", "example1", "--n", "3", "--primes", "2")
     assert code == EXIT_BAD_INPUT
@@ -445,7 +456,7 @@ def test_a_sample_sweep_past_the_parsers_degree_limit_is_refused(capsys, monkeyp
         raise AssertionError("a refused sample must not be drawn")
 
     # Drawing one polynomial of degree 10^9 would take hours and hundreds of GB.
-    monkeypatch.setattr("newton_gauge.oracle.sampled_polynomials", draw)
+    monkeypatch.setattr("newton_gauge.sweeps.sampled_polynomials", draw)
     for degree in ("1000001", "1000000000"):
         code, out, err = _run(
             capsys, "sweep", "--sample", "1", "--min-degree", degree, "--max-degree", degree
@@ -554,7 +565,7 @@ def test_corpus_flags_with_a_family_are_refused(capsys, flags, named):
     ],
 )
 def test_corpus_sweeps_keep_their_defaults(capsys, monkeypatch, flags, expected):
-    from newton_gauge.oracle import SweepSummary
+    from newton_gauge.sweeps import SweepSummary
 
     calls = []
 
@@ -562,19 +573,19 @@ def test_corpus_sweeps_keep_their_defaults(capsys, monkeypatch, flags, expected)
         calls.append((max_degree, coeff_bound, min_degree, sample, seed))
         return SweepSummary(corpus={"mode": "exhaustive"})
 
-    monkeypatch.setattr("newton_gauge.oracle.sweep", recording)
+    monkeypatch.setattr("newton_gauge.sweeps.sweep", recording)
     code, _, _ = _run(capsys, "sweep", "--no-verify", *flags)
     assert code == EXIT_OK
     assert calls == [expected]
 
 
 def test_sweep_violations_exit_4(capsys, monkeypatch):
-    from newton_gauge.oracle import SweepSummary, Violation
+    from newton_gauge.sweeps import SweepSummary, Violation
 
     broken = SweepSummary(corpus={"mode": "exhaustive"})
     broken.total = 1
     broken.violations.append(Violation("certificate", {"polynomial": "x^2+2"}))
-    monkeypatch.setattr("newton_gauge.oracle.sweep", lambda *a, **k: broken)
+    monkeypatch.setattr("newton_gauge.sweeps.sweep", lambda *a, **k: broken)
     code, out, _ = _run(capsys, "sweep", "--max-degree", "2")
     assert code == EXIT_VIOLATION
     assert "result            FAIL" in out
@@ -671,10 +682,13 @@ def test_analyze_never_loads_the_oracle():
     modules = _loaded_modules("analyze", "--poly", "x^6+2*x^3+8", "--prime", "2", "--json")
     assert "newton_gauge.report" in modules
     assert "newton_gauge.oracle" not in modules
+    assert "newton_gauge.sweeps" not in modules
     assert "newton_gauge.families" not in modules
     assert _DATACLASS_IMPORTS.isdisjoint(modules)
+    # A cold verify compiles the oracle it runs and nothing of the sweeps.
     modules = _loaded_modules("verify", "--poly", "x^6+2*x^3+8", "--prime", "2")
     assert "newton_gauge.oracle" in modules
+    assert "newton_gauge.sweeps" not in modules
     assert "newton_gauge.families" not in modules
     assert _DATACLASS_IMPORTS.isdisjoint(modules)
 
@@ -687,6 +701,27 @@ summary = sweep(3, 3, [2, 3])
 print(json.dumps({"passed": summary.passed, "total": summary.total,
                   "modules": sorted(sys.modules)}))
 """
+
+
+def test_a_sample_sweep_loads_the_sweeps_but_not_the_families():
+    modules = _loaded_modules("sweep", "--sample", "5", "--primes", "2")
+    assert "newton_gauge.sweeps" in modules
+    assert "newton_gauge.families" not in modules
+
+
+def test_the_sweep_names_resolve_through_the_sweeps_module(monkeypatch):
+    from newton_gauge import oracle, sweeps
+
+    # The submodule is not named `sweep`: importing it would rebind the
+    # package's `sweep` to the module.
+    assert newton_gauge.sweep is sweeps.sweep
+    assert oracle.sweep is sweeps.sweep
+    assert "sweep" not in vars(oracle) and "sweep" not in vars(newton_gauge)
+    # Every access reads the current binding, as a tracer needs.
+    monkeypatch.setattr(sweeps, "sweep", lambda *args, **kwargs: None)
+    assert oracle.sweep is sweeps.sweep is newton_gauge.sweep
+    with pytest.raises(AttributeError, match="sweep_family"):
+        oracle.sweep_family
 
 
 def test_analyze_and_sweep_never_load_fractions_or_decimal():
@@ -720,15 +755,18 @@ def _compile_peak_bytes(path):
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
     reason="the compiler's peak memory is pinned on CPython 3.11",
 )
-def test_compiling_the_oracle_stays_below_3_mib():
-    # A cold verify child compiles oracle.py from source.  CPython 3.11's
-    # compiler peak steps from about 2.7 to over 3.2 MiB once the module
-    # grows by a few hundred bytes of code (comments barely count), and
-    # that step showed in a cold child's peak RSS.
-    path = Path(newton_gauge.__file__).with_name("oracle.py")
-    peaks = {_compile_peak_bytes(path) for _ in range(3)}
-    assert len(peaks) == 1
-    assert peaks.pop() <= 3 * 2**20
+def test_compiling_every_module_stays_below_3_mib():
+    # A cold child compiles each module it imports from source.  CPython
+    # 3.11's compiler peak steps from about 2.7 to over 3.2 MiB once a
+    # module grows by a few hundred bytes of code (comments barely count),
+    # and that step showed in a cold child's peak RSS when oracle.py held
+    # the sweeps.
+    paths = sorted(Path(newton_gauge.__file__).parent.glob("*.py"))
+    assert {"oracle.py", "sweeps.py", "polynomial.py"} <= {path.name for path in paths}
+    for path in paths:
+        peaks = {_compile_peak_bytes(path) for _ in range(3)}
+        assert len(peaks) == 1, path.name
+        assert peaks.pop() <= 3 * 2**20, path.name
 
 
 def test_budget_exhaustion_exits_3_in_a_fresh_process():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from newton_gauge import families, oracle
+from newton_gauge import families, newton, oracle, sweeps
 from newton_gauge.criteria import (
     AlphaSplit,
     Analysis,
@@ -31,25 +31,27 @@ from newton_gauge.oracle import (
     WitnessIntegrityError,
     check_dumas_consistency,
     exact_divide,
-    exhaustive_polynomials,
     kronecker_factor,
     oracle_budget,
-    sampled_polynomials,
-    sweep,
-    sweep_family,
     verify_certificate,
 )
 from newton_gauge.oracle import (
-    SweepSummary,
     VerificationReport,
-    Violation,
     _Budget,
     _allowed_factor_degrees,
     _divisors,
-    _identity_violations,
     _modular_factor_degrees,
+)
+from newton_gauge.sweeps import (
+    SweepSummary,
+    Violation,
+    _identity_violations,
     _spot_check,
     _sweep_entry,
+    exhaustive_polynomials,
+    sampled_polynomials,
+    sweep,
+    sweep_family,
 )
 from newton_gauge.polynomial import (
     AnalysisInput,
@@ -1241,6 +1243,11 @@ def test_the_spot_check_divides_nothing(monkeypatch):
     assert calls == []
 
 
+def test_the_trial_primes_are_the_primes_below_1000():
+    assert oracle._TRIAL_PRIMES == tuple(sympy.primerange(1000))
+    assert len(oracle._TRIAL_PRIMES) == 168
+
+
 def test_the_spot_check_refactors_each_distinct_factor_once(monkeypatch):
     f = _poly("(x^2+1)^2*(x^2+2)")
     witness = kronecker_factor(f)
@@ -1256,7 +1263,7 @@ def test_a_spot_check_out_of_budget_counts_as_a_budget_error(monkeypatch):
     # f factors in 373 units, but re-factoring its degree-7 factor takes
     # 5,442; the entry is put in the spot-checked slice by hand.
     monkeypatch.setenv(BUDGET_ENV_VAR, "3000")
-    monkeypatch.setattr(oracle, "zlib", types.SimpleNamespace(crc32=lambda data: 0))
+    monkeypatch.setattr(sweeps, "zlib", types.SimpleNamespace(crc32=lambda data: 0))
     f = _poly("72*x^9-18*x^8+3*x^7-174*x^6+6*x^5+37*x^4+29*x^3+79*x^2-49*x-18")
     assert kronecker_factor(f).factor_degrees == (2, 7)
     summary = SweepSummary(corpus={})
@@ -1340,7 +1347,7 @@ def test_sweep_rejects_empty_corpus_arguments():
 
 
 def test_sweep_rejects_an_oversized_exhaustive_corpus():
-    from newton_gauge.oracle import MAX_EXHAUSTIVE_POLYNOMIALS, _capped_corpus_size
+    from newton_gauge.sweeps import MAX_EXHAUSTIVE_POLYNOMIALS, _capped_corpus_size
 
     for args in ((2, 1, 2), (4, 2, 3), (4, 3, 2), (3, 3, 3)):
         assert _capped_corpus_size(*args) == sum(1 for _ in exhaustive_polynomials(*args))
@@ -1361,13 +1368,13 @@ def test_a_sample_past_the_parsers_degree_limit_is_refused(monkeypatch):
         raise AssertionError("a refused sample must not be drawn")
 
     # Drawing one polynomial of degree 10^9 would take hours and hundreds of GB.
-    monkeypatch.setattr(oracle, "sampled_polynomials", draw)
+    monkeypatch.setattr(sweeps, "sampled_polynomials", draw)
     for min_degree, max_degree in ((2, MAX_PARSED_EXPONENT + 1), (10**9, 10**9)):
         with pytest.raises(InvalidInputError, match="max_degree must not exceed 1000000") as info:
             sweep(max_degree, 3, [2], min_degree=min_degree, sample=1)
         assert info.value.arguments == ("max_degree",)
     # At the limit itself the sample is drawn; draw none, so nothing is built.
-    monkeypatch.setattr(oracle, "sampled_polynomials", lambda *args: [])
+    monkeypatch.setattr(sweeps, "sampled_polynomials", lambda *args: [])
     assert sweep(MAX_PARSED_EXPONENT, 3, [2], sample=1).total == 0
 
 
@@ -1464,7 +1471,7 @@ def test_sweep_entry_dumas_violation_bundle(monkeypatch):
 
 
 def test_sweep_entry_index_violation_bundle(monkeypatch):
-    monkeypatch.setattr(oracle, "newton_index", lambda g, p: (7, 2))
+    monkeypatch.setattr(newton, "newton_index", lambda g, p: (7, 2))
     _assert_bundle(
         _entry_violations(),
         "index-multiplicativity",
@@ -1476,7 +1483,7 @@ def test_sweep_entry_builds_no_bundle_when_it_passes(monkeypatch):
     def refuse(cert):
         raise AssertionError("bundle built for a passing entry")
 
-    monkeypatch.setattr(oracle, "_certificate_detail", refuse)
+    monkeypatch.setattr(sweeps, "_certificate_detail", refuse)
     assert _entry_violations() == []
 
 
@@ -1590,7 +1597,7 @@ def test_identity_check_builds_no_bundle_when_it_passes(monkeypatch):
 def _family_bundle(**changes):
     """Family violations of example1(5, 2, 1, 1, 1, 1) against an altered closed form."""
     analysis = analyze(AnalysisInput(families.example1_polynomial(5, 2, 1, 1, 1, 1), 2))
-    return oracle._family_violations(analysis, {**families.example1_expected(5), **changes})
+    return sweeps._family_violations(analysis, {**families.example1_expected(5), **changes})
 
 
 _FAMILY_EXPECTED = {
@@ -1645,6 +1652,31 @@ def test_sweep_family_past_the_int_str_limit():
     assert summary.passed and summary.budget_errors == 1
 
 
+def test_sweep_family_refuses_a_value_past_its_bound_before_building(monkeypatch):
+    built = []
+    monkeypatch.setattr(sweeps, "_sweep_entry", lambda summary, f, *args, **kwargs: built.append(f))
+    # example2 has degree d(d + 1): 999,000 at d = 999, past 10^6 at d = 1000
+    with pytest.raises(InvalidInputError, match="d = 1000 gives degree 1001000") as info:
+        sweep_family("example2", [2, 1000], [2], verify=False)
+    assert info.value.arguments == ("d",)
+    # example1's top coefficient at p = 2 is 2^(n(n-3)-1): 19,738 bits at
+    # n = 142, 20,020 at n = 143
+    with pytest.raises(InvalidInputError, match="n = 143 at p = 2 .* more than 20000 bits") as info:
+        sweep_family("example1", [5, 143], [2], verify=False)
+    assert info.value.arguments == ("n", "primes")
+    # the bound is decided without building 31^(10^12 - 3*10^6 - 1)
+    with pytest.raises(InvalidInputError, match="n = 1000000 at p = 31 "):
+        sweep_family("example1", [10**6], [31], verify=False)
+    with pytest.raises(InvalidInputError, match="n = 1000001 gives degree 1000001,") as info:
+        sweep_family("example1", [10**6 + 1], [2], verify=False)
+    assert info.value.arguments == ("n",)
+    assert built == []
+    assert sweep_family("example1", [142], [2], verify=False).family_rows[0]["instances"] == 1
+    assert sweep_family("example2", [999], [2], verify=False).family_rows[0]["instances"] == 1
+    assert [f.degree for f in built] == [142, 999_000]
+    assert sweeps.MAX_FAMILY_COEFF_BITS == 20_000
+
+
 def test_sweep_family_example2():
     summary = sweep_family("example2", [2], [2, 3])
     assert summary.passed
@@ -1693,7 +1725,7 @@ def test_repeated_primes_and_family_values_are_invalid_input():
 
 
 def test_sweep_primes_are_checked_before_any_entry_runs(monkeypatch):
-    monkeypatch.setattr(oracle, "_sweep_entry", lambda *args, **kwargs: pytest.fail("an entry ran"))
+    monkeypatch.setattr(sweeps, "_sweep_entry", lambda *args, **kwargs: pytest.fail("an entry ran"))
     for call in (
         lambda: sweep(2, 1, [4]),
         lambda: sweep(2, 1, [2, 4], sample=3),

@@ -4,7 +4,7 @@ import jsonschema
 import pytest
 
 from newton_gauge.criteria import THEOREM_TAGS, analyze
-from newton_gauge.oracle import kronecker_factor, sweep, sweep_family, verify_certificate
+from newton_gauge.oracle import kronecker_factor, verify_certificate
 from newton_gauge.polynomial import AnalysisInput, parse_polynomial
 from newton_gauge.report import (
     SCHEMA_VERSION,
@@ -16,6 +16,7 @@ from newton_gauge.report import (
     sweep_report,
     verification_dict,
 )
+from newton_gauge.sweeps import sweep, sweep_family
 
 
 def _analysis(text, p):

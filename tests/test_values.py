@@ -28,11 +28,10 @@ from newton_gauge.newton import NewtonPolygon, SlopeTable
 from newton_gauge.oracle import (
     BipartitionCheck,
     FactorizationWitness,
-    SweepSummary,
     VerificationReport,
-    Violation,
 )
 from newton_gauge.polynomial import AnalysisInput, Polynomial
+from newton_gauge.sweeps import SweepSummary, Violation
 
 _F = Polynomial((8, 0, 0, 2, 0, 0, 1))
 _INPUT = AnalysisInput(_F, 2)
