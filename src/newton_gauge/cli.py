@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--d", help="comma-separated d values for --family example2")
     sweep_p.add_argument(
         "--no-verify", action="store_true",
-        help="skip the factorization oracle (parameter checks only)",
+        help="skip the factorization oracle (each certificate is still proved from its polygon)",
     )
     sweep_p.add_argument("--json", action="store_true")
     return parser
@@ -171,6 +171,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
     given = [name for name in corpus if getattr(args, name) is not None]
     if args.family and given:
         raise InvalidInputError("not used by a --family sweep", *given)
+    if args.seed is not None and args.sample is None:
+        raise InvalidInputError("used only with --sample", "seed")
     corpus.update((name, getattr(args, name)) for name in given)
     primes = _csv_ints(args.primes, "--primes")
     if args.family:

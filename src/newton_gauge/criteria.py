@@ -29,6 +29,34 @@ cross-multiplied integers, and the Newton index it reports is the slope
 of the polygon's last edge (see ``newton``).  The parameters, the
 decision and the degree pairs, bitmask subset sums, use integer
 arithmetic only; a slope becomes text only in a "none" note.
+
+Soundness.  By Dumas' theorem the polygon of a product is its factors'
+polygons joined, so the degrees (a, n - a) of any split f = f1*f2 into
+nonconstant factors are among the polygon's degree pairs.  Every
+certificate that applies accepts each such pair with a > 0 by one of
+its clauses, asked with the content not divisible by p; so it is sound
+at any degree, with no factorization.  :class:`Analysis` checks this
+when it is built, and a pair that no clause accepts is an InternalError.
+Why the check holds:
+
+* Let the last edge run from (s, v_s) to (n, v_n) on the line L.  Its
+  slope is c/e in lowest terms with e = modulus, and its lattice length
+  is d.  The edges left of s have smaller slopes, so at s != 0 each
+  primitive vector (w, rho) on them has defect c*w - e*rho >= 1.  The
+  defects add up to e*(v_0 - L(0)) = c*s - e*(v_s - v_0) = u/d =: r,
+  so r = c*s (mod e).
+* A factor takes k of the last edge's d primitive pieces and left
+  pieces of total width t, so d1 = k*e + t = t (mod e).  Its defect is
+  a1 = c*t (mod e), its cofactor's is a2 = r - a1 = c*(s - t) (mod e),
+  and d2 = s - t (mod e).
+* At t = 0 or t = s one degree is a multiple of e
+  (FactorDegreeMultipleOf).  Otherwise both factors take a left piece,
+  so a1, a2 >= 1 with a1 + a2 = r, and a2*d1 - a1*d2 =
+  c*(s - t)*t - c*t*(s - t) = 0 (mod e): AlphaSplit(e, r) accepts.
+* At r = 1 (T1, TA) the left part is a single primitive piece, so t is
+  0 or s and no AlphaSplit is needed.  At s = 0 the polygon is the one
+  edge, so every factor degree is a multiple of e = n/d (Dumas-s0); at
+  d = 1 no pair has a > 0 (T1, irreducible up to content).
 """
 
 from __future__ import annotations
@@ -131,7 +159,7 @@ class FactorDegreeMultipleOf(_Value):
         _bind(self, "modulus", modulus)
 
     def accepts(self, split: Optional[tuple[int, int]], content_divisible: bool) -> bool:
-        return split is not None and any(d % self.modulus == 0 for d in split)
+        return split is not None and (split[0] % self.modulus == 0 or split[1] % self.modulus == 0)
 
 
 class AlphaSplit(_Value):
@@ -326,9 +354,17 @@ def _degree_pairs(polygon: NewtonPolygon, n: int) -> tuple[tuple[int, int], ...]
     for (i0, v0), (i1, v1) in zip(vertices, vertices[1:]):
         g = math.gcd(v1 - v0, i1 - i0)
         e = (i1 - i0) // g
-        for _ in range(g):
-            sums |= sums << e
-    return tuple((a, n - a) for a in range(n // 2 + 1) if sums >> a & 1)
+        # {0, ..., g} = {0, 1} + {0, 2} + {0, 4} + ... + {0, rest}: the
+        # multiples k*e, 0 <= k <= g, are added in O(log g) shifts.
+        step = 1
+        while step <= g:
+            sums |= sums << step * e
+            g -= step
+            step *= 2
+        if g:
+            sums |= sums << g * e
+    bits = format(sums, "b")[::-1]
+    return tuple((a, n - a) for a in range(n // 2 + 1) if bits[a] == "1")
 
 
 class Analysis(_Value):
@@ -336,6 +372,11 @@ class Analysis(_Value):
 
     Bundles the certificate with the slope table, polygon and Dumas
     degree pairs so downstream consumers never recompute geometry.
+    Construction checks the soundness invariant of the module docstring:
+    a certificate that applies accepts every pair (a, n - a) with a > 0.
+    A pair that no clause accepts is an InternalError; the message names
+    the tag, the parameters and the pair, never the polynomial, whose
+    text can pass Python's int-to-str limit.
     """
 
     __slots__ = ("input", "table", "polygon", "certificate", "dumas_pairs")
@@ -348,6 +389,20 @@ class Analysis(_Value):
         certificate: Certificate,
         dumas_pairs: tuple[tuple[int, int], ...],
     ):
+        if certificate.applies:
+            # One pass per clause over the pairs still refused, from the
+            # last clause: the degree clauses, which accept splits, are last.
+            refused = [pair for pair in dumas_pairs if pair[0]]
+            for clause in reversed(certificate.clauses):
+                if not refused:
+                    break
+                refused = [pair for pair in refused if not clause.accepts(pair, False)]
+            if refused:
+                raise InternalError(
+                    f"the {certificate.theorem} certificate with parameters"
+                    f" {certificate.params.as_dict()} refuses the split"
+                    f" {refused[0]}, which the polygon allows"
+                )
         _bind(self, "input", input)
         _bind(self, "table", table)
         _bind(self, "polygon", polygon)
@@ -360,7 +415,10 @@ def analyze(inp: AnalysisInput) -> Analysis:
     the table, the degree pairs from the polygon.
 
     The certificate follows the decision table in the module docstring;
-    "none" only when no strict dominant index exists.  Deterministic and
+    "none" only when no strict dominant index exists.  The returned
+    :class:`Analysis` has proved the certificate from the degree pairs,
+    so it is sound at any degree; a certificate that would refuse a
+    split the polygon allows raises InternalError.  Deterministic and
     pure.
     """
     table = slope_table(inp)

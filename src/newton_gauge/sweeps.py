@@ -2,9 +2,11 @@
 
 A sweep analyzes every polynomial of a corpus under each prime, factors
 it with the oracle (:mod:`newton_gauge.oracle`) at most once, verifies
-each certificate against the witness and runs exact identity checks on
-every entry and deep self-checks on a 1% deterministic slice.  Each
-failed check is a :class:`Violation` with a single-line JSON
+each certificate against the witness and runs deep self-checks on a 1%
+deterministic slice.  Each analysis has already proved its certificate
+from the polygon's degree pairs (see :mod:`newton_gauge.criteria`), with
+or without the oracle, so what the oracle checks is the polygon itself.
+Each failed check is a :class:`Violation` with a single-line JSON
 reproduction bundle.  A family sweep does the same over a built-in
 family (:mod:`newton_gauge.families`) and also checks each instance's
 parameters against the family's closed form.
@@ -160,34 +162,6 @@ def sampled_polynomials(
 _slope_key = functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
-def _identity_violations(analysis: Analysis) -> list[Violation]:
-    """Exact identities that must hold whenever parameters exist."""
-    cert = analysis.certificate
-    params = cert.params
-    if params is None:
-        return []
-    found = []
-    # u = n(n-s)(m_s - m_0), cross-multiplied by the slopes' widths
-    n, s = params.n, params.s
-    (r_s, b_s), (r_0, b_0) = analysis.table.slope_at(s), analysis.table.slope_at(0)
-    if params.u * b_s * b_0 != n * (n - s) * (r_s * b_0 - r_0 * b_s):
-        found.append(("identity-integrality", {"u": params.u}))
-    reduced = (params.c_s // params.d) * n - ((n - s) // params.d) * params.c_n
-    if cert.base_theorem == "T1" and s != 0 and reduced != 1:
-        found.append(("identity-e1", {"value": reduced}))
-    if cert.base_theorem == "T2" and reduced != params.u // params.d:
-        found.append(("identity-e2", {"value": reduced, "expected": params.u // params.d}))
-    if not found:
-        return []
-    # The bundle is built only here: passing analyses never need it.
-    repro = {
-        "polynomial": str(analysis.input.poly),
-        "prime": analysis.input.prime,
-        "theorem": cert.theorem,
-    }
-    return [Violation(kind, {**repro, **extra}) for kind, extra in found]
-
-
 def _spot_check(f: Polynomial, witness: FactorizationWitness) -> list[Violation]:
     """Deep self-check: the witness multiplies back to f, so every sub-multiset
     of its factors divides f; each distinct factor re-factors to itself."""
@@ -229,7 +203,6 @@ def _sweep_entry(
         analysis = criteria.analyze(AnalysisInput(f, p))
         cert = analysis.certificate
         summary.certificates[cert.theorem] += 1
-        summary.violations.extend(_identity_violations(analysis))
         if expected is not None:
             summary.violations.extend(_family_violations(analysis, expected))
         if not cert.applies or not verify:
@@ -346,9 +319,10 @@ def sweep(
     coefficients and nonzero end coefficients unless `sample` is given,
     in which case that many polynomials are drawn with the seeded
     generator.  Every certificate is verified against the brute-force
-    factorization, under the budget of :func:`oracle_budget`; exact
-    identities run on every entry, deep self-checks on a 1%
-    deterministic slice.  Raises InvalidInputError, naming the argument,
+    factorization, under the budget of :func:`oracle_budget`, and deep
+    self-checks run on a 1% deterministic slice; every analysis proves
+    its certificate from the polygon's degree pairs whether or not it
+    is verified.  Raises InvalidInputError, naming the argument,
     when the corpus would be empty or would hold polynomials of degree
     below 2, when primes holds a non-prime, is empty or repeats a value,
     before enumerating an exhaustive corpus past

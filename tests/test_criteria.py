@@ -1,8 +1,11 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from newton_gauge import criteria
 from newton_gauge.cli import EXIT_INTERNAL, main
@@ -455,3 +458,45 @@ def test_broken_u_d_invariant_is_an_internal_error(capsys, monkeypatch, d, u):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: a strict dominant s != 0 needs d | u")
+
+
+@st.composite
+def _valuation_vectors(draw):
+    """Degree 2-6 or 2-200 at p <= 7, each coefficient p^v with v <= 1, 3
+    or 50, or, inside, zero: only the valuations matter to the analysis,
+    and small degrees and valuations make ties and TA certificates."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(2, draw(st.sampled_from((6, 200)))))
+    v = st.integers(0, draw(st.sampled_from((1, 3, 50))))
+    inside = draw(st.lists(st.one_of(st.none(), v), min_size=n - 1, max_size=n - 1))
+    valuations = [draw(v), *inside, draw(v)]
+    return AnalysisInput(Polynomial([0 if k is None else p**k for k in valuations]), p)
+
+
+def test_every_certificate_is_implied_by_the_polygon_on_valuation_vectors():
+    tags = Counter()
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @hypothesis.given(_valuation_vectors())
+    def holds(inp):
+        analysis = analyze(inp)
+        cert, table = analysis.certificate, analysis.table
+        tags[cert.theorem] += 1
+        if not cert.applies:
+            return
+        for split in analysis.dumas_pairs:
+            if split[0]:
+                assert any(clause.accepts(split, False) for clause in cert.clauses), split
+        params = cert.params
+        n, s, d = params.n, params.s, params.d
+        # u = n(n-s)(m_s - m_0), cross-multiplied by the slopes' widths
+        (r_s, b_s), (r_0, b_0) = table.slope_at(s), table.slope_at(0)
+        assert params.u * b_s * b_0 == n * (n - s) * (r_s * b_0 - r_0 * b_s)
+        reduced = (params.c_s // d) * n - ((n - s) // d) * params.c_n
+        if cert.base_theorem == "T1" and s != 0:
+            assert reduced == 1
+        if cert.base_theorem == "T2":
+            assert reduced == params.u // d
+
+    holds()
+    assert set(tags) == set(criteria.THEOREM_TAGS), tags

@@ -297,6 +297,25 @@ def _reference_degree_pairs(vertices, n):
     return tuple(sorted({(min(a, n - a), max(a, n - a)) for a in achievable}))
 
 
+def test_degree_pairs_match_the_reference_at_lattice_lengths_up_to_10_000():
+    # One edge of each polygon has a lattice length up to 10^4 and the
+    # others up to 12, which keeps the reference's sets small.
+    rng = random.Random(22)
+    for _ in range(60):
+        slopes = sorted({Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)})
+        lengths = [rng.randint(1, 12) for _ in slopes]
+        lengths[rng.randrange(len(lengths))] = rng.randint(1, 10_000)
+        vertices = [(0, 0)]
+        for m, g in zip(slopes, lengths):
+            i, v = vertices[-1]
+            vertices.append((i + g * m.denominator, v + g * m.numerator))
+        low = min(v for _, v in vertices)
+        vertices = tuple((i, v - low) for i, v in vertices)
+        n = vertices[-1][0]
+        pairs = criteria._degree_pairs(NewtonPolygon(vertices, vertices), n)
+        assert pairs == _reference_degree_pairs(vertices, n)
+
+
 def _reference_report(inp):
     f, p = inp.poly, inp.prime
     entries = _reference_entries(f, p)

@@ -45,7 +45,6 @@ from newton_gauge.oracle import (
 from newton_gauge.sweeps import (
     SweepSummary,
     Violation,
-    _identity_violations,
     _spot_check,
     _sweep_entry,
     exhaustive_polynomials,
@@ -119,6 +118,9 @@ def test_exact_divide():
     assert exact_divide(_poly("x^3"), _poly("x")) == _poly("x^2")
     assert exact_divide(Polynomial(), _poly("x+1")) == Polynomial()
     assert exact_divide(_poly("x"), _poly("x^2")) is None
+    f = _poly("x^3-2x+5")
+    assert exact_divide(f, f) == Polynomial((1,))
+    assert exact_divide(Polynomial((3,)) * f, f) == Polynomial((3,))
     with pytest.raises(ZeroDivisionError):
         exact_divide(_poly("x"), Polynomial())
 
@@ -1533,65 +1535,56 @@ def test_witness_pairs_stay_out_of_the_value_contract():
     assert (copy._product, copy._degree_pairs) == (f, ((1, 2),))
 
 
-def _tampered_identity_violations(text, **params):
-    """Identity violations of a p = 2 analysis whose parameters are altered."""
+def _tampered_analysis(text, clauses_of):
+    """Rebuild a p = 2 analysis, which built untampered, with its
+    certificate's clauses replaced."""
     analysis = analyze(AnalysisInput(_poly(text), 2))
     cert = analysis.certificate
-    tampered = Certificate(
-        cert.theorem,
-        CriteriaParameters(**{**cert.params.as_dict(), **params}),
-        cert.clauses,
-        cert.notes,
-    )
-    return _identity_violations(
-        Analysis(analysis.input, analysis.table, analysis.polygon, tampered, analysis.dumas_pairs)
-    )
+    tampered = Certificate(cert.theorem, cert.params, clauses_of(cert), cert.notes)
+    return Analysis(analysis.input, analysis.table, analysis.polygon, tampered, analysis.dumas_pairs)
 
 
-def _assert_identity_bundle(violations, kind, expected):
-    assert violations == [Violation(kind, expected)]
-    assert list(violations[0].detail) == list(expected)
+_T2_PARAMS = "{'n': 6, 's': 2, 'c_s': -2, 'c_n': -4, 'd': 2, 'u': 4, 'modulus': 2}"
 
 
-def test_identity_integrality_violation_bundle():
-    # TB, n=6 s=3 c_n=-3 u=3; u = n*c_s - (n-s)*c_n still holds, the slope gap does not
-    _assert_identity_bundle(
-        _tampered_identity_violations("x^6+2*x^3+8", c_n=-4, u=6),
-        "identity-integrality",
-        {"polynomial": "x^6+2*x^3+8", "prime": 2, "theorem": "TB", "u": 6},
-    )
-
-
-def test_identity_e1_violation_bundle():
-    # TA, n=3 s=1 c_s=-1 c_n=-2: the reduced identity reads 3 instead of 1
-    _assert_identity_bundle(
-        _tampered_identity_violations("x^3+2*x+4", c_n=-3),
-        "identity-e1",
-        {"polynomial": "x^3+2*x+4", "prime": 2, "theorem": "TA", "value": 3},
-    )
-
-
-def test_identity_e2_violation_bundle():
-    # TB with d=3, which does not divide c_s=-1: floor division breaks the identity
-    _assert_identity_bundle(
-        _tampered_identity_violations("x^6+2*x^3+8", d=3),
-        "identity-e2",
-        {"polynomial": "x^6+2*x^3+8", "prime": 2, "theorem": "TB", "value": -3, "expected": 1},
-    )
-
-
-def test_identity_check_builds_no_bundle_when_it_passes(monkeypatch):
+@pytest.mark.parametrize(
+    "text, clauses_of, message",
+    [
+        # T2, d = 2, u/d = 2, modulus 2: the split (1, 5) needs a1 = a2 = 1
+        (
+            "x^6+4*x^2+16",
+            lambda cert: cert.clauses[:-1] + (AlphaSplit(2, 1),),
+            f"the T2 certificate with parameters {_T2_PARAMS} refuses the split (1, 5),"
+            " which the polygon allows",
+        ),
+        (
+            "x^6+4*x^2+16",
+            lambda cert: cert.clauses[:-1],
+            f"the T2 certificate with parameters {_T2_PARAMS} refuses the split (1, 5),"
+            " which the polygon allows",
+        ),
+        # TA, modulus 2: the split (1, 2) is allowed by the multiple of 2 alone
+        (
+            "x^3+2*x+4",
+            lambda cert: cert.clauses[:-1] + (FactorDegreeMultipleOf(3),),
+            "the TA certificate with parameters {'n': 3, 's': 1, 'c_s': -1, 'c_n': -2,"
+            " 'd': 1, 'u': 1, 'modulus': 2} refuses the split (1, 2), which the polygon allows",
+        ),
+    ],
+    ids=["alpha-split-total-minus-1", "alpha-split-dropped", "multiple-of-modulus-plus-1"],
+)
+def test_a_certificate_that_refuses_a_polygon_split_is_an_internal_error(
+    monkeypatch, text, clauses_of, message
+):
     def refuse(poly):
-        raise AssertionError("bundle built for a passing analysis")
+        raise AssertionError("the polynomial's text was built")
 
-    analyses = [
-        analyze(AnalysisInput(_poly(text), 2))
-        for text in ("x^6+2*x^3+8", "x^3+2*x+4", "x^3+2*x+2", "x^4+2*x^3+4")
-    ]
-    assert {a.certificate.theorem for a in analyses} == {"TB", "TA", "T1", "Dumas-s0"}
+    # The message names the tag, the parameters and the pair, never the
+    # polynomial, whose text can pass Python's int-to-str limit.
     monkeypatch.setattr(Polynomial, "__str__", refuse)
-    for analysis in analyses:
-        assert _identity_violations(analysis) == []
+    with pytest.raises(InternalError) as raised:
+        _tampered_analysis(text, clauses_of)
+    assert str(raised.value) == message
 
 
 def _family_bundle(**changes):

@@ -84,7 +84,7 @@ _CASES = [
         (True, 0, (3, 3), (BipartitionCheck((3, 3), ("AlphaSplit",)),), ()),
         (False, 0, (3, 3), (BipartitionCheck((3, 3), ("AlphaSplit",)),), ()),
     ),
-    (Violation, ("kind", "detail"), ("identity-e1", {"value": 3}), ("identity-e2", {"value": 3})),
+    (Violation, ("kind", "detail"), ("dumas", {"missing_pairs": [[1, 5]]}), ("certificate", {"missing_pairs": [[1, 5]]})),
     (
         SweepSummary,
         (
