@@ -78,6 +78,7 @@ __all__ = [
     "Clause",
     "Certificate",
     "Analysis",
+    "AnalysisMemo",
     "find_dominant_index",
     "compute_parameters",
     "check_theorem1",
@@ -410,7 +411,28 @@ class Analysis(_Value):
         _bind(self, "dumas_pairs", dumas_pairs)
 
 
-def analyze(inp: AnalysisInput) -> Analysis:
+# How many polygon points and degree pairs, together, one AnalysisMemo
+# may store: about 1 MB whatever the corpus's degree (CPython 3.11).  It
+# holds the exhaustive acceptance box's 480 tables (3,312) and one table
+# for every example1 n (5,727 for n <= 142).
+_MEMO_ROOM = 8192
+
+
+class AnalysisMemo(dict):
+    """What :func:`analyze` derived per slope table, for equal tables to reuse.
+
+    Maps a table's fields to its (polygon, certificate, degree pairs).
+    ``room`` is how many more polygon points and degree pairs it may
+    store: it starts at ``_MEMO_ROOM``, and a table that does not fit is
+    not stored, so a dense high-degree table never is.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.room = _MEMO_ROOM
+
+
+def analyze(inp: AnalysisInput, memo: Optional[AnalysisMemo] = None) -> Analysis:
     """Build one slope table and one polygon: the certificate is read from
     the table, the degree pairs from the polygon.
 
@@ -418,9 +440,27 @@ def analyze(inp: AnalysisInput) -> Analysis:
     "none" only when no strict dominant index exists.  The returned
     :class:`Analysis` has proved the certificate from the degree pairs,
     so it is sound at any degree; a certificate that would refuse a
-    split the polygon allows raises InternalError.  Deterministic and
-    pure.
+    split the polygon allows raises InternalError.  Deterministic.
+
+    Without a memo it is pure.  With one, which a caller keeps across
+    inputs, it is not: the polygon, certificate and degree pairs are
+    stored in the memo under the slope table's fields while it has
+    room, since they depend on the table's points alone, and an equal
+    table later reuses them without a second valuation pass or a hull.
+    Every input still builds its own slope table and :class:`Analysis`,
+    so the containment check runs for each.
     """
     table = slope_table(inp)
-    polygon = newton_polygon(inp.poly, inp.prime)
-    return Analysis(inp, table, polygon, _certify(table), _degree_pairs(polygon, inp.degree))
+    # Keyed by the table's fields, a plain tuple that hashes faster than
+    # the table itself: equal keys are equal tables.
+    key = (table.degree, table.leading_valuation, table.entries)
+    derived = None if memo is None else memo.get(key)
+    if derived is None:
+        polygon = newton_polygon(inp.poly, inp.prime)
+        pairs = _degree_pairs(polygon, inp.degree)
+        derived = polygon, _certify(table), pairs
+        size = len(polygon.points) + len(pairs)
+        if memo is not None and size <= memo.room:
+            memo[key] = derived
+            memo.room -= size
+    return Analysis(inp, table, *derived)

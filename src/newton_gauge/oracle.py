@@ -742,8 +742,11 @@ def _bipartition_degrees(factors: tuple[Polynomial, ...]) -> Iterator[tuple[int,
 
     Splits the factor multiset into two nonempty blocks; each unordered
     split appears once, in a fixed order (left <= right as multiplicity
-    vectors over the distinct factors in witness order).
+    vectors over the distinct factors in witness order).  Fewer than two
+    factors have no such split.
     """
+    if len(factors) < 2:
+        return
     unique = sorted(set(factors), key=lambda g: (g.degree, g.coeffs))
     counts = [factors.count(g) for g in unique]
     degrees = [g.degree for g in unique]

@@ -11,6 +11,18 @@ reproduction bundle.  A family sweep does the same over a built-in
 family (:mod:`newton_gauge.families`) and also checks each instance's
 parameters against the family's closed form.
 
+The polygon, certificate and degree pairs depend only on the slope
+table's points, and a corpus repeats few tables: the exhaustive
+acceptance corpus (degrees 2-5, |a_i| <= 3, p in {2, 3}) has 480 in
+201,600 entries, and a family cell has one.  So each sweep call keeps
+one :class:`criteria.AnalysisMemo`, passed to every
+``criteria.analyze``, that derives them once per table and reuses them
+for every equal table; only the slope table and the
+:class:`criteria.Analysis`, with its containment check, are built per
+entry.  The memo lives as long as the call and stores at most
+``criteria._MEMO_ROOM`` polygon points and degree pairs, so a
+high-degree corpus, which repeats no table, keeps little or nothing.
+
 Only sweeps import this module, so a cold ``verify`` never compiles it.
 The functions that ``bench/tracer.py`` traces (``criteria.analyze``,
 ``newton.newton_index`` and the oracle's) are looked up on their
@@ -193,14 +205,16 @@ def _sweep_entry(
     f: Polynomial,
     primes: Sequence[int],
     verify: bool,
+    memo: Optional[criteria.AnalysisMemo] = None,
     expected: Optional[dict] = None,
 ) -> None:
-    """Analyze one polynomial under every prime, factoring it at most once."""
+    """Analyze one polynomial under every prime, factoring it at most once;
+    the analyses fill and reuse the sweep's memo (see :func:`criteria.analyze`)."""
     witness: Optional[FactorizationWitness] = None
     witness_failed = False
     for p in primes:
         summary.total += 1
-        analysis = criteria.analyze(AnalysisInput(f, p))
+        analysis = criteria.analyze(AnalysisInput(f, p), memo)
         cert = analysis.certificate
         summary.certificates[cert.theorem] += 1
         if expected is not None:
@@ -377,8 +391,9 @@ def sweep(
     else:
         polys = exhaustive_polynomials(max_degree, coeff_bound, min_degree)
     summary = SweepSummary(corpus=corpus)
+    memo = criteria.AnalysisMemo()
     for f in polys:
-        _sweep_entry(summary, f, primes, verify)
+        _sweep_entry(summary, f, primes, verify, memo)
     return summary
 
 
@@ -449,6 +464,7 @@ def sweep_family(
         corpus={"family": family, "values": list(values), "primes": list(primes)}
     )
     expected_of = families.example1_expected if example1 else families.example2_expected
+    memo = criteria.AnalysisMemo()
     for value in values:
         expected = expected_of(value)
         for p in primes:
@@ -459,7 +475,7 @@ def sweep_family(
             before = len(summary.violations)
             count = 0
             for f in instances:
-                _sweep_entry(summary, f, [p], verify, expected=expected)
+                _sweep_entry(summary, f, [p], verify, memo, expected=expected)
                 count += 1
             row = {"family": family, "parameter": value, "prime": p, "instances": count}
             row.update((key, expected[key]) for key in ("s", "u", "d", "modulus", "theorem"))

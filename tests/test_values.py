@@ -183,6 +183,8 @@ def test_witness_derives_its_product_and_degree_pairs_when_built():
     witness = FactorizationWitness(-1, 2, (x1, x1, x2))
     assert witness._product == Polynomial.constant(-2) * x1 * x1 * x2
     assert witness._degree_pairs == ((2, 2), (1, 3))
+    assert FactorizationWitness(1, 3, (x2,))._degree_pairs == ()
+    assert FactorizationWitness(1, 1, (x1, x1))._degree_pairs == ((1, 1),)
     # Rebuilt through __init__, so a copy derives them again.
     for clone in (copy.copy(witness), pickle.loads(pickle.dumps(witness))):
         assert (clone._product, clone._degree_pairs) == (witness._product, witness._degree_pairs)
