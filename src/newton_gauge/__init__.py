@@ -29,7 +29,6 @@ from .criteria import (
     check_theorem2,
     compute_parameters,
     dumas_degree_sets,
-    find_dominant_index,
 )
 from .newton import (
     NewtonPolygon,
@@ -52,7 +51,7 @@ from .polynomial import (
     parse_polynomial,
 )
 from .report import analysis_report, load_schema, sweep_report
-from .valuation import format_slope, p_adic_valuation, validate_prime
+from .valuation import format_slope, p_adic_valuation
 
 __version__ = "0.1.0"
 
@@ -109,7 +108,6 @@ __all__ = [
     "compute_parameters",
     "content_and_primitive",
     "dumas_degree_sets",
-    "find_dominant_index",
     "format_polynomial",
     "format_slope",
     "kronecker_factor",
@@ -123,7 +121,6 @@ __all__ = [
     "sweep",
     "sweep_family",
     "sweep_report",
-    "validate_prime",
     "valuation_points",
     "verify_certificate",
 ]

@@ -37,7 +37,7 @@ import functools
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .criteria import analyze
 from .polynomial import (
@@ -141,7 +141,7 @@ def _run_analysis(args: argparse.Namespace, with_verify: bool) -> int:
     poly = parse_polynomial(args.poly)
     inp = AnalysisInput(poly, args.prime)
     analysis = analyze(inp)
-    verification: Optional[dict] = None
+    verification: dict | None = None
     failed = False
     if with_verify:
         if not analysis.certificate.applies:
@@ -166,13 +166,11 @@ def _run_sweep(args: argparse.Namespace) -> int:
         raise InvalidInputError("--d is only for --family example2")
     corpus = {
         "max_degree": 4, "min_degree": 2, "coeff_bound": 3, "exhaustive": None,
-        "sample": None, "seed": 0,
+        "sample": None, "seed": None,
     }
     given = [name for name in corpus if getattr(args, name) is not None]
     if args.family and given:
         raise InvalidInputError("not used by a --family sweep", *given)
-    if args.seed is not None and args.sample is None:
-        raise InvalidInputError("used only with --sample", "seed")
     corpus.update((name, getattr(args, name)) for name in given)
     primes = _csv_ints(args.primes, "--primes")
     if args.family:
@@ -236,7 +234,7 @@ def _attach_poly_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_poly_values(sys.argv[1:] if argv is None else argv))
     try:

@@ -62,7 +62,6 @@ Why the check holds:
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
 
 from .newton import NewtonPolygon, SlopeTable, newton_polygon, slope_table
 from .polynomial import AnalysisInput, InternalError, _bind, _Value
@@ -79,7 +78,6 @@ __all__ = [
     "Certificate",
     "Analysis",
     "AnalysisMemo",
-    "find_dominant_index",
     "compute_parameters",
     "check_theorem1",
     "check_theorem2",
@@ -133,7 +131,7 @@ class Irreducible(_Value):
     kind = "Irreducible"
     text = "the polynomial is irreducible (content carries no valuation)"
 
-    def accepts(self, split: Optional[tuple[int, int]], content_divisible: bool) -> bool:
+    def accepts(self, split: tuple[int, int] | None, content_divisible: bool) -> bool:
         return split is None and not content_divisible
 
 
@@ -145,7 +143,7 @@ class DegreeZeroFactor(_Value):
     kind = "DegreeZeroFactor"
     text = "a degree-zero factor has positive valuation (content divisible by the prime)"
 
-    def accepts(self, split: Optional[tuple[int, int]], content_divisible: bool) -> bool:
+    def accepts(self, split: tuple[int, int] | None, content_divisible: bool) -> bool:
         return content_divisible
 
 
@@ -159,7 +157,7 @@ class FactorDegreeMultipleOf(_Value):
     def __init__(self, modulus: int):
         _bind(self, "modulus", modulus)
 
-    def accepts(self, split: Optional[tuple[int, int]], content_divisible: bool) -> bool:
+    def accepts(self, split: tuple[int, int] | None, content_divisible: bool) -> bool:
         return split is not None and (split[0] % self.modulus == 0 or split[1] % self.modulus == 0)
 
 
@@ -182,7 +180,7 @@ class AlphaSplit(_Value):
         _bind(self, "modulus", modulus)
         _bind(self, "total", total)
 
-    def accepts(self, split: Optional[tuple[int, int]], content_divisible: bool) -> bool:
+    def accepts(self, split: tuple[int, int] | None, content_divisible: bool) -> bool:
         if split is None:
             return False
         d1, d2 = split
@@ -199,7 +197,7 @@ class AlphaSplit(_Value):
         return least <= self.total - 1
 
 
-Clause = Union[Irreducible, DegreeZeroFactor, FactorDegreeMultipleOf, AlphaSplit]
+Clause = Irreducible | DegreeZeroFactor | FactorDegreeMultipleOf | AlphaSplit
 
 
 class Certificate(_Value):
@@ -217,7 +215,7 @@ class Certificate(_Value):
     def __init__(
         self,
         theorem: str,
-        params: Optional[CriteriaParameters],
+        params: CriteriaParameters | None,
         clauses: tuple[Clause, ...],
         notes: tuple[str, ...] = (),
     ):
@@ -238,14 +236,6 @@ class Certificate(_Value):
     def base_theorem(self) -> str:
         """The tag with the d = 1 specializations folded back in."""
         return {"TA": "T1", "TB": "T2"}.get(self.theorem, self.theorem)
-
-
-def find_dominant_index(table: SlopeTable) -> Optional[int]:
-    """The unique index attaining the maximal slope, or None on a tie."""
-    argmax = table.index_of_max
-    if len(argmax) == 1:
-        return argmax[0]
-    return None
 
 
 def _parameters(table: SlopeTable, s: int) -> CriteriaParameters:
@@ -273,11 +263,12 @@ def _none(note: str) -> Certificate:
 
 def _certify(table: SlopeTable) -> Certificate:
     """The certificate of the module docstring's decision table."""
-    s = find_dominant_index(table)
-    if s is None:
-        ties = ",".join(str(i) for i in table.index_of_max)
+    argmax = table.index_of_max
+    if len(argmax) != 1:
+        ties = ",".join(str(i) for i in argmax)
         top = format_slope(*table.newton_index)
         return _none(f"no-strict-dominant-index: max slope {top} at indices {ties}")
+    (s,) = argmax
     params = _parameters(table, s)
     d, u = params.d, params.u
     if s == 0 and d == 1:
@@ -432,7 +423,7 @@ class AnalysisMemo(dict):
         self.room = _MEMO_ROOM
 
 
-def analyze(inp: AnalysisInput, memo: Optional[AnalysisMemo] = None) -> Analysis:
+def analyze(inp: AnalysisInput, memo: AnalysisMemo | None = None) -> Analysis:
     """Build one slope table and one polygon: the certificate is read from
     the table, the degree pairs from the polygon.
 

@@ -20,7 +20,7 @@ slopes m_i are (rise, width) pairs in lowest terms, as
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator
+from collections.abc import Iterator
 
 from .polynomial import InvalidInputError, Polynomial
 

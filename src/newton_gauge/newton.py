@@ -24,7 +24,7 @@ pairs; ``valuation.format_slope`` prints one.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .polynomial import AnalysisInput, InternalError, Polynomial, _bind, _Value
 from .valuation import p_adic_valuation
@@ -115,7 +115,7 @@ def newton_polygon(f: Polynomial, p: int) -> NewtonPolygon:
 
 def _steepest(
     points: Iterable[Point], n: int, vn: int
-) -> tuple[tuple[int, ...], Optional[Slope]]:
+) -> tuple[tuple[int, ...], Slope | None]:
     """Indices i attaining the largest slope (vn - v)/(n - i) over points
     (i, v) with i < n, in ascending order, and that slope in lowest terms;
     ((), None) when there are no points."""
@@ -155,7 +155,7 @@ class SlopeTable(_Value):
         _bind(self, "index_of_max", at)
         _bind(self, "newton_index", index)
 
-    def slope_at(self, i: int) -> Optional[Slope]:
+    def slope_at(self, i: int) -> Slope | None:
         """The slope m_i in lowest terms, or None when a_i = 0 or i >= n."""
         for j, v in self.entries:
             if j == i:

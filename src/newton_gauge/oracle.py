@@ -26,9 +26,9 @@ mod f is n packed ints, one per column x^(iq) mod f, with a 32-bit slot
 per coefficient, so each step is one sum of products and one unpack;
 at the oracle's limits no slot passes n^2 (q - 1)^3 < 2^32.
 
-Work is metered by candidate count (rational-root candidates plus
-divisor combinations); the degree analysis charges one unit per
-product mod f and per gcd over F_q.  Only divisor combinations whose
+Work is metered in units: one per rational-root candidate and per
+divisor combination, and in the degree analysis one per product mod f
+and per gcd over F_q.  Only divisor combinations whose
 interpolated leading coefficient divides f's are looked at: the
 trailing points' combinations are indexed by their exact share of that
 coefficient, each combination of the leading points looks them up, and
@@ -55,9 +55,8 @@ import math
 import operator
 import os
 import struct
-from typing import Iterator, Optional, Sequence
+from collections.abc import Iterator, Sequence
 
-from .criteria import Certificate
 from .polynomial import (
     InternalError,
     InvalidInputError,
@@ -68,6 +67,9 @@ from .polynomial import (
     content_and_primitive,
 )
 from .valuation import is_prime, p_adic_valuation
+
+# `Certificate` in verify_certificate's annotation is never evaluated: the
+# oracle, which checks certificates, does not import `criteria`, which makes them.
 
 __all__ = [
     "OracleBudgetError",
@@ -97,7 +99,7 @@ class WitnessIntegrityError(InternalError):
 
 
 def oracle_budget() -> int:
-    """Candidate cap: NEWTON_GAUGE_BUDGET when set, else the default.
+    """The cap on units spent: NEWTON_GAUGE_BUDGET when set, else the default.
 
     Raises InvalidInputError when the variable is not a positive integer.
     """
@@ -124,7 +126,7 @@ class _Budget:
         self.spent += amount
         if self.spent > self.cap:
             raise OracleBudgetError(
-                f"oracle out of budget: {self.spent} candidates exceed the cap"
+                f"oracle out of budget: {self.spent} units exceed the cap"
                 f" of {self.cap} (raise {BUDGET_ENV_VAR} to allow more work)"
             )
 
@@ -253,7 +255,7 @@ class FactorizationWitness(_Value):
         return tuple(g.degree for g in self.factors)
 
 
-def exact_divide(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
+def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
     """Quotient f/g when it exists in Z[x], else None.
 
     Long division from the top; aborts as soon as a leading coefficient
@@ -323,7 +325,7 @@ def _candidate_values(value: int, positive_only: bool) -> tuple[int, ...]:
     return divs if positive_only else tuple(x for d in divs for x in (d, -d))
 
 
-def _rational_root_factor(f: Polynomial, budget: _Budget) -> Optional[tuple[Polynomial, Polynomial]]:
+def _rational_root_factor(f: Polynomial, budget: _Budget) -> tuple[Polynomial, Polynomial] | None:
     """A primitive linear factor q*x - r of f and its cofactor, or None.
 
     Candidates r/q run over divisors of the constant and leading
@@ -358,7 +360,7 @@ def _rational_root_factor(f: Polynomial, budget: _Budget) -> Optional[tuple[Poly
 
 def _candidate_factor(
     f: Polynomial, combo: tuple[int, ...], basis: tuple, common: int
-) -> Optional[tuple[Polynomial, Polynomial]]:
+) -> tuple[Polynomial, Polynomial] | None:
     """The candidate interpolating combo and its cofactor when it divides f, else None."""
     coeffs = []
     for c in range(len(combo)):
@@ -402,7 +404,7 @@ def _lead_matches(
     return hits[0] if len(hits) == 1 else sorted(itertools.chain(*hits))
 
 
-def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> Optional[tuple[Polynomial, Polynomial]]:
+def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> tuple[Polynomial, Polynomial] | None:
     """A degree-k factor of the primitive f and its cofactor, or None after exhaustion.
 
     The candidates are the tuples of divisors of f's values at the k + 1
@@ -640,7 +642,7 @@ def _allowed_factor_degrees(f: Polynomial, meter: _Budget) -> frozenset[int]:
     return frozenset(k for k in range(n + 1) if allowed >> k & 1)
 
 
-def kronecker_factor(f: Polynomial, budget: Optional[int] = None) -> FactorizationWitness:
+def kronecker_factor(f: Polynomial, budget: int | None = None) -> FactorizationWitness:
     """Complete factorization of f into irreducibles over the rationals.
 
     Deterministic: same input, same witness.  Raises OracleBudgetError
@@ -781,7 +783,7 @@ def verify_certificate(
         raise InternalError(f"the witness for {f} has no nonconstant factor")
     content_divisible = content_val > 0
 
-    def satisfied(split: Optional[tuple[int, int]]) -> tuple[str, ...]:
+    def satisfied(split: tuple[int, int] | None) -> tuple[str, ...]:
         return tuple(c.kind for c in cert.clauses if c.accepts(split, content_divisible))
 
     checks = tuple(

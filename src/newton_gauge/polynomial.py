@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Iterable, Iterator, Union
+from collections.abc import Iterable, Iterator
 
-from .valuation import validate_prime
+from .valuation import MAX_PRIME, is_prime
 
 __all__ = [
     "Polynomial",
@@ -271,7 +271,7 @@ class Polynomial:
         return out
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; exact for int and Fraction arguments."""
+        """The value at the integer x, by Horner's rule."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -303,7 +303,7 @@ _TOK_OP = "op"
 _TOK_END = "end"
 
 
-def _tokenize(text: str) -> list[tuple[str, Union[int, str], int]]:
+def _tokenize(text: str) -> list[tuple[str, int | str, int]]:
     tokens = []
     i = 0
     n = len(text)
@@ -400,10 +400,10 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> tuple[str, Union[int, str], int]:
+    def peek(self) -> tuple[str, int | str, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> tuple[str, Union[int, str], int]:
+    def advance(self) -> tuple[str, int | str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -518,12 +518,12 @@ def format_polynomial(f: Polynomial) -> str:
 
 
 def _require_prime(prime: int, argument: str = "prime") -> None:
-    """Raise InvalidInputError naming `argument` unless prime is a prime below 2^64."""
-    try:
-        is_prime = validate_prime(prime)
-    except ValueError as exc:
-        raise InvalidInputError(str(exc), argument) from None
-    if not is_prime:
+    """Raise InvalidInputError naming `argument` unless prime is a prime below
+    MAX_PRIME = 2^64, well inside the range where ``valuation.is_prime`` is exact."""
+    if not 2 <= prime < MAX_PRIME:
+        need = "p >= 2" if prime < 2 else "p < 2^64"
+        raise InvalidInputError(f"{prime} is not a valid prime candidate (need {need})", argument)
+    if not is_prime(prime):
         raise InvalidInputError(f"{prime} is not prime", argument)
 
 

@@ -12,15 +12,12 @@ report.schema.json.
 from __future__ import annotations
 
 import json
-from importlib import resources
-from typing import TYPE_CHECKING, Optional, get_args
 
-from .criteria import Analysis, Certificate, Clause, find_dominant_index
+from .criteria import Analysis, Certificate, Clause
 from .valuation import format_slope
 
-if TYPE_CHECKING:
-    from .oracle import FactorizationWitness, VerificationReport
-    from .sweeps import SweepSummary
+# The oracle's and the sweeps' names in the annotations below are never
+# evaluated, so this module imports neither.
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -72,12 +69,12 @@ def verification_dict(
 
 
 def analysis_report(
-    analysis: Analysis, verification: Optional[dict] = None
+    analysis: Analysis, verification: dict | None = None
 ) -> dict:
     """Full analysis report; pass a verification section to embed it."""
     table = analysis.table
     n, vn = table.degree, table.leading_valuation
-    dominant = find_dominant_index(table)
+    params = analysis.certificate.params
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": "analysis",
@@ -96,7 +93,7 @@ def analysis_report(
             ],
             "newton_index": format_slope(*table.newton_index),
             "index_of_max": list(table.index_of_max),
-            "dominant_index": dominant,
+            "dominant_index": None if params is None else params.s,
         },
         "certificate": certificate_dict(analysis.certificate),
         "dumas_degree_pairs": [list(pair) for pair in analysis.dumas_pairs],
@@ -124,6 +121,8 @@ def sweep_report(summary: SweepSummary) -> dict:
 
 def load_schema() -> dict:
     """The JSON schema every report validates against."""
+    from importlib import resources
+
     text = resources.files("newton_gauge").joinpath("report.schema.json").read_text()
     return json.loads(text)
 
@@ -131,7 +130,7 @@ def load_schema() -> dict:
 # ---------------------------------------------------------------------------
 # Text rendering (same dict as the JSON output)
 
-_CLAUSE_TEXT = {c.kind: c.text for c in get_args(Clause)}
+_CLAUSE_TEXT = {c.kind: c.text for c in Clause.__args__}
 
 
 def _clause_text(clause: dict) -> str:

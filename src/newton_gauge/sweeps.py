@@ -35,7 +35,7 @@ import functools
 import itertools
 import random
 import zlib
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import criteria, newton, oracle
 from .criteria import THEOREM_TAGS, Analysis, Certificate
@@ -100,12 +100,12 @@ class SweepSummary(_Value):
         self,
         corpus: dict,
         total: int = 0,
-        certificates: Optional[dict] = None,
+        certificates: dict | None = None,
         verified: int = 0,
         budget_errors: int = 0,
         spot_checks: int = 0,
-        violations: Optional[list] = None,
-        family_rows: Optional[list] = None,
+        violations: list | None = None,
+        family_rows: list | None = None,
     ):
         self.corpus = corpus
         self.total = total
@@ -205,12 +205,12 @@ def _sweep_entry(
     f: Polynomial,
     primes: Sequence[int],
     verify: bool,
-    memo: Optional[criteria.AnalysisMemo] = None,
-    expected: Optional[dict] = None,
+    memo: criteria.AnalysisMemo | None = None,
+    expected: dict | None = None,
 ) -> None:
     """Analyze one polynomial under every prime, factoring it at most once;
     the analyses fill and reuse the sweep's memo (see :func:`criteria.analyze`)."""
-    witness: Optional[FactorizationWitness] = None
+    witness: FactorizationWitness | None = None
     witness_failed = False
     for p in primes:
         summary.total += 1
@@ -323,16 +323,17 @@ def sweep(
     primes: Sequence[int],
     *,
     min_degree: int = 2,
-    sample: Optional[int] = None,
-    seed: int = 0,
+    sample: int | None = None,
+    seed: int | None = None,
     verify: bool = True,
 ) -> SweepSummary:
     """Analyze and verify a corpus of polynomials; returns counters and violations.
 
     Exhaustive over degrees min_degree..max_degree with bounded
     coefficients and nonzero end coefficients unless `sample` is given,
-    in which case that many polynomials are drawn with the seeded
-    generator.  Every certificate is verified against the brute-force
+    in which case that many polynomials are drawn with the generator
+    seeded by `seed` (0 when not given); a seed without a sample is
+    refused.  Every certificate is verified against the brute-force
     factorization, under the budget of :func:`oracle_budget`, and deep
     self-checks run on a 1% deterministic slice; every analysis proves
     its certificate from the polygon's degree pairs whether or not it
@@ -356,6 +357,8 @@ def sweep(
         )
     if coeff_bound < 1:
         raise InvalidInputError(f"coeff_bound must be at least 1, got {coeff_bound}", "coeff_bound")
+    if seed is not None and sample is None:
+        raise InvalidInputError("seed is used only with a sample", "seed")
     if sample is not None and sample < 1:
         raise InvalidInputError(f"sample must be at least 1, got {sample}", "sample")
     if sample is not None and max_degree > MAX_PARSED_EXPONENT:
@@ -384,7 +387,7 @@ def sweep(
     }
     if sample is not None:
         corpus["sample"] = sample
-        corpus["seed"] = seed
+        corpus["seed"] = seed = 0 if seed is None else seed
         polys: Iterable[Polynomial] = sampled_polynomials(
             max_degree, coeff_bound, sample, seed, min_degree
         )

@@ -17,7 +17,6 @@ import math
 __all__ = [
     "format_slope",
     "p_adic_valuation",
-    "validate_prime",
 ]
 
 # Miller-Rabin with the first thirteen primes (2..41) as bases is exact
@@ -25,14 +24,16 @@ __all__ = [
 # pseudoprime to all of them (Sorenson and Webster, 2017).
 MILLER_RABIN_LIMIT = 3317044064679887385961981
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# validate_prime's cap keeps well inside that range.
+# The cap on the primes an analysis accepts (``polynomial._require_prime``)
+# keeps well inside that range.
 MAX_PRIME = 2**64
 
 
 def p_adic_valuation(n: int, p: int) -> int:
     """Largest exponent e with p**e dividing n, for n != 0.
 
-    The caller is responsible for p being prime (see :func:`validate_prime`);
+    The caller is responsible for p being prime (inputs are checked by
+    ``polynomial._require_prime``);
     for composite p the result is merely the divisibility exponent.
     """
     if n == 0:
@@ -88,11 +89,3 @@ def is_prime(n: int) -> bool:
             return False
     return True
 
-
-def validate_prime(p: int) -> bool:
-    """True iff p is prime, for 2 <= p < MAX_PRIME (see :func:`is_prime`)."""
-    if p < 2:
-        raise ValueError(f"{p} is not a valid prime candidate (need p >= 2)")
-    if p >= MAX_PRIME:
-        raise ValueError(f"{p} is not a valid prime candidate (need p < 2^64)")
-    return is_prime(p)

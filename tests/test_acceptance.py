@@ -20,7 +20,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from newton_gauge.criteria import analyze, compute_parameters, find_dominant_index
+from newton_gauge.criteria import analyze, compute_parameters
 from newton_gauge.families import (
     example1_instances,
     example2_polynomial,
@@ -77,7 +77,7 @@ def test_criterion_1_steep_family_parameters(capsys):
             cert = analyze(inp).certificate
             params = cert.params
             checks = [
-                find_dominant_index(table) == d + 1,
+                table.index_of_max == (d + 1,),
                 table.slope_at(d + 1) == (-1, d + 1),
                 table.slope_at(0) == (-1, d),
                 params is not None and params.u == d * d - 1,
@@ -111,7 +111,7 @@ def test_criterion_2_shifted_family_parameters(capsys):
                 cert = analyze(inp).certificate
                 params = cert.params
                 checks = [
-                    find_dominant_index(table) == 1,
+                    table.index_of_max == (1,),
                     table.slope_at(1) == (n - 3, 1),
                     table.slope_at(2) == (0, 1),
                     table.slope_at(0) == (n * (n - 3) - 1, n),
@@ -224,9 +224,9 @@ def test_criterion_5_integer_identities(capsys, corpus_sweep):
         for p in (2, 3):
             inp = AnalysisInput(f, p)
             table = slope_table(inp)
-            s = find_dominant_index(table)
-            if s is None:
+            if len(table.index_of_max) != 1:
                 continue
+            (s,) = table.index_of_max
             params = compute_parameters(inp, s)
             cert = analyze(inp).certificate
             n = params.n

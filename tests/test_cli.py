@@ -540,7 +540,7 @@ def test_a_seed_without_a_sample_is_refused(capsys, flags):
     code, out, err = _run(capsys, "sweep", "--seed", "7", "--max-degree", "2", *flags)
     assert code == EXIT_BAD_INPUT
     assert out == ""
-    assert err == "--seed: used only with --sample\n"
+    assert err == "--seed: seed is used only with a sample\n"
 
 
 @pytest.mark.parametrize(
@@ -566,9 +566,10 @@ def test_corpus_flags_with_a_family_are_refused(capsys, flags, named):
 @pytest.mark.parametrize(
     "flags, expected",
     [
-        ([], (4, 3, 2, None, 0)),
-        (["--exhaustive"], (4, 3, 2, None, 0)),
-        (["--max-degree", "5", "--min-degree", "3", "--coeff-bound", "2"], (5, 2, 3, None, 0)),
+        ([], (4, 3, 2, None, None)),
+        (["--exhaustive"], (4, 3, 2, None, None)),
+        (["--max-degree", "5", "--min-degree", "3", "--coeff-bound", "2"], (5, 2, 3, None, None)),
+        (["--sample", "7"], (4, 3, 2, 7, None)),
         (["--sample", "7", "--seed", "11"], (4, 3, 2, 7, 11)),
     ],
 )
@@ -673,11 +674,17 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 # `import dataclasses` loads these; the package imports none of them.
 _DATACLASS_IMPORTS = {"dataclasses", "inspect", "dis", "ast", "tokenize"}
+# Annotations are never evaluated, so nothing imports typing; only
+# load_schema, which no command calls, imports importlib.resources; and
+# slopes are integer pairs, so nothing imports fractions or its decimal.
+_UNUSED_IMPORTS = {"typing", "importlib.resources", "fractions", "decimal"}
 
 
 def _loaded_modules(*argv):
+    # -S skips `site`, whose .pth hooks may import for themselves what the
+    # program must not, and so would hide a regression.
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_MODULES_CHILD, *argv],
+        [sys.executable, "-S", "-c", _LOADED_MODULES_CHILD, *argv],
         capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
@@ -692,13 +699,13 @@ def test_analyze_never_loads_the_oracle():
     assert "newton_gauge.oracle" not in modules
     assert "newton_gauge.sweeps" not in modules
     assert "newton_gauge.families" not in modules
-    assert _DATACLASS_IMPORTS.isdisjoint(modules)
+    assert (_DATACLASS_IMPORTS | _UNUSED_IMPORTS).isdisjoint(modules)
     # A cold verify compiles the oracle it runs and nothing of the sweeps.
-    modules = _loaded_modules("verify", "--poly", "x^6+2*x^3+8", "--prime", "2")
+    modules = _loaded_modules("verify", "--poly", "x^6+2*x^3+8", "--prime", "2", "--json")
     assert "newton_gauge.oracle" in modules
     assert "newton_gauge.sweeps" not in modules
     assert "newton_gauge.families" not in modules
-    assert _DATACLASS_IMPORTS.isdisjoint(modules)
+    assert (_DATACLASS_IMPORTS | _UNUSED_IMPORTS).isdisjoint(modules)
 
 
 # Runs sweep(3, 3, [2, 3]), then reports its totals and every module loaded.
@@ -715,6 +722,7 @@ def test_a_sample_sweep_loads_the_sweeps_but_not_the_families():
     modules = _loaded_modules("sweep", "--sample", "5", "--primes", "2")
     assert "newton_gauge.sweeps" in modules
     assert "newton_gauge.families" not in modules
+    assert {"typing", "fractions", "decimal"}.isdisjoint(modules)
 
 
 def test_the_sweep_names_resolve_through_the_sweeps_module(monkeypatch):

@@ -21,10 +21,9 @@ from newton_gauge.criteria import (
     check_theorem2,
     compute_parameters,
     dumas_degree_sets,
-    find_dominant_index,
 )
 from newton_gauge.families import example1_instances, example2_polynomial
-from newton_gauge.newton import slope_table
+from newton_gauge.newton import newton_index, slope_table
 from newton_gauge.polynomial import AnalysisInput, InternalError, Polynomial, parse_polynomial
 
 
@@ -33,10 +32,15 @@ def _inp(text, p):
 
 
 def test_find_dominant_index():
-    assert find_dominant_index(slope_table(_inp("x^6+2x^3+8", 2))) == 3
-    assert find_dominant_index(slope_table(_inp("512x^5+512x^2+2x+1", 2))) == 1
-    assert find_dominant_index(slope_table(_inp("x^2+3x+9", 3))) is None
-    assert find_dominant_index(slope_table(_inp("x^2+2", 2))) == 0
+    # The strict dominant index is the table's unique argmax, and the
+    # certificate's s; a tie leaves no parameters.
+    for text, p, s in (("x^6+2x^3+8", 2, 3), ("512x^5+512x^2+2x+1", 2, 1), ("x^2+2", 2, 0)):
+        inp = _inp(text, p)
+        assert slope_table(inp).index_of_max == (s,)
+        assert analyze(inp).certificate.params.s == s
+    tie = _inp("x^2+3x+9", 3)
+    assert slope_table(tie).index_of_max == (0, 1)
+    assert analyze(tie).certificate.params is None
 
 
 def test_compute_parameters_interior_dominant():
@@ -86,7 +90,7 @@ def test_u_matches_slope_gap_identity():
             parse_polynomial("+".join(f"({c})x^{i}" for i, c in enumerate(coeffs))), p
         )
         table = slope_table(inp)
-        s = find_dominant_index(table)
+        s = _reference_dominant_index(table)
         if s is None:
             continue
         checked += 1
@@ -308,6 +312,12 @@ def test_analyze_is_deterministic():
 # the four-step chain that analyze replaced, kept as the reference
 
 
+def _reference_dominant_index(table):
+    """The unique index attaining the maximal slope, or None on a tie."""
+    argmax = table.index_of_max
+    return argmax[0] if len(argmax) == 1 else None
+
+
 def _reference_parameters(inp, s):
     table = slope_table(inp)
     n = table.degree
@@ -328,7 +338,7 @@ def _reference_no_dominant_note(table):
 
 def _reference_theorem1(inp):
     table = slope_table(inp)
-    s = find_dominant_index(table)
+    s = _reference_dominant_index(table)
     if s is None:
         return Certificate("none", None, (), (_reference_no_dominant_note(table),))
     params = _reference_parameters(inp, s)
@@ -348,7 +358,7 @@ def _reference_theorem1(inp):
 
 def _reference_theorem2(inp):
     table = slope_table(inp)
-    s = find_dominant_index(table)
+    s = _reference_dominant_index(table)
     if s is None:
         return Certificate("none", None, (), (_reference_no_dominant_note(table),))
     if s == 0:
@@ -375,7 +385,7 @@ def _reference_theorem2(inp):
 def _reference_certificate(inp):
     """T1, then T2, then the s = 0 single-segment fallback, then "none"."""
     table = slope_table(inp)
-    s = find_dominant_index(table)
+    s = _reference_dominant_index(table)
     if s is None:
         return Certificate("none", None, (), (_reference_no_dominant_note(table),))
     cert1 = _reference_theorem1(inp)
@@ -500,3 +510,47 @@ def test_every_certificate_is_implied_by_the_polygon_on_valuation_vectors():
 
     holds()
     assert set(tags) == set(criteria.THEOREM_TAGS), tags
+
+
+def _one_edge_factor(rng, p, degree, rise):
+    """A factor whose polygon is one edge, from (0, rise) to (degree, 0):
+    a unit times p^rise, then coefficients zero or on or above the edge,
+    then a unit."""
+    units = (1, -1, p + 1, -(p + 1))
+    coeffs = [rng.choice(units) * p**rise]
+    for i in range(1, degree):
+        on_edge = -(-rise * (degree - i) // degree)
+        coeffs.append(rng.choice((0, rng.choice(units) * p ** (on_edge + rng.randint(0, 2)))))
+    coeffs.append(rng.choice(units))
+    return Polynomial(coeffs)
+
+
+def test_built_products_past_the_oracle_keep_their_split_and_index():
+    # f = g*h is built, so its split is known at degrees the oracle cannot
+    # factor.  By Dumas' theorem f's polygon joins g's and h's, so the
+    # split is among f's degree pairs and an applying certificate accepts
+    # it; and e(f) = max(e(g), e(h)).
+    from newton_gauge.oracle import MAX_ORACLE_DEGREE
+
+    rng = random.Random(24)
+    applying = restricted = 0
+    for trial in range(300):
+        p = (2, 3, 5)[trial % 3]
+        n = rng.randint(MAX_ORACLE_DEGREE + 1, 60)
+        a = rng.randint(1, n // 2)
+        g = _one_edge_factor(rng, p, a, rng.randint(0, 2 * a))
+        h = _one_edge_factor(rng, p, n - a, rng.randint(0, 2 * (n - a)))
+        f = g * h
+        analysis = analyze(AnalysisInput(f, p))
+        assert (a, n - a) in analysis.dumas_pairs, (str(f), p)
+        restricted += len(analysis.dumas_pairs) < n // 2 + 1
+        cert = analysis.certificate
+        if cert.applies:
+            applying += 1
+            assert any(c.accepts((a, n - a), False) for c in cert.clauses), (str(f), p)
+        (r_g, w_g), (r_h, w_h) = newton_index(g, p), newton_index(h, p)
+        larger = (r_g, w_g) if r_g * w_h >= r_h * w_g else (r_h, w_h)
+        assert newton_index(f, p) == larger, (str(f), p)
+    # The products are not vacuous: most polygons refuse some split, and
+    # most certificates apply.
+    assert restricted > 200 and applying > 200, (restricted, applying)

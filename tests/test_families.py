@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from newton_gauge.criteria import analyze, compute_parameters, find_dominant_index
+from newton_gauge.criteria import analyze, compute_parameters
 from newton_gauge.families import (
     FAMILIES,
     example1_expected,
@@ -48,8 +48,8 @@ def test_example1_matches_expected_parameters():
             for f in example1_instances(n, p):
                 inp = AnalysisInput(f, p)
                 table = slope_table(inp)
-                s = find_dominant_index(table)
-                assert s == expected["s"]
+                s = expected["s"]
+                assert table.index_of_max == (s,)
                 params = compute_parameters(inp, s)
                 assert params.c_s == expected["c_s"]
                 assert params.c_n == expected["c_n"]
@@ -92,8 +92,8 @@ def test_example2_matches_expected_parameters():
         for p in (2, 3):
             inp = AnalysisInput(example2_polynomial(d, p), p)
             table = slope_table(inp)
-            s = find_dominant_index(table)
-            assert s == expected["s"] == d + 1
+            s = expected["s"]
+            assert table.index_of_max == (s,) == (d + 1,)
             params = compute_parameters(inp, s)
             assert params.c_s == expected["c_s"]
             assert params.c_n == expected["c_n"]

@@ -371,7 +371,7 @@ def test_budget_is_exact_at_the_total_spend(monkeypatch):
         witness, total = _metered_factor(monkeypatch, f, 10**9)
         assert total > 0
         assert kronecker_factor(f, budget=total) == witness
-        message = f"{total} candidates exceed the cap of {total - 1} "
+        message = f"{total} units exceed the cap of {total - 1} "
         with pytest.raises(OracleBudgetError, match=message):
             kronecker_factor(f, budget=total - 1)
 
@@ -449,7 +449,7 @@ def test_budget_exhausting_search_reports_the_same_spend(monkeypatch):
     # a 6 + 6 composite whose degree-6 search needs more than 10^7 units
     monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
     f = _poly("(x^6-2x^5+3x^3+2x-2)(2x^6-2x^5-3x^3+3x^2-x-1)")
-    with pytest.raises(OracleBudgetError, match="10000001 candidates exceed the cap of 10000000 "):
+    with pytest.raises(OracleBudgetError, match="10000001 units exceed the cap of 10000000 "):
         kronecker_factor(f)
 
 
@@ -560,7 +560,7 @@ def test_budget_exhausting_search_builds_a_bounded_index(monkeypatch):
 
     monkeypatch.setattr(oracle, "_inner_start", start)
     f = _poly("(x^6-2x^5+3x^3+2x-2)(2x^6-2x^5-3x^3+3x^2-x-1)")
-    with pytest.raises(OracleBudgetError, match="10000001 candidates exceed the cap of 10000000 "):
+    with pytest.raises(OracleBudgetError, match="10000001 units exceed the cap of 10000000 "):
         kronecker_factor(f)
     assert sizes == [(3, 46_080)]
     assert 46_080 <= oracle._MAX_INNER_INDEX
@@ -1346,6 +1346,18 @@ def test_sweep_rejects_empty_corpus_arguments():
     with pytest.raises(InvalidInputError, match="sample"):
         sweep(3, 2, [2], sample=0)
     assert sweep(3, 1, [2], min_degree=3, sample=1).total == 1
+
+
+def test_a_library_sweep_refuses_a_seed_without_a_sample():
+    # An exhaustive corpus has no seed to record, so a given one is refused
+    # rather than ignored, even at its default value.
+    for seed in (5, 0):
+        with pytest.raises(InvalidInputError, match="seed is used only with a sample") as info:
+            sweep(3, 1, [2], seed=seed)
+        assert info.value.arguments == ("seed",)
+    assert "seed" not in sweep(3, 1, [2]).corpus
+    assert sweep(3, 1, [2], sample=2).corpus["seed"] == 0
+    assert sweep(3, 1, [2], sample=2, seed=5).corpus["seed"] == 5
 
 
 def test_sweep_rejects_an_oversized_exhaustive_corpus():

@@ -3,14 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from newton_gauge.polynomial import AnalysisInput, InvalidInputError, parse_polynomial
+from newton_gauge.polynomial import (
+    AnalysisInput,
+    InvalidInputError,
+    _require_prime,
+    parse_polynomial,
+)
 from newton_gauge.valuation import (
     MAX_PRIME,
     MILLER_RABIN_LIMIT,
     format_slope,
     is_prime,
     p_adic_valuation,
-    validate_prime,
 )
 
 
@@ -50,16 +54,25 @@ def test_valuation_product_rule():
         assert p_adic_valuation(a * b, p) == p_adic_valuation(a, p) + p_adic_valuation(b, p)
 
 
+def _accepted(p):
+    """Whether the input check takes p as a prime; it refuses with InvalidInputError only."""
+    try:
+        _require_prime(p)
+    except InvalidInputError:
+        return False
+    return True
+
+
 def test_validate_prime():
-    assert validate_prime(2)
-    assert validate_prime(3)
-    assert validate_prime(97)
-    assert not validate_prime(4)
-    assert not validate_prime(91)  # 7 * 13
-    with pytest.raises(ValueError):
-        validate_prime(1)
-    with pytest.raises(ValueError):
-        validate_prime(-5)
+    assert _accepted(2) and _accepted(3) and _accepted(97)
+    for n in (4, 91):  # 91 = 7 * 13
+        with pytest.raises(InvalidInputError, match=f"^{n} is not prime$") as info:
+            _require_prime(n)
+        assert info.value.arguments == ("prime",)
+    for n in (1, -5):
+        with pytest.raises(InvalidInputError, match="need p >= 2") as info:
+            _require_prime(n, "primes")
+        assert info.value.arguments == ("primes",)
 
 
 def test_validate_prime_matches_a_sieve():
@@ -70,12 +83,12 @@ def test_validate_prime_matches_a_sieve():
         if sieve[i]:
             for j in range(i * i, limit, i):
                 sieve[j] = False
-    assert [validate_prime(n) for n in range(2, limit)] == sieve[2:]
+    assert [_accepted(n) for n in range(2, limit)] == sieve[2:]
 
 
 def test_validate_prime_large_and_pseudoprime_inputs():
     for p in (10**16 + 61, 2**61 - 1, 2**64 - 59, 4294967291):
-        assert validate_prime(p), p
+        assert _accepted(p), p
     # Carmichael numbers and strong pseudoprimes to the first 1..9 prime
     # bases, then a product of two primes near 2^32.
     for n in (
@@ -90,14 +103,14 @@ def test_validate_prime_large_and_pseudoprime_inputs():
         3825123056546413051,
         (2**31 - 1) * 4294967291,
     ):
-        assert not validate_prime(n), n
+        assert not _accepted(n), n
 
 
 def test_validate_prime_rejects_64_bit_overflow():
     assert MAX_PRIME == 2**64
     for p in (2**64, 2**64 + 1, 2**89 - 1):
-        with pytest.raises(ValueError, match="need p < 2\\^64"):
-            validate_prime(p)
+        with pytest.raises(InvalidInputError, match="need p < 2\\^64"):
+            _require_prime(p)
     with pytest.raises(InvalidInputError, match="need p < 2\\^64"):
         AnalysisInput(parse_polynomial("x^2+x+1"), 2**64 + 1)
 
@@ -119,9 +132,9 @@ def test_is_prime_is_exact_up_to_its_limit():
 
 
 def test_validate_prime_uses_the_shared_prime_test(monkeypatch):
-    import newton_gauge.valuation as valuation
+    import newton_gauge.polynomial as polynomial
 
     calls = []
-    monkeypatch.setattr(valuation, "is_prime", lambda p: calls.append(p) or True)
-    assert validate_prime(91)
+    monkeypatch.setattr(polynomial, "is_prime", lambda p: calls.append(p) or True)
+    _require_prime(91)
     assert calls == [91]
