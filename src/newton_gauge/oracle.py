@@ -32,11 +32,16 @@ and per gcd over F_q.  Only divisor combinations whose
 interpolated leading coefficient divides f's are looked at: the
 trailing points' combinations are indexed by their exact share of that
 coefficient, each combination of the leading points looks them up, and
-the rest are charged at once.  A match is built and trial-divided only
-when its value at a probe past Cauchy's root bound divides f's value
-there.  Exceeding the cap (10^7, or NEWTON_GAUGE_BUDGET) or the
-desk-scale limits (degree <= 12, |coefficients| <= 10^9) raises
-:class:`OracleBudgetError`.
+the rest are charged at once; the split between the two sets of points
+charges each outer combination a fixed overhead, so a small search
+builds one index and walks no outer loop.  A match is built and
+trial-divided only when its values at two probes past Cauchy's root
+bound, a near one and a far one, divide f's values there.  A rational
+root r/q is evaluated only when q - r divides f(1) and q + r divides
+f(-1), and is charged either way.  None of these screens changes the
+witness or the units spent.  Exceeding the cap (10^7, or
+NEWTON_GAUGE_BUDGET, which a sweep reads once) or the desk-scale limits
+(degree <= 12, |coefficients| <= 10^9) raises :class:`OracleBudgetError`.
 
 `verify_certificate` then checks an analysis certificate against a
 witness: every bipartition of the irreducible factors must satisfy at
@@ -330,18 +335,30 @@ def _rational_root_factor(f: Polynomial, budget: _Budget) -> tuple[Polynomial, P
 
     Candidates r/q run over divisors of the constant and leading
     coefficients in a fixed order; each test costs one budget unit.
-    The root test evaluates sum a_i r^i q^(n-i) in integers, and the
-    root found is divided out once: InternalError if that fails.
+    A root r/q makes q*x - r a factor, so q - r divides f(1) and q + r
+    divides f(-1): a candidate that fails either is skipped unevaluated,
+    and the roots 1 and -1, where q - r or q + r is 0, are roots exactly
+    when f(1) or f(-1) is 0.  The root test evaluates sum a_i r^i
+    q^(n-i) in integers, and the root found is divided out once:
+    InternalError if that fails.
     """
     a0 = f.constant_term
     an = f.leading_coefficient
     n = f.degree
+    at_one = sum(f.coeffs)
+    at_minus_one = sum(f.coeffs[::2]) - sum(f.coeffs[1::2])
     for q in _divisors(an):
         for mag in _divisors(a0):
             if math.gcd(mag, q) != 1:
                 continue
             for r in (mag, -mag):
                 budget.spend()
+                below, above = q - r, q + r
+                # 0 divides only 0: at the roots 1 and -1 the sieve is the root test
+                if (at_one % below if below else at_one) or (
+                    at_minus_one % above if above else at_minus_one
+                ):
+                    continue
                 acc = 0
                 rpow = 1
                 qpow = q**n
@@ -375,20 +392,34 @@ def _candidate_factor(
 
 
 _MAX_INNER_INDEX = 65536  # entries, unless the last point alone has more
+# What one outer prefix costs beyond the keys it reads, in index entries:
+# its partial sum, class lookup, match call and budget charge take about 5
+# entries' CPU time on CPython 3.11, and acceptance-box sweeps ran alike
+# with any value from 8 to 16.
+_PREFIX_OVERHEAD = 8
 
 
 def _inner_start(sizes: list[int], leads: list[int], common: int, targets: int) -> int:
-    """The first inner point: minimises outer prefixes times keys per prefix
-    plus inner entries.  A prefix reads the shorter of the targets and its
-    class; inner sums fall into lcm(common / |B[j][k]|) residue classes."""
+    """The first inner point: minimises outer prefixes times their cost
+    plus inner entries.  A prefix costs _PREFIX_OVERHEAD plus the shorter
+    of the targets and its class, so a small search takes one index and
+    no outer loop; inner sums fall into lcm(common / |B[j][k]|) residue
+    classes.  Any split meets the candidates in the same product order.
 
-    def cost(m: int) -> int:
-        inner = math.prod(sizes[m:])
-        classes = math.lcm(*(common // abs(b) for b in leads[m:]))
-        return math.prod(sizes[:m]) * min(targets, -(-inner // classes)) + inner
-
+    Walks the splits from the last point alone towards the first, growing
+    the inner product and its classes, and stops past the index bound.
+    """
     bound = max(sizes[-1], _MAX_INNER_INDEX)
-    return min((m for m in range(len(sizes)) if math.prod(sizes[m:]) <= bound), key=cost)
+    inner = classes = 1
+    costs = []
+    for m in range(len(sizes) - 1, -1, -1):
+        inner *= sizes[m]
+        if inner > bound:
+            break
+        classes = math.lcm(classes, common // abs(leads[m]))
+        per_prefix = _PREFIX_OVERHEAD + min(targets, -(-inner // classes))
+        costs.append((math.prod(sizes[:m]) * per_prefix + inner, m))
+    return min(costs)[1]
 
 
 def _lead_matches(
@@ -425,8 +456,13 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> tuple[Polynomia
     A match h is built and trial-divided only if h(x*) divides f(x*)
     (Knuth, TAOCP Vol. 2, 4.6.2), read off the scaled basis as
     common * h(x*) = sum(w[j] * E[j]) with E[j] = common * L_j(x*).  The
-    probe x* lies past Cauchy's root bound 1 + max|a_i| and past the
-    points, so f(x*) != 0 and no factor fails the test.
+    near probe x* lies past Cauchy's root bound 1 + max|a_i| and past the
+    points, so f(x*) != 0 and no factor fails the test.  Each inner
+    combination's share of it is summed once.  On small inputs x* is
+    small and h(x*) | f(x*) often holds by chance, so a match that passes
+    is tested again at the far probe x*^3, with its own basis values set
+    up at the first such match: a search whose matches all fail the near
+    probe pays nothing for it.
     """
     points = _POINTS[: k + 1]
     values = [f(x) for x in points]
@@ -452,6 +488,7 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> tuple[Polynomia
     size = len(inner_probes)
     strides = [math.prod(map(len, sets[i + 1:])) for i in range(m, k + 1)]
     room = budget.cap - budget.spent
+    far_probes = scaled_far_value = None
     for prefix, partial in zip(itertools.product(*sets[:m]), map(sum, itertools.product(*terms[:m]))):
         sums = index.get(-partial % common)
         matches = _lead_matches(sums, partial, common, flead, scaled_leads) if sums else ()
@@ -464,7 +501,17 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> tuple[Polynomia
                 if value == 0 or scaled_probe_value % value:
                     continue
                 inner = (s[j // stride % len(s)] for s, stride in zip(sets[m:], strides))
-                found = _candidate_factor(f, (*prefix, *inner), basis, common)
+                combo = (*prefix, *inner)
+                if far_probes is None:
+                    # probe**2 still let a few chance divisors through on the
+                    # acceptance box; probe**3 lets none through there
+                    far = probe**3
+                    far_probes = [sum(c * far**i for i, c in enumerate(b)) for b in basis]
+                    scaled_far_value = common * f(far)
+                value = sum(map(operator.mul, combo, far_probes))
+                if value == 0 or scaled_far_value % value:
+                    continue
+                found = _candidate_factor(f, combo, basis, common)
                 if found is not None:
                     budget.spend(j + 1)
                     return found

@@ -35,7 +35,7 @@ import functools
 import itertools
 import random
 import zlib
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import criteria, newton, oracle
 from .criteria import THEOREM_TAGS, Analysis, Certificate
@@ -174,13 +174,16 @@ def sampled_polynomials(
 _slope_key = functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
-def _spot_check(f: Polynomial, witness: FactorizationWitness) -> list[Violation]:
+def _spot_check(
+    f: Polynomial, witness: FactorizationWitness, budget: int | None = None
+) -> list[Violation]:
     """Deep self-check: the witness multiplies back to f, so every sub-multiset
-    of its factors divides f; each distinct factor re-factors to itself."""
+    of its factors divides f; each distinct factor re-factors to itself,
+    under the oracle's budget (read from the environment when not given)."""
     if witness._product != f:
         found = [{"product": str(witness._product)}]
     else:
-        re_runs = {g: oracle.kronecker_factor(g) for g in dict.fromkeys(witness.factors) if g.degree >= 2}
+        re_runs = {g: oracle.kronecker_factor(g, budget) for g in dict.fromkeys(witness.factors) if g.degree >= 2}
         found = [
             {"factor": str(g), "refactored": [str(h) for h in r.factors]}
             for g, r in re_runs.items()
@@ -207,9 +210,11 @@ def _sweep_entry(
     verify: bool,
     memo: criteria.AnalysisMemo | None = None,
     expected: dict | None = None,
+    budget: Callable[[], int] = oracle.oracle_budget,
 ) -> None:
     """Analyze one polynomial under every prime, factoring it at most once;
-    the analyses fill and reuse the sweep's memo (see :func:`criteria.analyze`)."""
+    the analyses fill and reuse the sweep's memo (see :func:`criteria.analyze`),
+    and `budget()` gives the oracle's cap, which a sweep reads once."""
     witness: FactorizationWitness | None = None
     witness_failed = False
     for p in primes:
@@ -223,7 +228,7 @@ def _sweep_entry(
             continue
         if witness is None and not witness_failed:
             try:
-                witness = oracle.kronecker_factor(f)
+                witness = oracle.kronecker_factor(f, budget())
             except OracleBudgetError:
                 witness_failed = True
         if witness_failed:
@@ -264,7 +269,7 @@ def _sweep_entry(
     # limits, so repr() cannot pass Python's int-to-str limit.
     if witness is not None and zlib.crc32(repr(f.coeffs).encode()) % 100 == 0:
         try:
-            summary.violations.extend(_spot_check(f, witness))
+            summary.violations.extend(_spot_check(f, witness, budget()))
         except OracleBudgetError:  # a factor's search can cost more than f's
             summary.budget_errors += 1
         else:
@@ -334,10 +339,11 @@ def sweep(
     in which case that many polynomials are drawn with the generator
     seeded by `seed` (0 when not given); a seed without a sample is
     refused.  Every certificate is verified against the brute-force
-    factorization, under the budget of :func:`oracle_budget`, and deep
-    self-checks run on a 1% deterministic slice; every analysis proves
-    its certificate from the polygon's degree pairs whether or not it
-    is verified.  Raises InvalidInputError, naming the argument,
+    factorization, under the budget of :func:`oracle_budget`, read once
+    at the sweep's first oracle call, and deep self-checks run on a 1%
+    deterministic slice; every analysis proves its certificate from the
+    polygon's degree pairs whether or not it is verified.  Raises
+    InvalidInputError, naming the argument,
     when the corpus would be empty or would hold polynomials of degree
     below 2, when primes holds a non-prime, is empty or repeats a value,
     before enumerating an exhaustive corpus past
@@ -395,8 +401,9 @@ def sweep(
         polys = exhaustive_polynomials(max_degree, coeff_bound, min_degree)
     summary = SweepSummary(corpus=corpus)
     memo = criteria.AnalysisMemo()
+    budget = functools.cache(oracle.oracle_budget)
     for f in polys:
-        _sweep_entry(summary, f, primes, verify, memo)
+        _sweep_entry(summary, f, primes, verify, memo, budget=budget)
     return summary
 
 
@@ -412,7 +419,8 @@ def sweep_family(
     `values` holds n's for example1 and d's for example2.  Each
     instance's certificate parameters must match the family's closed
     form exactly; rows summarizing each (value, prime) cell are
-    collected for reporting.  Raises InvalidInputError when primes holds
+    collected for reporting.  The oracle's budget is read once, as in
+    :func:`sweep`.  Raises InvalidInputError when primes holds
     a non-prime, when values or primes is empty or repeats a value, and
     before building any instance when the corpus holds more than
     MAX_EXHAUSTIVE_POLYNOMIALS (example1 has (p-1)^4 per (n, p) cell),
@@ -468,6 +476,7 @@ def sweep_family(
     )
     expected_of = families.example1_expected if example1 else families.example2_expected
     memo = criteria.AnalysisMemo()
+    budget = functools.cache(oracle.oracle_budget)
     for value in values:
         expected = expected_of(value)
         for p in primes:
@@ -478,7 +487,7 @@ def sweep_family(
             before = len(summary.violations)
             count = 0
             for f in instances:
-                _sweep_entry(summary, f, [p], verify, memo, expected=expected)
+                _sweep_entry(summary, f, [p], verify, memo, expected=expected, budget=budget)
                 count += 1
             row = {"family": family, "parameter": value, "prime": p, "instances": count}
             row.update((key, expected[key]) for key in ("s", "u", "d", "modulus", "theorem"))

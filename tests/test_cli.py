@@ -116,6 +116,17 @@ def test_invalid_budget_env_is_bad_input(capsys, monkeypatch):
     assert "must be a positive integer" in err
 
 
+def test_a_sweep_reads_the_budget_only_to_verify(capsys, monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, "abc")
+    corpus = ("sweep", "--max-degree", "3", "--coeff-bound", "2", "--primes", "2,3")
+    code, out, err = _run(capsys, *corpus, "--no-verify")
+    assert (code, err) == (EXIT_OK, "")
+    assert "PASS" in out
+    code, _, err = _run(capsys, *corpus)
+    assert code == EXIT_BAD_INPUT
+    assert err.count("must be a positive integer") == 1
+
+
 def test_verification_failure_exits_4(capsys, monkeypatch):
     failing = VerificationReport(
         passed=False,

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from newton_gauge import families, newton, oracle, sweeps
+from newton_gauge import criteria, families, newton, oracle, sweeps
 from newton_gauge.criteria import (
     AlphaSplit,
     Analysis,
@@ -309,8 +309,9 @@ def _search_corpus():
     return out
 
 
-def _metered_factor(monkeypatch, f, budget):
-    """kronecker_factor(f, budget) and the units its meter spent."""
+def _factor_outcome(monkeypatch, f, cap, reference=False):
+    """(witness or budget message, units spent) of kronecker_factor(f, cap),
+    with the reference root search and per-candidate walk when asked."""
     meters = []
 
     class Recorded(_Budget):
@@ -322,8 +323,19 @@ def _metered_factor(monkeypatch, f, budget):
 
     with monkeypatch.context() as m:
         m.setattr(oracle, "_Budget", Recorded)
-        witness = kronecker_factor(f, budget=budget)
-    return witness, meters[-1].spent
+        if reference:
+            m.setattr(oracle, "_rational_root_factor", _reference_rational_root_factor)
+            m.setattr(oracle, "_factor_of_degree", _reference_factor_of_degree)
+        try:
+            result = kronecker_factor(f, budget=cap)
+        except OracleBudgetError as exc:
+            result = str(exc)
+    return result, meters[-1].spent
+
+
+def _metered_factor(monkeypatch, f, budget):
+    """kronecker_factor(f, budget) and the units its meter spent."""
+    return _factor_outcome(monkeypatch, f, budget)
 
 
 def _outcome(search, f, k, cap, spent):
@@ -427,22 +439,38 @@ def test_each_factor_is_divided_out_once(monkeypatch):
     assert found > 100
 
 
-def test_candidates_built_on_the_seeded_corpus_are_pinned(monkeypatch):
-    # Only matches that pass the leading-coefficient and probe-point
-    # tests are built and trial-divided: 186 of the 50,267 that a residue
-    # lookup alone would build.
-    built = 0
+def _count_built(monkeypatch):
+    """A list whose length counts the calls of oracle._candidate_factor."""
+    built = []
     real = oracle._candidate_factor
 
     def counting(*args):
-        nonlocal built
-        built += 1
+        built.append(None)
         return real(*args)
 
     monkeypatch.setattr(oracle, "_candidate_factor", counting)
+    return built
+
+
+def test_candidates_built_on_the_seeded_corpus_are_pinned(monkeypatch):
+    # Only matches that pass the leading-coefficient test and both probe
+    # points are built and trial-divided: 63 of the 50,267 that a residue
+    # lookup alone would build (186 with the near probe alone).
+    built = _count_built(monkeypatch)
     for f in _search_corpus():
         kronecker_factor(f, budget=10**9)
-    assert built == 186
+    assert len(built) == 63
+
+
+def test_candidates_built_by_the_acceptance_sweeps_are_pinned(monkeypatch):
+    # 100 sweep-acceptance calls: 129 candidates built, each of which
+    # divides.  With the near probe alone, whose point is about 4 on this
+    # box, 5,221 were built.
+    built = _count_built(monkeypatch)
+    rng = random.Random(9)
+    for seed in [rng.getrandbits(32) for _ in range(100)]:
+        sweep(5, 3, [2, 3], sample=100, seed=seed)
+    assert len(built) == 129
 
 
 def test_budget_exhausting_search_reports_the_same_spend(monkeypatch):
@@ -451,6 +479,60 @@ def test_budget_exhausting_search_reports_the_same_spend(monkeypatch):
     f = _poly("(x^6-2x^5+3x^3+2x-2)(2x^6-2x^5-3x^3+3x^2-x-1)")
     with pytest.raises(OracleBudgetError, match="10000001 units exceed the cap of 10000000 "):
         kronecker_factor(f)
+
+
+def _reference_rational_root_factor(f, budget):
+    """The root search without the sieve on f(1) and f(-1): every candidate
+    r/q is evaluated, one unit each, in the same order."""
+    n = f.degree
+    for q in _divisors(f.leading_coefficient):
+        for mag in _divisors(f.constant_term):
+            if math.gcd(mag, q) != 1:
+                continue
+            for r in (mag, -mag):
+                budget.spend()
+                if sum(c * r**i * q ** (n - i) for i, c in enumerate(f.coeffs)) == 0:
+                    h = Polynomial((-r, q))
+                    return h, exact_divide(f, h)
+    return None
+
+
+def _assert_same_outcomes_as_the_reference(monkeypatch, polys, cap, seed):
+    """The same witness and units as the unscreened reference under cap, and
+    the same budget message and units at a seeded cap inside that work."""
+    rng = random.Random(seed)
+    for f in polys:
+        expected = _factor_outcome(monkeypatch, f, cap, reference=True)
+        assert _factor_outcome(monkeypatch, f, cap, reference=False) == expected, str(f)
+        units = expected[1]
+        if units > 1:
+            inside = rng.randrange(1, units)
+            expected = _factor_outcome(monkeypatch, f, inside, reference=True)
+            assert _factor_outcome(monkeypatch, f, inside, reference=False) == expected, (str(f), inside)
+            assert expected[0].startswith("oracle out of budget"), str(f)
+
+
+def test_the_screens_change_nothing_on_the_search_corpus(monkeypatch):
+    # The root sieve, both probes and the split's cost model only skip
+    # work that could not find a factor.
+    _assert_same_outcomes_as_the_reference(monkeypatch, _search_corpus(), 10**9, 25)
+
+
+def test_the_screens_change_nothing_on_the_degree_5_box(monkeypatch):
+    # all 12,480 polynomials of degree 2-5 with |a_i| <= 2
+    polys = list(exhaustive_polynomials(5, 2))
+    assert len(polys) == 12_480
+    _assert_same_outcomes_as_the_reference(monkeypatch, polys, 10**9, 26)
+
+
+def test_the_screens_change_nothing_on_degree_10_to_12_products(monkeypatch):
+    rng = random.Random(27)
+    polys = []
+    for i in range(24):
+        n = 10 + i % 3
+        d1 = rng.randint(2, n // 2)
+        polys.append(_small_poly(rng, d1) * _small_poly(rng, n - d1))
+    _assert_same_outcomes_as_the_reference(monkeypatch, polys, 10**6, 28)
 
 
 def _lead_poly(rng, n, lead):
@@ -544,6 +626,11 @@ def test_the_split_keeps_its_index_within_the_bound():
     # and a small search indexes no more than that
     assert start([2, 3, 70_000], [1] * 3, 1, 2) == 2
     assert start([2, 2, 40], [1] * 3, 1, 2) == 2
+    # each outer prefix costs _PREFIX_OVERHEAD entries more than the keys
+    # it reads, so a small degree-2 search takes one index and no outer
+    # loop: 12 + 16 for one index, against 2 * 12 + 8 with one outer point
+    assert oracle._PREFIX_OVERHEAD == 8
+    assert start([2, 4, 2], [-2, 1, 1], 2, 4) == 0
 
 
 def test_budget_exhausting_search_builds_a_bounded_index(monkeypatch):
@@ -1219,7 +1306,7 @@ def test_a_refactored_factor_that_splits_is_a_spot_check_violation(monkeypatch):
     assert _factor_strings(witness) == ["x-1", "x+1", "x^2+1"]
     # the re-run of x^2+1 returns a split
     split = FactorizationWitness(1, 1, (_poly("x+1"), _poly("x+1")))
-    monkeypatch.setattr(oracle, "kronecker_factor", lambda g: split)
+    monkeypatch.setattr(oracle, "kronecker_factor", lambda g, budget=None: split)
     (violation,) = _spot_check(f, witness)
     assert violation.kind == "irreducibility-spot-check"
     assert violation.detail == {
@@ -1256,7 +1343,9 @@ def test_the_spot_check_refactors_each_distinct_factor_once(monkeypatch):
     assert _factor_strings(witness) == ["x^2+1", "x^2+1", "x^2+2"]
     refactored = []
     real = oracle.kronecker_factor
-    monkeypatch.setattr(oracle, "kronecker_factor", lambda g: refactored.append(str(g)) or real(g))
+    monkeypatch.setattr(
+        oracle, "kronecker_factor", lambda g, budget=None: refactored.append(str(g)) or real(g, budget)
+    )
     assert _spot_check(f, witness) == []
     assert refactored == ["x^2+1", "x^2+2"]
 
@@ -1334,6 +1423,56 @@ def test_sweep_sampled_counts_budget_errors(monkeypatch):
     # tiny budget: most factorizations die, but that is not a violation
     assert summary.budget_errors > 0
     assert summary.passed
+
+
+def _count_budget_reads(monkeypatch):
+    """Two lists: per oracle_budget call, how many kronecker_factor calls
+    came before it; and the polynomials factored."""
+    reads, factored = [], []
+    real_budget, real_factor = oracle.oracle_budget, oracle.kronecker_factor
+    monkeypatch.setattr(oracle, "oracle_budget", lambda: reads.append(len(factored)) or real_budget())
+    monkeypatch.setattr(oracle, "kronecker_factor", lambda f, *a: factored.append(f) or real_factor(f, *a))
+    return reads, factored
+
+
+def test_a_sweep_reads_the_budget_once(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, "5000")
+    reads, factored = _count_budget_reads(monkeypatch)
+    summary = sweep(5, 3, [2, 3], sample=200, seed=4)
+    assert summary.verified > 100 and summary.spot_checks > 0
+    assert reads == [0]
+    del reads[:], factored[:]
+    summary = sweep_family("example1", [5, 6], [2, 3])
+    assert summary.verified > 0
+    assert reads == [0]
+
+
+def test_a_sweep_with_no_certificate_never_reads_the_budget(monkeypatch):
+    # coefficients in {-1, 0, 1} are units at every prime, so only a
+    # binomial gets a certificate, and this sample draws none
+    monkeypatch.setenv(BUDGET_ENV_VAR, "abc")
+    reads, factored = _count_budget_reads(monkeypatch)
+    summary = sweep(5, 1, [2, 3], sample=20, seed=9)
+    assert summary.certificates["none"] == summary.total == 40
+    assert reads == factored == []
+
+
+def test_a_malformed_budget_fails_a_verifying_sweep_at_its_first_oracle_call(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, "abc")
+    with pytest.raises(InvalidInputError) as expected:
+        oracle_budget()
+    assert sweep(5, 3, [2, 3], sample=50, seed=4, verify=False).passed
+    assert sweep_family("example2", [2, 3], [2, 3], verify=False).passed
+    analyzed = []
+    real_analyze = criteria.analyze
+    monkeypatch.setattr(criteria, "analyze", lambda *a: analyzed.append(real_analyze(*a)) or analyzed[-1])
+    reads, factored = _count_budget_reads(monkeypatch)
+    with pytest.raises(InvalidInputError) as raised:
+        sweep(5, 3, [2, 3], sample=50, seed=4)
+    assert str(raised.value) == str(expected.value)
+    assert reads == [0] and factored == []
+    # the read came with the first analysis whose certificate applies
+    assert [a.certificate.applies for a in analyzed].index(True) == len(analyzed) - 1 > 0
 
 
 def test_sweep_rejects_empty_corpus_arguments():
