@@ -22,7 +22,9 @@ from .valuation import format_slope
 __all__ = [
     "SCHEMA_VERSION",
     "certificate_dict",
+    "witness_dict",
     "verification_dict",
+    "closed_form_dict",
     "analysis_report",
     "sweep_report",
     "render_analysis_text",
@@ -48,15 +50,19 @@ def certificate_dict(cert: Certificate) -> dict:
     }
 
 
+def witness_dict(witness: FactorizationWitness) -> dict:
+    return {
+        "sign": witness.sign,
+        "content": witness.content,
+        "factors": [str(g) for g in witness.factors],
+    }
+
+
 def verification_dict(
     witness: FactorizationWitness, outcome: VerificationReport
 ) -> dict:
     return {
-        "witness": {
-            "sign": witness.sign,
-            "content": witness.content,
-            "factors": [str(g) for g in witness.factors],
-        },
+        "witness": witness_dict(witness),
         "content_valuation": outcome.content_valuation,
         "factor_degrees": list(outcome.factor_degrees),
         "bipartitions": [
@@ -66,6 +72,13 @@ def verification_dict(
         "no_split_clauses": list(outcome.no_split_clauses),
         "passed": outcome.passed,
     }
+
+
+def closed_form_dict(expected: dict) -> dict:
+    """A family's closed form, as ``families.example*_expected`` gives it,
+    the way its rows and bundles write it: ints as ints, (rise, width)
+    slopes as their text."""
+    return {k: format_slope(*v) if isinstance(v, tuple) else v for k, v in expected.items()}
 
 
 def analysis_report(

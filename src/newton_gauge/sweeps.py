@@ -7,9 +7,10 @@ deterministic slice.  Each analysis has already proved its certificate
 from the polygon's degree pairs (see :mod:`newton_gauge.criteria`), with
 or without the oracle, so what the oracle checks is the polygon itself.
 Each failed check is a :class:`Violation` with a single-line JSON
-reproduction bundle.  A family sweep does the same over a built-in
-family (:mod:`newton_gauge.families`) and also checks each instance's
-parameters against the family's closed form.
+reproduction bundle, which writes certificates, witnesses and closed
+forms as :mod:`newton_gauge.report` does.  A family sweep does the same
+over a built-in family (:mod:`newton_gauge.families`) and also checks
+each instance's parameters against the family's closed form.
 
 The polygon, certificate and degree pairs depend only on the slope
 table's points, and a corpus repeats few tables: the exhaustive
@@ -37,8 +38,8 @@ import random
 import zlib
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from . import criteria, newton, oracle
-from .criteria import THEOREM_TAGS, Analysis, Certificate
+from . import criteria, newton, oracle, report
+from .criteria import THEOREM_TAGS, Analysis
 from .oracle import FactorizationWitness
 from .polynomial import (
     MAX_PARSED_EXPONENT,
@@ -196,25 +197,19 @@ def _spot_check(
     return [Violation("irreducibility-spot-check", {**repro, **extra}) for extra in found]
 
 
-def _certificate_detail(cert: Certificate) -> dict:
-    detail = {"theorem": cert.theorem, "notes": list(cert.notes)}
-    if cert.params is not None:
-        detail["params"] = cert.params.as_dict()
-    return detail
-
-
 def _sweep_entry(
     summary: SweepSummary,
     f: Polynomial,
     primes: Sequence[int],
     verify: bool,
     memo: criteria.AnalysisMemo | None = None,
-    expected: dict | None = None,
+    family: tuple[dict, dict] | None = None,
     budget: Callable[[], int] = oracle.oracle_budget,
 ) -> None:
     """Analyze one polynomial under every prime, factoring it at most once;
     the analyses fill and reuse the sweep's memo (see :func:`criteria.analyze`),
-    and `budget()` gives the oracle's cap, which a sweep reads once."""
+    and `budget()` gives the oracle's cap, which a sweep reads once.  A
+    family instance passes its closed form and its name as `family`."""
     witness: FactorizationWitness | None = None
     witness_failed = False
     for p in primes:
@@ -222,8 +217,8 @@ def _sweep_entry(
         analysis = criteria.analyze(AnalysisInput(f, p), memo)
         cert = analysis.certificate
         summary.certificates[cert.theorem] += 1
-        if expected is not None:
-            summary.violations.extend(_family_violations(analysis, expected))
+        if family is not None:
+            summary.violations.extend(_family_violations(analysis, *family))
         if not cert.applies or not verify:
             continue
         if witness is None and not witness_failed:
@@ -234,16 +229,17 @@ def _sweep_entry(
         if witness_failed:
             summary.budget_errors += 1
             continue
-        report = oracle.verify_certificate(f, p, cert, witness)
+        outcome = oracle.verify_certificate(f, p, cert, witness)
         summary.verified += 1
         found = []
-        if not report.passed:
-            failed = [c.degrees for c in report.bipartitions if not c.satisfied]
+        if not outcome.passed:
+            failed = [list(c.degrees) for c in outcome.bipartitions if not c.satisfied]
             found.append(("certificate", {"failed_bipartitions": failed}))
         bad_pairs = oracle.check_dumas_consistency(analysis.dumas_pairs, witness)
         if bad_pairs:
+            missing = [list(q) for q in bad_pairs]
             allowed = [list(q) for q in analysis.dumas_pairs]
-            found.append(("dumas", {"missing_pairs": bad_pairs, "allowed": allowed}))
+            found.append(("dumas", {"missing_pairs": missing, "allowed": allowed}))
         # Slopes in lowest terms: equal exactly when equal as pairs.
         index_from_factors = max(
             (newton.newton_index(g, p) for g in set(witness.factors)), key=_slope_key
@@ -257,12 +253,8 @@ def _sweep_entry(
             repro = {
                 "polynomial": str(f),
                 "prime": p,
-                "certificate": _certificate_detail(cert),
-                "witness": {
-                    "sign": witness.sign,
-                    "content": witness.content,
-                    "factors": [str(g) for g in witness.factors],
-                },
+                "certificate": report.certificate_dict(cert),
+                "witness": report.witness_dict(witness),
             }
             summary.violations.extend(Violation(kind, {**repro, **extra}) for kind, extra in found)
     # A witness exists only when f's coefficients are within the oracle's
@@ -276,41 +268,31 @@ def _sweep_entry(
             summary.spot_checks += 1
 
 
-def _family_violations(analysis: Analysis, expected: dict) -> list[Violation]:
+def _family_violations(analysis: Analysis, expected: dict, instance: dict) -> list[Violation]:
     """The family-parameters violation of one instance, if its analysis
-    departs from the family's closed form."""
+    departs from the family's closed form.  Its bundle names the instance
+    (see :func:`sweep_family`) and never prints it, since the text of a
+    large instance can pass Python's int-to-str limit."""
 
     def violation(extra: dict) -> list[Violation]:
-        # The bundle is built only here: passing instances never need it,
-        # and str() of a large instance can pass Python's int-to-str limit.
-        repro = {
-            "polynomial": str(analysis.input.poly),
-            "prime": analysis.input.prime,
-            "expected": {k: _expected_text(v) for k, v in expected.items()},
-        }
+        # The bundle is built only here: passing instances never need it.
+        repro = {**instance, "expected": report.closed_form_dict(expected)}
         return [Violation("family-parameters", {**repro, **extra})]
 
     cert = analysis.certificate
-    if cert.theorem != expected["theorem"] or cert.params is None:
-        return violation({"actual": _certificate_detail(cert)})
-    p = cert.params
-    actual = {"s": p.s, "c_s": p.c_s, "c_n": p.c_n, "d": p.d, "u": p.u, "modulus": p.modulus}
-    wanted = {k: expected[k] for k in actual}
-    if actual != wanted:
-        return violation({"actual": actual})
-    slope_checks = {"m_s": p.s, "m_0": 0}
-    if "m_2" in expected:
-        slope_checks["m_2"] = 2
-    for key, index in slope_checks.items():
+    actual = {"theorem": cert.theorem}
+    if cert.params is not None:
+        actual.update(cert.params.as_dict())
+    # The closed form's ints are the tag and the parameters; its pairs are slopes.
+    if any(actual.get(k) != v for k, v in expected.items() if not isinstance(v, tuple)):
+        return violation({"actual": report.certificate_dict(cert)})
+    for key, index in (("m_s", actual["s"]), ("m_0", 0), ("m_2", 2)):
+        if key not in expected:
+            continue
         slope = analysis.table.slope_at(index)
         if slope != expected[key]:
             return violation({"slope_index": index, "actual_slope": format_slope(*slope)})
     return []
-
-
-def _expected_text(value) -> str:
-    """A closed-form value as a family row or bundle prints it; slopes are pairs."""
-    return format_slope(*value) if isinstance(value, tuple) else str(value)
 
 
 def _require_distinct(values: Sequence[int], name: str) -> None:
@@ -419,7 +401,10 @@ def sweep_family(
     `values` holds n's for example1 and d's for example2.  Each
     instance's certificate parameters must match the family's closed
     form exactly; rows summarizing each (value, prime) cell are
-    collected for reporting.  The oracle's budget is read once, as in
+    collected for reporting.  A violation names its instance by family,
+    parameter, prime and its 0-based position in the cell's enumeration:
+    ``families.example1_instances(n, p)`` order, and 0 for example2,
+    whose cell holds one instance.  The oracle's budget is read once, as in
     :func:`sweep`.  Raises InvalidInputError when primes holds
     a non-prime, when values or primes is empty or repeats a value, and
     before building any instance when the corpus holds more than
@@ -479,6 +464,7 @@ def sweep_family(
     budget = functools.cache(oracle.oracle_budget)
     for value in values:
         expected = expected_of(value)
+        closed_form = report.closed_form_dict(expected)
         for p in primes:
             if example1:
                 instances: Iterable[Polynomial] = families.example1_instances(value, p)
@@ -487,11 +473,13 @@ def sweep_family(
             before = len(summary.violations)
             count = 0
             for f in instances:
-                _sweep_entry(summary, f, [p], verify, memo, expected=expected, budget=budget)
+                name = {"family": family, "parameter": value, "prime": p, "instance": count}
+                _sweep_entry(summary, f, [p], verify, memo, family=(expected, name), budget=budget)
                 count += 1
             row = {"family": family, "parameter": value, "prime": p, "instances": count}
-            row.update((key, expected[key]) for key in ("s", "u", "d", "modulus", "theorem"))
-            row.update(m_s=format_slope(*expected["m_s"]), m_0=format_slope(*expected["m_0"]))
+            row.update(
+                (key, closed_form[key]) for key in ("s", "u", "d", "modulus", "theorem", "m_s", "m_0")
+            )
             row["matches_closed_form"] = len(summary.violations) == before
             summary.family_rows.append(row)
     return summary

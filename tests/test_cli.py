@@ -611,6 +611,23 @@ def test_sweep_violations_exit_4(capsys, monkeypatch):
     assert "result            FAIL" in out
 
 
+@pytest.mark.parametrize("n", ["6", "142"])
+def test_a_family_violation_exits_4_past_the_int_str_limit(capsys, monkeypatch, n):
+    # At n = 142, p = 2 the instance's text passes Python's 4,300-digit limit.
+    from newton_gauge import families
+
+    real = families.example1_expected
+    monkeypatch.setattr(families, "example1_expected", lambda v: {**real(v), "u": 0})
+    argv = ["sweep", "--family", "example1", "--n", n, "--primes", "2", "--no-verify"]
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (EXIT_VIOLATION, "")
+    assert "result            FAIL" in out
+    code, out, err = _run(capsys, *argv, "--json")
+    assert code == EXIT_VIOLATION
+    (violation,) = json.loads(out)["violations"]
+    assert violation["instance"] == 0 and violation["parameter"] == int(n)
+
+
 def test_exhaustive_and_sample_are_exclusive():
     with pytest.raises(SystemExit):
         main(["sweep", "--exhaustive", "--sample", "10"])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import pickle
 import random
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from newton_gauge import criteria, families, newton, oracle, sweeps
+from newton_gauge import criteria, families, newton, oracle, report, sweeps
 from newton_gauge.criteria import (
     AlphaSplit,
     Analysis,
@@ -60,6 +61,7 @@ from newton_gauge.polynomial import (
     content_and_primitive,
     parse_polynomial,
 )
+from newton_gauge.report import sweep_report
 from newton_gauge.valuation import p_adic_valuation
 
 
@@ -1582,8 +1584,15 @@ _BUNDLE_BASE = {
     "prime": 2,
     "certificate": {
         "theorem": "Dumas-s0",
+        "theorem_a": False,
+        "theorem_b": False,
+        "parameters": {"n": 4, "s": 0, "c_s": 0, "c_n": 0, "d": 4, "u": 0, "modulus": 1},
+        "clauses": [
+            {"kind": "Irreducible"},
+            {"kind": "DegreeZeroFactor"},
+            {"kind": "FactorDegreeMultipleOf", "modulus": 1},
+        ],
         "notes": [],
-        "params": {"n": 4, "s": 0, "c_s": 0, "c_n": 0, "d": 4, "u": 0, "modulus": 1},
     },
     "witness": {"sign": 1, "content": 2, "factors": ["x+1", "x^3+x^2-x+3"]},
 }
@@ -1611,7 +1620,19 @@ def test_sweep_entry_certificate_violation_bundle(monkeypatch):
         no_split_clauses=(),
     )
     monkeypatch.setattr(oracle, "verify_certificate", lambda *args: failed)
-    _assert_bundle(_entry_violations(), "certificate", {"failed_bipartitions": [(1, 3)]})
+    _assert_bundle(_entry_violations(), "certificate", {"failed_bipartitions": [[1, 3]]})
+
+
+def test_a_corpus_bundle_quotes_the_reports_certificate_and_witness(monkeypatch):
+    monkeypatch.setattr(newton, "newton_index", lambda g, p: (7, 2))
+    (violation,) = _entry_violations()
+    monkeypatch.undo()
+    f = _poly(_BUNDLE_POLY)
+    cert = analyze(AnalysisInput(f, 2)).certificate
+    witness = kronecker_factor(f)
+    verification = report.verification_dict(witness, verify_certificate(f, 2, cert, witness))
+    assert violation.detail["certificate"] == report.certificate_dict(cert)
+    assert violation.detail["witness"] == verification["witness"]
 
 
 def test_sweep_entry_dumas_violation_bundle(monkeypatch):
@@ -1619,7 +1640,7 @@ def test_sweep_entry_dumas_violation_bundle(monkeypatch):
     _assert_bundle(
         _entry_violations(),
         "dumas",
-        {"missing_pairs": [(1, 3)], "allowed": [[0, 4], [1, 3], [2, 2]]},
+        {"missing_pairs": [[1, 3]], "allowed": [[0, 4], [1, 3], [2, 2]]},
     )
 
 
@@ -1633,10 +1654,11 @@ def test_sweep_entry_index_violation_bundle(monkeypatch):
 
 
 def test_sweep_entry_builds_no_bundle_when_it_passes(monkeypatch):
-    def refuse(cert):
+    def refuse(value):
         raise AssertionError("bundle built for a passing entry")
 
-    monkeypatch.setattr(sweeps, "_certificate_detail", refuse)
+    monkeypatch.setattr(report, "certificate_dict", refuse)
+    monkeypatch.setattr(report, "witness_dict", refuse)
     assert _entry_violations() == []
 
 
@@ -1738,40 +1760,48 @@ def test_a_certificate_that_refuses_a_polygon_split_is_an_internal_error(
     assert str(raised.value) == message
 
 
+# example1(5, 2, 1, 1, 1, 1) = 512*x^5+512*x^2+2*x+1, the one instance of its cell.
+_FAMILY_INSTANCE = {"family": "example1", "parameter": 5, "prime": 2, "instance": 0}
+
+
 def _family_bundle(**changes):
     """Family violations of example1(5, 2, 1, 1, 1, 1) against an altered closed form."""
     analysis = analyze(AnalysisInput(families.example1_polynomial(5, 2, 1, 1, 1, 1), 2))
-    return sweeps._family_violations(analysis, {**families.example1_expected(5), **changes})
+    expected = {**families.example1_expected(5), **changes}
+    return sweeps._family_violations(analysis, expected, _FAMILY_INSTANCE)
 
 
 _FAMILY_EXPECTED = {
-    "s": "1", "c_s": "8", "c_n": "9", "d": "4", "u": "4", "modulus": "1",
+    "s": 1, "c_s": 8, "c_n": 9, "d": 4, "u": 4, "modulus": 1,
     "theorem": "T1", "m_s": "2", "m_0": "9/5", "m_2": "0",
+}
+_FAMILY_CERTIFICATE = {
+    "theorem": "T1",
+    "theorem_a": False,
+    "theorem_b": False,
+    "parameters": {"n": 5, "s": 1, "c_s": 8, "c_n": 9, "d": 4, "u": 4, "modulus": 1},
+    "clauses": [
+        {"kind": "Irreducible"},
+        {"kind": "DegreeZeroFactor"},
+        {"kind": "FactorDegreeMultipleOf", "modulus": 1},
+    ],
+    "notes": [],
 }
 
 
 @pytest.mark.parametrize(
     "changes, extra",
     [
-        (
-            {"theorem": "T2"},
-            {"actual": {"theorem": "T1", "notes": [], "params": {
-                "n": 5, "s": 1, "c_s": 8, "c_n": 9, "d": 4, "u": 4, "modulus": 1}}},
-        ),
-        ({"u": 5}, {"actual": {"s": 1, "c_s": 8, "c_n": 9, "d": 4, "u": 4, "modulus": 1}}),
+        ({"theorem": "T2"}, {"actual": _FAMILY_CERTIFICATE}),
+        ({"u": 5}, {"actual": _FAMILY_CERTIFICATE}),
         ({"m_0": (1, 1)}, {"slope_index": 0, "actual_slope": "9/5"}),
         ({"m_s": (-3, 2)}, {"slope_index": 1, "actual_slope": "2"}),
     ],
 )
 def test_family_violation_bundle(changes, extra):
-    # A closed-form slope is a (rise, width) pair, printed as its Fraction.
-    texts = {k: str(Fraction(*v) if isinstance(v, tuple) else v) for k, v in changes.items()}
-    expected = {
-        "polynomial": "512*x^5+512*x^2+2*x+1",
-        "prime": 2,
-        "expected": {**_FAMILY_EXPECTED, **texts},
-        **extra,
-    }
+    # Closed-form ints are written as ints, (rise, width) slopes as their Fraction's text.
+    written = {k: str(Fraction(*v)) if isinstance(v, tuple) else v for k, v in changes.items()}
+    expected = {**_FAMILY_INSTANCE, "expected": {**_FAMILY_EXPECTED, **written}, **extra}
     violations = _family_bundle(**changes)
     assert violations == [Violation("family-parameters", expected)]
     assert list(violations[0].detail) == list(expected)
@@ -1785,6 +1815,63 @@ def test_family_entry_builds_no_bundle_when_it_passes(monkeypatch):
     assert _family_bundle() == []
     assert sweep_family("example1", [5, 6], [2, 3], verify=False).passed
     assert sweep_family("example2", [2, 3], [2, 3], verify=False).passed
+
+
+def test_a_failing_family_entry_never_prints_its_instance(monkeypatch):
+    def refuse(poly):
+        raise AssertionError("a family instance was printed")
+
+    monkeypatch.setattr(Polynomial, "__str__", refuse)
+    assert len(_family_bundle(u=5)) == len(_family_bundle(m_s=(-3, 2))) == 1
+    for name in ("example1_expected", "example2_expected"):
+        real = getattr(families, name)
+        monkeypatch.setattr(families, name, lambda value, real=real: {**real(value), "u": 0})
+    summary = sweep_family("example1", [5, 6], [2, 3], verify=False)
+    assert len(summary.violations) == summary.total == 2 * (1 + 16)
+    assert [v.detail["instance"] for v in summary.violations[-16:]] == list(range(16))
+    summary = sweep_family("example2", [2, 3], [2, 3], verify=False)
+    assert len(summary.violations) == summary.total == 4
+    assert {v.detail["instance"] for v in summary.violations} == {0}
+
+
+def test_a_family_bundle_names_the_instance_it_was_built_for(monkeypatch):
+    real = families.example1_expected
+    monkeypatch.setattr(families, "example1_expected", lambda n: {**real(n), "u": 0})
+    summary = sweep_family("example1", [6], [3], verify=False)
+    for violation in summary.violations:
+        detail = violation.detail
+        instances = families.example1_instances(detail["parameter"], detail["prime"])
+        f = next(itertools.islice(instances, detail["instance"], None))
+        a = [(detail["instance"] // 2**k) % 2 + 1 for k in (3, 2, 1, 0)]
+        assert f == families.example1_polynomial(6, 3, *a)
+
+
+@pytest.mark.parametrize(
+    "family, value, prime, actual_u",
+    [
+        # top coefficients of 2^19738, about 5,940 digits
+        ("example1", 142, 2, 141),
+        # a constant term of p^1000, about 19,270 digits
+        ("example2", 999, 18446744073709551557, 999 * 999 - 1),
+    ],
+)
+def test_a_family_violation_past_the_int_str_limit_is_recorded(
+    monkeypatch, family, value, prime, actual_u
+):
+    # str() of these instances passes Python's 4,300-digit int-to-str limit.
+    name = f"{family}_expected"
+    real = getattr(families, name)
+    monkeypatch.setattr(families, name, lambda v: {**real(v), "u": 0})
+    summary = sweep_family(family, [value], [prime], verify=False)
+    (violation,) = summary.violations
+    assert violation.kind == "family-parameters"
+    assert {k: violation.detail[k] for k in _FAMILY_INSTANCE} == {
+        "family": family, "parameter": value, "prime": prime, "instance": 0,
+    }
+    assert violation.detail["expected"]["u"] == 0
+    assert violation.detail["actual"]["parameters"]["u"] == actual_u
+    text = json.dumps(sweep_report(summary))
+    assert json.loads(text)["violations"][0] == {"kind": "family-parameters", **violation.detail}
 
 
 def test_sweep_family_past_the_int_str_limit():

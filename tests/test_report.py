@@ -1,4 +1,5 @@
 import json
+import types
 
 import jsonschema
 import pytest
@@ -201,3 +202,46 @@ def test_render_sweep_text():
     assert "family rows" in text
     assert '"theorem": "TB"' in text
     assert "result            PASS" in text
+
+
+def test_a_sweep_report_with_every_violation_kind(monkeypatch):
+    from newton_gauge import families, newton, oracle, sweeps
+    from newton_gauge.oracle import BipartitionCheck, FactorizationWitness, VerificationReport
+
+    # Every check fails: the certificate refuses a split, the degree pairs
+    # miss one, the factors' index differs, and the witness, which every
+    # check above ignores, multiplies back to x^2-1, so each spot check
+    # (all of them, by a crc32 of 0) finds a wrong product.
+    failed = VerificationReport(
+        passed=False,
+        content_valuation=0,
+        factor_degrees=(1, 1),
+        bipartitions=(BipartitionCheck((1, 1), ()),),
+        no_split_clauses=(),
+    )
+    witness = FactorizationWitness(1, 1, (parse_polynomial("x+1"), parse_polynomial("x-1")))
+    monkeypatch.setattr(oracle, "kronecker_factor", lambda f, budget=None: witness)
+    monkeypatch.setattr(oracle, "verify_certificate", lambda *args: failed)
+    monkeypatch.setattr(oracle, "check_dumas_consistency", lambda pairs, w: [(1, 1)])
+    monkeypatch.setattr(newton, "newton_index", lambda g, p: (7, 2))
+    monkeypatch.setattr(sweeps, "zlib", types.SimpleNamespace(crc32=lambda data: 0))
+    real = families.example1_expected
+    monkeypatch.setattr(families, "example1_expected", lambda n: {**real(n), "m_0": (1, 1)})
+    summary = sweep(2, 1, [2])
+    family = sweep_family("example1", [5], [2, 3], verify=False)
+    summary.violations.extend(family.violations)
+    summary.family_rows.extend(family.family_rows)
+    report = sweep_report(summary)
+
+    kinds = {v["kind"] for v in report["violations"]}
+    assert kinds == {
+        "certificate", "dumas", "index-multiplicativity",
+        "irreducibility-spot-check", "family-parameters",
+    }
+    jsonschema.validate(report, load_schema())
+    assert json.loads(json.dumps(report)) == report
+    text = render_sweep_text(report)
+    assert f"violations        {len(report['violations'])}" in text
+    assert "result            FAIL" in text
+    for violation in report["violations"]:
+        assert "  " + json.dumps(violation, sort_keys=True) in text.splitlines()
