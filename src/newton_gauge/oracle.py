@@ -17,31 +17,38 @@ Pollard-Brent rho (Brent, BIT 1980) to split it when composite.
 From degree 6 on, a modular degree analysis prunes that search first
 (Knuth, TAOCP Vol. 2, 4.6.2; Musser, JACM 1975).  For small primes q
 that do not divide the leading coefficient and keep f squarefree mod q
-(five below degree 8, up to fifteen from degree 8 on), distinct-degree
-factorization over F_q gives the degrees of f's factors mod q; an
-integer factor's degree must be a subset sum of them for every such q.
-Other degrees hold no factor and are never searched, so the witness is
-unchanged; {0, n} proves f irreducible.  The Frobenius map h -> h^q
-mod f is n packed ints, one per column x^(iq) mod f, with a 32-bit slot
-per coefficient, so each step is one sum of products and one unpack;
-at the oracle's limits no slot passes n^2 (q - 1)^3 < 2^32.
+(Res(f, f') over F_q is not 0; five primes below degree 8, up to fifteen
+from degree 8 on), distinct-degree factorization over F_q gives the
+degrees of f's factors mod q; an integer factor's degree must be a
+subset sum of them for every such q.  Other degrees hold no factor and
+are never searched, so the witness is unchanged; {0, n} proves f
+irreducible.  The Frobenius map h -> h^q mod f is n packed ints, one per
+column x^(iq) mod f, with a 32-bit slot per coefficient, so each step is
+one sum of products and one unpack; at the oracle's limits no slot
+passes n^2 (q - 1)^3 < 2^32.  For odd q the quadratic character of the
+discriminant, +-Res(f, f'), gives the parity of the number of factors
+mod q (Stickelberger 1897; Swan, Pacific J. Math. 1962), which settles
+the last step, where one factor or two are left, without its Frobenius
+step and gcd.
 
 Work is metered in units: one per rational-root candidate and per
 divisor combination, and in the degree analysis one per product mod f
-and per gcd over F_q.  Only divisor combinations whose
-interpolated leading coefficient divides f's are looked at: the
-trailing points' combinations are indexed by their exact share of that
-coefficient, each combination of the leading points looks them up, and
-the rest are charged at once; the split between the two sets of points
-charges each outer combination a fixed overhead, so a small search
-builds one index and walks no outer loop.  A match is built and
-trial-divided only when its values at two probes past Cauchy's root
-bound, a near one and a far one, divide f's values there.  A rational
-root r/q is evaluated only when q - r divides f(1) and q + r divides
-f(-1), and is charged either way.  None of these screens changes the
-witness or the units spent.  Exceeding the cap (10^7, or
-NEWTON_GAUGE_BUDGET, which a sweep reads once) or the desk-scale limits
-(degree <= 12, |coefficients| <= 10^9) raises :class:`OracleBudgetError`.
+and per gcd over F_q: the squarefree resultant costs one unit, as a
+gcd, and a step the parity settles two, as a product and a gcd.  Only
+divisor combinations whose interpolated leading coefficient divides
+f's are looked at: the trailing points' combinations are indexed by
+their exact share of that coefficient, each combination of the leading
+points looks them up and probes its matches in one pass, and the rest
+are charged at once; the split between the two sets of points charges
+each outer combination a fixed overhead, so a small search builds one
+index and walks no outer loop.  A match is built and trial-divided only
+when its values at two probes past Cauchy's root bound, a near one and
+a far one, divide f's values there.  A rational root r/q is evaluated
+only when q - r divides f(1) and q + r divides f(-1), and is charged
+either way.  None of these screens changes the witness or the units
+spent.  Exceeding the cap (10^7, or NEWTON_GAUGE_BUDGET, which a sweep
+reads once) or the desk-scale limits (degree <= 12, |coefficients| <=
+10^9) raises :class:`OracleBudgetError`.
 
 `verify_certificate` then checks an analysis certificate against a
 witness: every bipartition of the irreducible factors must satisfy at
@@ -308,20 +315,18 @@ def _lagrange_basis(points: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...
     basis = []
     dens = []
     for j, xj in enumerate(points):
-        num = Polynomial.constant(1)
+        num = [1]
         den = 1
         for i, xi in enumerate(points):
             if i == j:
                 continue
-            num = num * Polynomial((-xi, 1))
+            # num * (x - xi), lowest degree first
+            num = [a - xi * b for a, b in zip([0, *num], [*num, 0])]
             den *= xj - xi
         basis.append(num)
         dens.append(den)
     common = math.lcm(*(abs(d) for d in dens))
-    scaled = tuple(
-        tuple(c * (common // den) for c in num.coeffs)
-        for num, den in zip(basis, dens)
-    )
+    scaled = tuple(tuple(c * (common // den) for c in num) for num, den in zip(basis, dens))
     return scaled, common
 
 
@@ -424,15 +429,21 @@ def _inner_start(sizes: list[int], leads: list[int], common: int, targets: int) 
 
 def _lead_matches(
     sums: dict[int, list[int]], partial: int, common: int, flead: int, scaled_leads: list[int]
-) -> list[int]:
-    """Ascending positions of the sums s in one residue class with
-    partial + s = common * L, L | flead: tests each sum, or looks up each
-    target common * L - partial, whichever list is shorter."""
+) -> list[list[int]]:
+    """The position lists of the sums s in one residue class with
+    partial + s = common * L, L | flead, unmerged: tests each sum, or looks
+    up each target common * L - partial, whichever list is shorter."""
     if len(sums) <= len(scaled_leads):
-        hits = [js for s, js in sums.items() if (lead := (partial + s) // common) and flead % lead == 0]
-    else:
-        hits = [sums[t] for t in (c - partial for c in scaled_leads) if t in sums]
-    return hits[0] if len(hits) == 1 else sorted(itertools.chain(*hits))
+        return [js for s, js in sums.items() if (lead := (partial + s) // common) and flead % lead == 0]
+    return [sums[t] for t in (c - partial for c in scaled_leads) if t in sums]
+
+
+def _sumset(terms: list[tuple[int, ...]]) -> list[int]:
+    """sum(c) for each c in itertools.product(*terms), in product order."""
+    sums = [0]
+    for t in terms:
+        sums = [s + x for s in sums for x in t]
+    return sums
 
 
 def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> tuple[Polynomial, Polynomial] | None:
@@ -458,7 +469,9 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> tuple[Polynomia
     common * h(x*) = sum(w[j] * E[j]) with E[j] = common * L_j(x*).  The
     near probe x* lies past Cauchy's root bound 1 + max|a_i| and past the
     points, so f(x*) != 0 and no factor fails the test.  Each inner
-    combination's share of it is summed once.  On small inputs x* is
+    combination's share of it is summed once, a prefix's matches are
+    probed in one pass, and only those that pass are sorted into walk
+    order.  On small inputs x* is
     small and h(x*) | f(x*) often holds by chance, so a match that passes
     is tested again at the far probe x*^3, with its own basis values set
     up at the first such match: a search whose matches all fail the near
@@ -481,25 +494,30 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> tuple[Polynomia
     m = _inner_start([len(s) for s in sets], leads, common, len(scaled_leads))
     terms = [tuple(w * b for w in ws) for ws, b in zip(sets, leads)]
     index = collections.defaultdict(dict)
-    for j, s in enumerate(map(sum, itertools.product(*terms[m:]))):
+    for j, s in enumerate(_sumset(terms[m:])):
         index[s % common].setdefault(s, []).append(j)
-    probe_terms = [tuple(w * e for w in ws) for ws, e in zip(sets[m:], probes[m:])]
-    inner_probes = list(map(sum, itertools.product(*probe_terms)))
+    inner_probes = _sumset([tuple(w * e for w in ws) for ws, e in zip(sets[m:], probes[m:])])
     size = len(inner_probes)
     strides = [math.prod(map(len, sets[i + 1:])) for i in range(m, k + 1)]
     room = budget.cap - budget.spent
     far_probes = scaled_far_value = None
+    # the outer prefixes stay lazy: the budget can stop the walk long before
+    # their product ends
     for prefix, partial in zip(itertools.product(*sets[:m]), map(sum, itertools.product(*terms[:m]))):
         sums = index.get(-partial % common)
         matches = _lead_matches(sums, partial, common, flead, scaled_leads) if sums else ()
         if matches:
             prefix_probe = sum(map(operator.mul, prefix, probes))
-            for j in matches:
-                if j >= room:
-                    break
-                value = prefix_probe + inner_probes[j]
-                if value == 0 or scaled_probe_value % value:
-                    continue
+            # the matches within the room that pass the near probe, in walk order
+            near = sorted(
+                j
+                for js in matches
+                for j in js
+                if j < room
+                and (value := prefix_probe + inner_probes[j])
+                and not scaled_probe_value % value
+            )
+            for j in near:
                 inner = (s[j // stride % len(s)] for s, stride in zip(sets[m:], strides))
                 combo = (*prefix, *inner)
                 if far_probes is None:
@@ -577,6 +595,28 @@ def _fq_gcd_degree(a: list[int], b: list[int], q: int) -> int:
     return len(a) - 1
 
 
+def _fq_resultant(a: list[int], b: list[int], q: int) -> int:
+    """Res(a, b) mod q for a nonzero, trimmed a and any b, each of its own degree.
+
+    Consumes both lists.  Euclid's loop, as in :func:`_fq_gcd_degree`, with
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for
+    r = a mod b, and Res(a, c) = c^(deg a) for a constant c; zero exactly
+    when a and b have a common factor of positive degree.
+    """
+    while b and b[-1] == 0:
+        b.pop()
+    res = 1
+    while len(b) > 1:
+        m, k, lead = len(a) - 1, len(b) - 1, b[-1]
+        a, b = b, _fq_rem(a, b, q)
+        if not b:
+            return 0
+        res = res * pow(lead, m - len(b) + 1, q) % q
+        if m & k & 1:
+            res = -res
+    return res * pow(b[0], len(a) - 1, q) % q if b else 0
+
+
 def _fq_unpack(slots: struct.Struct, packed: int, q: int) -> list[int]:
     return [c % q for c in slots.unpack(packed.to_bytes(slots.size, "little"))]
 
@@ -613,13 +653,19 @@ def _frobenius_matrix(f: list[int], q: int, slots: struct.Struct, meter: _Budget
     return columns
 
 
-def _distinct_degrees(f: list[int], q: int, meter: _Budget) -> list[int]:
+def _distinct_degrees(f: list[int], q: int, meter: _Budget, parity: int | None) -> list[int]:
     """Degrees of the irreducible factors of the monic squarefree f over F_q.
 
     Distinct-degree factorization: gcd(f, x^(q^d) - x) is the product of
     the factors whose degree divides d, so its degree is the sum of e over
     the factors of each degree e that divides d.  Once no factor of degree
     up to d is left, what is left of f is irreducible.
+
+    parity, None for q = 2, is the number of factors mod 2.  At a step d
+    whose `left` is 2d, or 2d + 1 with d > 1, the factors left all have
+    degree at least d, so they are one of degree `left` or two of degrees
+    d and left - d, and parity tells which: that last step is charged as
+    usual but takes neither its Frobenius product nor its gcd.
     """
     left = len(f) - 1
     slots = struct.Struct(f"<{left}I")
@@ -630,6 +676,12 @@ def _distinct_degrees(f: list[int], q: int, meter: _Budget) -> list[int]:
     while 2 * (d + 1) <= left:
         d += 1
         meter.spend(2)  # one Frobenius step, one gcd
+        if parity is not None and left <= 2 * d + (d > 1):
+            # an even count of factors left: two, of degrees d and left - d
+            if (parity - len(degrees)) % 2 == 0:
+                degrees.append(d)
+                left -= d
+            break
         h = _fq_unpack(slots, sum(map(operator.mul, h, columns)), q)
         h_minus_x = h.copy()
         h_minus_x[1] = (h_minus_x[1] - 1) % q
@@ -648,8 +700,13 @@ def _modular_factor_degrees(
     """(q, factor degrees of f mod q) for each usable prime in the fixed list.
 
     A prime is usable when it does not divide the leading coefficient and
-    f stays squarefree mod q, i.e. gcd(f, f') over F_q is constant.
+    f stays squarefree mod q, i.e. Res(f, f') over F_q is not 0.  For odd
+    q that resultant also gives the parity of the number r of factors mod
+    q (Stickelberger 1897; Swan, Pacific J. Math. 12, 1962): the monic
+    f's discriminant (-1)^(n(n-1)/2) Res(f, f') is a square in F_q
+    exactly when n - r is even.
     """
+    n = f.degree
     for q in _DEGREE_ANALYSIS_PRIMES:
         if f.leading_coefficient % q == 0:
             continue
@@ -657,9 +714,14 @@ def _modular_factor_degrees(
         fq = [c * inv % q for c in f.coeffs]
         derivative = [i * c % q for i, c in enumerate(fq)][1:]
         meter.spend()
-        if _fq_gcd_degree(list(fq), derivative, q) > 0:
+        res = _fq_resultant(list(fq), derivative, q)
+        if res == 0:
             continue
-        yield q, _distinct_degrees(fq, q, meter)
+        parity = None
+        if q > 2:
+            disc = res if n % 4 < 2 else -res
+            parity = (n + (pow(disc, (q - 1) // 2, q) != 1)) % 2
+        yield q, _distinct_degrees(fq, q, meter, parity)
 
 
 def _allowed_factor_degrees(f: Polynomial, meter: _Budget) -> frozenset[int]:

@@ -1,6 +1,8 @@
+import collections
 import itertools
 import json
 import math
+import operator
 import pickle
 import random
 import struct
@@ -581,9 +583,12 @@ def test_split_index_matches_the_per_candidate_walk_within_a_cap(monkeypatch):
     real_matches, real_start = oracle._lead_matches, oracle._inner_start
 
     def matches(sums, partial, common, flead, scaled_leads):
+        # one position list per matching sum, unmerged; merged, the positions
+        # are those of every sum that passes the leading-coefficient test
         got = real_matches(sums, partial, common, flead, scaled_leads)
         leads = {s: (partial + s) // common for s in sums}
-        assert got == sorted(j for s, js in sums.items() if leads[s] and flead % leads[s] == 0 for j in js)
+        merged = sorted(itertools.chain.from_iterable(got))
+        assert merged == sorted(j for s, js in sums.items() if leads[s] and flead % leads[s] == 0 for j in js)
         lookups.append(len(sums) <= len(scaled_leads))
         return got
 
@@ -955,7 +960,7 @@ def test_packed_kernel_at_its_bound_matches_the_reference(monkeypatch, residue):
 
     monkeypatch.setattr(oracle, "_fq_unpack", watched)
     meter, reference_meter = _SpendLog(10**9), _SpendLog(10**9)
-    degrees = oracle._distinct_degrees(list(f), q, meter)
+    degrees = oracle._distinct_degrees(list(f), q, meter, None)
     assert degrees == _reference_distinct_degrees(list(f), q, reference_meter)
     assert meter.amounts == reference_meter.amounts
     assert sum(degrees) == n
@@ -1001,6 +1006,186 @@ def test_fq_kernels_run_out_of_budget_at_the_same_spend(monkeypatch):
         assert str(new.value) == str(old.value)
         checked += 1
     assert checked > 20
+
+
+# The distinct-degree loop as it was before the parity step: every step
+# takes its Frobenius product and its gcd, and the squarefree test is a
+# gcd.  The resultant and the parity step must give the same (q, degrees)
+# stream and charge the same units at the same points.
+
+
+def _gcd_walked_distinct_degrees(f, q, meter):
+    left = len(f) - 1
+    slots = struct.Struct(f"<{left}I")
+    columns = oracle._frobenius_matrix(f, q, slots, meter)
+    degrees = []
+    h = [0, 1]
+    d = 0
+    while 2 * (d + 1) <= left:
+        d += 1
+        meter.spend(2)
+        h = oracle._fq_unpack(slots, sum(map(operator.mul, h, columns)), q)
+        h_minus_x = h.copy()
+        h_minus_x[1] = (h_minus_x[1] - 1) % q
+        known = sum(e for e in degrees if d % e == 0)
+        count = (oracle._fq_gcd_degree(list(f), h_minus_x, q) - known) // d
+        degrees.extend([d] * count)
+        left -= d * count
+    if left:
+        degrees.append(left)
+    return degrees
+
+
+def _gcd_walked_modular_factor_degrees(f, meter):
+    for q in oracle._DEGREE_ANALYSIS_PRIMES:
+        if f.leading_coefficient % q == 0:
+            continue
+        inv = pow(f.leading_coefficient, -1, q)
+        fq = [c * inv % q for c in f.coeffs]
+        derivative = [i * c % q for i, c in enumerate(fq)][1:]
+        meter.spend()
+        if oracle._fq_gcd_degree(list(fq), derivative, q) > 0:
+            continue
+        yield q, _gcd_walked_distinct_degrees(fq, q, meter)
+
+
+def _analysis_outcome(analysis, f):
+    """The (q, degrees) stream of analysis(f) and the amount of every spend."""
+    meter = _SpendLog(10**9)
+    return list(analysis(f, meter)), meter.amounts
+
+
+def _counting(counts, key, fn):
+    def call(*args):
+        counts[key] += 1
+        return fn(*args)
+
+    return call
+
+
+def _euclid_and_frobenius_counts(m):
+    """A dict counting, while the monkeypatch m holds, the F_q gcds and
+    resultants that run and the Frobenius products of the distinct-degree
+    loop (every unpack, less the n - 1 a Frobenius matrix takes)."""
+    counts = {"gcd": 0, "resultant": 0, "frobenius": 0}
+    matrix = oracle._frobenius_matrix
+
+    def counted_matrix(f, q, slots, meter):
+        counts["frobenius"] -= len(f) - 2
+        return matrix(f, q, slots, meter)
+
+    m.setattr(oracle, "_frobenius_matrix", counted_matrix)
+    for key, name in (("frobenius", "_fq_unpack"), ("gcd", "_fq_gcd_degree"), ("resultant", "_fq_resultant")):
+        m.setattr(oracle, name, _counting(counts, key, getattr(oracle, name)))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "q, degrees, settled", [(3, range(2, 8), 1_710), (5, range(2, 6), 2_214), (7, range(2, 6), 12_138)]
+)
+def test_the_parity_step_matches_the_gcd_walk_on_every_monic_polynomial(monkeypatch, q, degrees, settled):
+    # every monic polynomial of these degrees over F_q, as an integer
+    # polynomial with coefficients 0..q-1 analysed at q alone
+    monkeypatch.setattr(oracle, "_DEGREE_ANALYSIS_PRIMES", (q,))
+    polys = [Polynomial([*low, 1]) for n in degrees for low in itertools.product(range(q), repeat=n)]
+    outcomes = {}
+    for analysis in (_modular_factor_degrees, _gcd_walked_modular_factor_degrees):
+        with monkeypatch.context() as m:
+            counts = _euclid_and_frobenius_counts(m)
+            outcomes[analysis] = [_analysis_outcome(analysis, f) for f in polys], counts
+    (new, counts), (reference, reference_counts) = outcomes.values()
+    assert new == reference
+    # q^n - q^(n-1) of the monic polynomials of degree n >= 2 are squarefree
+    squarefree = collections.Counter(f.degree for f, (stream, _) in zip(polys, new) if stream)
+    assert squarefree == {n: q**n - q ** (n - 1) for n in degrees}
+    # one resultant per input in place of its squarefree gcd, and each run
+    # the parity step settles takes one Frobenius product and one gcd less:
+    # 1,710 of F_3's 2,184 runs, 2,214 of F_5's 3,120 and 12,138 of F_7's 16,800
+    assert (counts["resultant"], reference_counts["resultant"]) == (len(polys), 0)
+    assert reference_counts["frobenius"] - counts["frobenius"] == settled
+    assert reference_counts["gcd"] - counts["gcd"] == len(polys) + settled
+
+
+def test_the_parity_step_matches_the_gcd_walk_on_seeded_integer_polynomials():
+    rng = random.Random(2717)
+    pairs = 0
+    for _ in range(400):
+        n = rng.randint(6, 12)
+        lead = rng.choice((1, 1, 1, -1, 2, 6))
+        f = Polynomial([rng.choice((-3, -1, 1, 2))] + [rng.randint(-30, 30) for _ in range(n - 1)] + [lead])
+        outcome = _analysis_outcome(_modular_factor_degrees, f)
+        assert outcome == _analysis_outcome(_gcd_walked_modular_factor_degrees, f), str(f)
+        pairs += len(outcome[0])
+    # 5,317 of the 6,000 (prime, input) pairs keep f squarefree mod q
+    assert pairs == 5_317
+
+
+def test_euclid_runs_and_frobenius_products_on_the_seeded_corpus_are_pinned(monkeypatch):
+    # The resultant takes the place of each squarefree gcd, and the parity
+    # step drops the last step's Frobenius product and gcd; the units spent
+    # stay those of the gcd walk.
+    outcomes = []
+    for analysis in (_gcd_walked_modular_factor_degrees, _modular_factor_degrees):
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_modular_factor_degrees", analysis)
+            counts = _euclid_and_frobenius_counts(m)
+            units = sum(_metered_factor(monkeypatch, f, 10**9)[1] for f in _search_corpus())
+        outcomes.append((units, counts))
+    assert outcomes == [
+        (714_946, {"gcd": 2_088, "resultant": 0, "frobenius": 1_325}),
+        (714_946, {"gcd": 992, "resultant": 763, "frobenius": 992}),
+    ]
+
+
+def _sylvester_resultant(a, b, q):
+    """The Sylvester determinant of a and b mod q, lowest degree first, each
+    of the degree its list gives (leading zeros allowed), by elimination."""
+    m, k = len(a) - 1, len(b) - 1
+    size = m + k
+    rows = [[0] * i + a[::-1] + [0] * (k - 1 - i) for i in range(k)]
+    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    det = 1
+    for c in range(size):
+        pivot = next((r for r in range(c, size) if rows[r][c] % q), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det = det * rows[c][c] % q
+        inv = pow(rows[c][c], -1, q)
+        for r in range(c + 1, size):
+            factor = rows[r][c] * inv % q
+            rows[r] = [(x - factor * y) % q for x, y in zip(rows[r], rows[c])]
+    return det % q
+
+
+def test_the_resultant_is_the_sylvester_determinant():
+    rng = random.Random(1897)
+    derivative_cases = {"full": 0, "q | n": 0, "zero": 0}
+    for q in oracle._DEGREE_ANALYSIS_PRIMES[:6] + (47,):
+        for _ in range(60):
+            # any a and b of their own degrees, b constant or of higher degree too
+            a = [rng.randrange(q) for _ in range(rng.randint(0, 8))] + [rng.randrange(1, q)]
+            b = [rng.randrange(q) for _ in range(rng.randint(0, 8))] + [rng.randrange(1, q)]
+            assert oracle._fq_resultant(list(a), list(b), q) == _sylvester_resultant(a, b, q), (a, b, q)
+            # a monic f against f' of formal degree n - 1, as the analysis
+            # calls it: f' loses its top term when q | n, and is 0 for g(x^q)
+            multiples = range(q, MAX_ORACLE_DEGREE + 1, q)
+            n = rng.choice(multiples) if multiples and rng.random() < 0.5 else rng.randint(2, 12)
+            if n % q or rng.random() < 0.5:
+                f = [rng.randrange(q) for _ in range(n)] + [1]
+            else:
+                f = [rng.randrange(q) if i % q == 0 else 0 for i in range(n)] + [1]
+            derivative = [i * c % q for i, c in enumerate(f)][1:]
+            res = oracle._fq_resultant(list(f), list(derivative), q)
+            assert res == _sylvester_resultant(f, derivative, q), (f, q)
+            kind = "zero" if not any(derivative) else "q | n" if n % q == 0 else "full"
+            derivative_cases[kind] += 1
+            assert (res == 0) == (oracle._fq_gcd_degree(list(f), derivative, q) > 0)
+    assert min(derivative_cases.values()) > 20, derivative_cases
+    # b = 0, trimmed or not: a divides it, so they share a's factors
+    assert oracle._fq_resultant([1, 1], [], 3) == oracle._fq_resultant([1, 1], [0, 0], 3) == 0
 
 
 # ---------------------------------------------------------------------------

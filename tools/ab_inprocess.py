@@ -11,12 +11,13 @@ benchmark's own op functions (``run_sweep``, ``run_in_process``,
 ``clear_caches``) run unchanged.  Each op starts with empty oracle
 caches, as in ``bench/run.py``.
 
-Prints each side's median CPU seconds per round, every round's ratio
-B / A, their median and how many ops printed different output on the
-two sides.  It gates nothing.  On a small shared host, separate
-benchmark processes can differ by tens of percent from run to run;
-running both sides on each op within moments of each other cancels most
-of that drift.
+Prints each side's median CPU seconds per round and its p50, p90 and
+p95 CPU milliseconds per op over every op of every round, so a change to
+the tail shows; then every round's ratio B / A, their median and how
+many ops printed different output on the two sides.  It gates nothing.
+On a small shared host, separate benchmark processes can differ by tens
+of percent from run to run; running both sides on each op within
+moments of each other cancels most of that drift.
 
 Usage:
     python tools/ab_inprocess.py BASE_REV CHANGE_REV
@@ -31,6 +32,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import math
 import statistics
 import subprocess
 import sys
@@ -78,6 +80,13 @@ def import_side(name: str, directory: Path):
     return package
 
 
+def percentile(samples: list, share: float) -> float:
+    """The nearest-rank percentile: the smallest sample with at least that
+    share of the samples at or below it."""
+    ordered = sorted(samples)
+    return ordered[max(math.ceil(share * len(ordered)) - 1, 0)]
+
+
 @contextlib.contextmanager
 def standing_in(package):
     saved = sys.modules.get(PACKAGE)
@@ -122,6 +131,7 @@ def main(argv=None) -> int:
             sys.path.insert(0, str(directory))
             sides[label] = import_side(name, directory)
         cpu = {"A": [], "B": []}
+        per_op = {"A": [], "B": []}
         differ = set()
         for i in range(args.rounds):
             seconds = {"A": 0.0, "B": 0.0}
@@ -130,14 +140,17 @@ def main(argv=None) -> int:
                 for label in ("AB" if (i + j) % 2 == 0 else "BA"):
                     spent, outputs[label] = run_op(wl, args.workload, op, sides[label])
                     seconds[label] += spent
+                    per_op[label].append(spent)
                 if outputs["A"] != outputs["B"]:
                     differ.add(j)
             for label in cpu:
                 cpu[label].append(seconds[label])
     ratios = [b / a for a, b in zip(cpu["A"], cpu["B"])]
     print(f"workload {args.workload}, {args.ops} ops, {args.rounds} rounds, seed {args.seed}")
-    print(f"A {args.base}: median {statistics.median(cpu['A']):.4f} s CPU per round")
-    print(f"B {args.change}: median {statistics.median(cpu['B']):.4f} s CPU per round")
+    for label, rev in (("A", args.base), ("B", args.change)):
+        ms = [f"p{round(100 * s)} {1000 * percentile(per_op[label], s):.3f}" for s in (0.5, 0.9, 0.95)]
+        median = statistics.median(cpu[label])
+        print(f"{label} {rev}: median {median:.4f} s CPU per round; per op ms {', '.join(ms)}")
     print("B / A per round: " + " ".join(f"{r:.4f}" for r in ratios))
     print(f"B / A median: {statistics.median(ratios):.4f}, B faster in {sum(r < 1 for r in ratios)} of {len(ratios)}")
     print(f"ops whose output differs: {len(differ)} of {args.ops}")
