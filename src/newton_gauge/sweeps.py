@@ -57,7 +57,6 @@ __all__ = [
     "Violation",
     "SweepSummary",
     "MAX_EXHAUSTIVE_POLYNOMIALS",
-    "MAX_FAMILY_COEFF_BITS",
     "exhaustive_polynomials",
     "sampled_polynomials",
     "sweep",
@@ -67,9 +66,6 @@ __all__ = [
 # About ten times the acceptance corpus (degrees 2-5, |a_i| <= 3: 100,800
 # polynomials); larger corpora are for --sample.
 MAX_EXHAUSTIVE_POLYNOMIALS = 10**6
-# Bits an example1 top coefficient (p - 1) p^(n(n-3)-1) may have: n <= 142
-# at p = 2, which still reaches past Python's 4,300-digit int-to-str limit.
-MAX_FAMILY_COEFF_BITS = 20_000
 
 
 class Violation(_Value):
@@ -175,12 +171,10 @@ def sampled_polynomials(
 _slope_key = functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
 
 
-def _spot_check(
-    f: Polynomial, witness: FactorizationWitness, budget: int | None = None
-) -> list[Violation]:
+def _spot_check(f: Polynomial, witness: FactorizationWitness, budget: int) -> list[Violation]:
     """Deep self-check: the witness multiplies back to f, so every sub-multiset
     of its factors divides f; each distinct factor re-factors to itself,
-    under the oracle's budget (read from the environment when not given)."""
+    under the oracle's budget."""
     if witness._product != f:
         found = [{"product": str(witness._product)}]
     else:
@@ -202,9 +196,9 @@ def _sweep_entry(
     f: Polynomial,
     primes: Sequence[int],
     verify: bool,
-    memo: criteria.AnalysisMemo | None = None,
+    memo: criteria.AnalysisMemo,
+    budget: Callable[[], int],
     family: tuple[dict, dict] | None = None,
-    budget: Callable[[], int] = oracle.oracle_budget,
 ) -> None:
     """Analyze one polynomial under every prime, factoring it at most once;
     the analyses fill and reuse the sweep's memo (see :func:`criteria.analyze`),
@@ -295,6 +289,13 @@ def _family_violations(analysis: Analysis, expected: dict, instance: dict) -> li
     return []
 
 
+def _require_primes(primes: Sequence[int]) -> None:
+    """Refuse a non-prime, an empty list and a repeated prime."""
+    for p in primes:
+        _require_prime(p, "primes")
+    _require_distinct(primes, "primes")
+
+
 def _require_distinct(values: Sequence[int], name: str) -> None:
     """Refuse an empty axis, which checks nothing, and a repeated value,
     whose entries would be analysed and counted twice."""
@@ -332,9 +333,7 @@ def sweep(
     MAX_EXHAUSTIVE_POLYNOMIALS, and when a sample's max_degree passes
     the parser's degree limit MAX_PARSED_EXPONENT.
     """
-    for p in primes:
-        _require_prime(p, "primes")
-    _require_distinct(primes, "primes")
+    _require_primes(primes)
     if min_degree < 2:
         raise InvalidInputError(f"min_degree must be at least 2, got {min_degree}", "min_degree")
     if min_degree > max_degree:
@@ -385,7 +384,7 @@ def sweep(
     memo = criteria.AnalysisMemo()
     budget = functools.cache(oracle.oracle_budget)
     for f in polys:
-        _sweep_entry(summary, f, primes, verify, memo, budget=budget)
+        _sweep_entry(summary, f, primes, verify, memo, budget)
     return summary
 
 
@@ -398,20 +397,17 @@ def sweep_family(
 ) -> SweepSummary:
     """Sweep one built-in family, checking parameters against closed forms.
 
-    `values` holds n's for example1 and d's for example2.  Each
-    instance's certificate parameters must match the family's closed
-    form exactly; rows summarizing each (value, prime) cell are
-    collected for reporting.  A violation names its instance by family,
-    parameter, prime and its 0-based position in the cell's enumeration:
-    ``families.example1_instances(n, p)`` order, and 0 for example2,
-    whose cell holds one instance.  The oracle's budget is read once, as in
-    :func:`sweep`.  Raises InvalidInputError when primes holds
-    a non-prime, when values or primes is empty or repeats a value, and
-    before building any instance when the corpus holds more than
-    MAX_EXHAUSTIVE_POLYNOMIALS (example1 has (p-1)^4 per (n, p) cell),
-    when a value's degree passes the parser's limit MAX_PARSED_EXPONENT
-    (example2 needs d <= 999), or when an example1 top coefficient
-    (p-1) p^(n(n-3)-1) has more than MAX_FAMILY_COEFF_BITS bits.
+    `values` holds the family's parameter (n for example1, d for
+    example2).  Each instance's certificate parameters must match the
+    family's closed form exactly; rows summarizing each (value, prime)
+    cell are collected for reporting.  A violation names its instance by
+    family, parameter, prime and its 0-based position in the cell's
+    enumeration, ``families.<family>_instances(value, p)``.  The oracle's
+    budget is read once, as in :func:`sweep`.  Raises InvalidInputError
+    when primes holds a non-prime, when values or primes is empty or
+    repeats a value, and before building any instance when the corpus
+    holds more than MAX_EXHAUSTIVE_POLYNOMIALS (example1 has (p-1)^4 per
+    (n, p) cell) or when :func:`families._check_values` refuses a value.
     """
     from . import families
 
@@ -419,62 +415,34 @@ def sweep_family(
         raise InvalidInputError(
             f"unknown family {family!r} (expected one of {families.FAMILIES})", "family"
         )
-    example1 = family == "example1"
-    value_name = "n" if example1 else "d"
-    for p in primes:
-        _require_prime(p, "primes")
-    _require_distinct(values, value_name)
-    _require_distinct(primes, "primes")
-    per_value = sum((p - 1) ** 4 for p in primes) if example1 else len(primes)
-    size = len(values) * per_value
+    name = families._PARAMETERS[family][0]
+    _require_primes(primes)
+    _require_distinct(values, name)
+    size = len(values) * sum(families._cell_size(family, p) for p in primes)
     if size > MAX_EXHAUSTIVE_POLYNOMIALS:
         raise InvalidInputError(
             f"the {family} corpus holds {size} polynomials, more than"
             f" {MAX_EXHAUSTIVE_POLYNOMIALS}; pass fewer values or smaller primes",
-            value_name,
+            name,
             "primes",
         )
-    for value in values:
-        degree = value if example1 else value * (value + 1)
-        if degree > MAX_PARSED_EXPONENT:
-            raise InvalidInputError(
-                f"{value_name} = {value} gives degree {degree}, more than the"
-                f" parser's degree limit {MAX_PARSED_EXPONENT}",
-                value_name,
-            )
-        if not example1:
-            continue
-        # p^e has more than e (bits(p) - 1) bits, so p^e is built only when small.
-        e = max(value * (value - 3) - 1, 0)
-        for p in primes:
-            if e * (p.bit_length() - 1) >= MAX_FAMILY_COEFF_BITS or (
-                ((p - 1) * p**e).bit_length() > MAX_FAMILY_COEFF_BITS
-            ):
-                raise InvalidInputError(
-                    f"n = {value} at p = {p} gives a top coefficient of more than"
-                    f" {MAX_FAMILY_COEFF_BITS} bits",
-                    "n",
-                    "primes",
-                )
+    families._check_values(family, values, primes)
     summary = SweepSummary(
         corpus={"family": family, "values": list(values), "primes": list(primes)}
     )
-    expected_of = families.example1_expected if example1 else families.example2_expected
+    instances_of = getattr(families, f"{family}_instances")
+    expected_of = getattr(families, f"{family}_expected")
     memo = criteria.AnalysisMemo()
     budget = functools.cache(oracle.oracle_budget)
     for value in values:
         expected = expected_of(value)
         closed_form = report.closed_form_dict(expected)
         for p in primes:
-            if example1:
-                instances: Iterable[Polynomial] = families.example1_instances(value, p)
-            else:
-                instances = (families.example2_polynomial(value, p),)
             before = len(summary.violations)
             count = 0
-            for f in instances:
-                name = {"family": family, "parameter": value, "prime": p, "instance": count}
-                _sweep_entry(summary, f, [p], verify, memo, family=(expected, name), budget=budget)
+            for f in instances_of(value, p):
+                instance = {"family": family, "parameter": value, "prime": p, "instance": count}
+                _sweep_entry(summary, f, [p], verify, memo, budget, (expected, instance))
                 count += 1
             row = {"family": family, "parameter": value, "prime": p, "instances": count}
             row.update(

@@ -30,14 +30,17 @@ MAX_PRIME = 2**64
 
 
 def p_adic_valuation(n: int, p: int) -> int:
-    """Largest exponent e with p**e dividing n, for n != 0.
+    """Largest exponent e with p**e dividing n, for n != 0 and p >= 2.
 
     The caller is responsible for p being prime (inputs are checked by
     ``polynomial._require_prime``);
     for composite p the result is merely the divisibility exponent.
+    p < 2 raises ValueError, since no largest exponent exists for p = 1.
     """
     if n == 0:
         raise ValueError("the valuation of 0 is undefined")
+    if p < 2:
+        raise ValueError(f"a valuation needs p >= 2, got {p}")
     n = abs(n)
     e = 0
     while n % p == 0:

@@ -398,6 +398,15 @@ def test_sweep_family_values_below_their_minimum_are_bad_input(capsys):
     assert "example2 needs d >= 2" in err
 
 
+def test_sweep_family_refuses_a_value_below_its_minimum_before_sweeping_any(capsys, monkeypatch):
+    def enumerated(n, p):
+        raise AssertionError("the corpus was enumerated")
+
+    monkeypatch.setattr("newton_gauge.families.example1_instances", enumerated)
+    code, out, err = _run(capsys, "sweep", "--family", "example1", "--n", "5,4", "--primes", "2")
+    assert (code, out, err) == (EXIT_BAD_INPUT, "", "--n: example1 needs n >= 5\n")
+
+
 def test_sweep_family_rejects_an_oversized_corpus_before_enumerating(capsys, monkeypatch):
     def enumerated(n, p):
         raise AssertionError("the corpus was enumerated")

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from newton_gauge import families
 from newton_gauge.criteria import analyze, compute_parameters
 from newton_gauge.families import (
     FAMILIES,
@@ -9,10 +10,11 @@ from newton_gauge.families import (
     example1_instances,
     example1_polynomial,
     example2_expected,
+    example2_instances,
     example2_polynomial,
 )
 from newton_gauge.newton import slope_table
-from newton_gauge.polynomial import AnalysisInput, parse_polynomial
+from newton_gauge.polynomial import AnalysisInput, InvalidInputError, parse_polynomial
 
 
 def test_family_names():
@@ -84,6 +86,42 @@ def test_example2_polynomial_shape():
     assert g.degree == 12
     with pytest.raises(ValueError, match="d >= 2"):
         example2_polynomial(1, 2)
+    assert example2_instances(3, 2) == (g,)
+
+
+_DEGREE_LIMIT = "more than the parser's degree limit 1000000"
+
+
+@pytest.mark.parametrize(
+    "family, value, primes, message, arguments",
+    [
+        ("example1", 4, [2], "example1 needs n >= 5", ("n",)),
+        ("example2", 1, [2], "example2 needs d >= 2", ("d",)),
+        # below the least and past the bit bound (and, for d, the degree limit)
+        ("example1", -(10**7), [2], "example1 needs n >= 5", ("n",)),
+        ("example2", -1001, [2], "example2 needs d >= 2", ("d",)),
+        # past the degree limit and the bit bound
+        ("example1", 10**6 + 1, [2], f"n = 1000001 gives degree 1000001, {_DEGREE_LIMIT}", ("n",)),
+        ("example2", 1000, [2], f"d = 1000 gives degree 1001000, {_DEGREE_LIMIT}", ("d",)),
+        # the first prime whose top coefficient passes 20,000 bits
+        ("example1", 114, [2, 3, 5], "n = 114 at p = 3 gives a top coefficient of more than"
+         " 20000 bits", ("n", "primes")),
+        ("example1", 143, [2], "n = 143 at p = 2 gives a top coefficient of more than"
+         " 20000 bits", ("n", "primes")),
+    ],
+)
+def test_the_family_check_refuses_each_bound_in_order(family, value, primes, message, arguments):
+    least = {"example1": 5, "example2": 2}[family]
+    # a valid value first: the check takes the values in order
+    with pytest.raises(InvalidInputError) as info:
+        families._check_values(family, [least, value], primes)
+    assert (str(info.value), info.value.arguments) == (message, arguments)
+
+
+def test_the_family_check_accepts_each_bound():
+    families._check_values("example1", [5, 113], [2, 3])
+    families._check_values("example1", [142], [2])
+    families._check_values("example2", [2, 999], [2, 18446744073709551557])
 
 
 def test_example2_matches_expected_parameters():

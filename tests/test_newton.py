@@ -166,6 +166,12 @@ def test_newton_index_on_low_degree_factors():
         newton_index(parse_polynomial("3x^4"), 2)
 
 
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_newton_index_below_p_2_raises(p):
+    with pytest.raises(ValueError, match=f"^a valuation needs p >= 2, got {p}$"):
+        newton_index(parse_polynomial("x^2+3"), p)
+
+
 def test_newton_index_of_product_examples():
     f = parse_polynomial("x+2")
     g = parse_polynomial("x+4")

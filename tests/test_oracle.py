@@ -1398,8 +1398,9 @@ def test_the_p_power_box_of_degree_3_produces_every_tag():
     # at p = 2 and 2 at p = 3, so T2 appears, unlike in the acceptance box.
     values = (0, 1, -1, 2, -2, 3, -3, 4, -4, 8, -8, 9, -9)
     summary = SweepSummary(corpus={})
+    memo = criteria.AnalysisMemo()
     for a3, a0, a1, a2 in itertools.product([v for v in values if v > 0], values[1:], values, values):
-        _sweep_entry(summary, Polynomial((a0, a1, a2, a3)), [2, 3], True)
+        _sweep_entry(summary, Polynomial((a0, a1, a2, a3)), [2, 3], True, memo, oracle_budget)
     assert summary.total == 2 * 12_168
     assert summary.certificates == {
         "T1": 2_880, "TA": 1_600, "T2": 1_144, "TB": 7_544, "Dumas-s0": 1_952, "none": 9_216,
@@ -1417,11 +1418,12 @@ def test_a_seeded_p_power_sample_of_degree_4_to_6_produces_every_tag():
     leads = [v for v in values if v > 0]
     rng = random.Random(5)
     summary = SweepSummary(corpus={})
+    memo = criteria.AnalysisMemo()
     for i in range(3_000):
         a0 = rng.choice(values[1:])
         middle = [rng.choice(values) for _ in range(3 + i % 3)]
         f = Polynomial([a0, *middle, rng.choice(leads)])
-        _sweep_entry(summary, f, [2, 3], True)
+        _sweep_entry(summary, f, [2, 3], True, memo, oracle_budget)
     assert summary.total == 2 * 3_000
     assert summary.certificates == {
         "T1": 217, "TA": 91, "T2": 311, "TB": 2_117, "Dumas-s0": 141, "none": 3_123,
@@ -1476,9 +1478,9 @@ def test_check_dumas_consistency():
 
 def test_spot_check_detects_wrong_factors():
     f = _poly("x^2-1")
-    assert _spot_check(f, kronecker_factor(f)) == []
+    assert _spot_check(f, kronecker_factor(f), DEFAULT_BUDGET) == []
     wrong = FactorizationWitness(1, 1, (_poly("x+1"), _poly("x-1")))
-    (violation,) = _spot_check(_poly("x^2+2x+1"), wrong)
+    (violation,) = _spot_check(_poly("x^2+2x+1"), wrong, DEFAULT_BUDGET)
     assert violation.kind == "irreducibility-spot-check"
     assert violation.detail == {
         "polynomial": "x^2+2*x+1",
@@ -1494,7 +1496,7 @@ def test_a_refactored_factor_that_splits_is_a_spot_check_violation(monkeypatch):
     # the re-run of x^2+1 returns a split
     split = FactorizationWitness(1, 1, (_poly("x+1"), _poly("x+1")))
     monkeypatch.setattr(oracle, "kronecker_factor", lambda g, budget=None: split)
-    (violation,) = _spot_check(f, witness)
+    (violation,) = _spot_check(f, witness, DEFAULT_BUDGET)
     assert violation.kind == "irreducibility-spot-check"
     assert violation.detail == {
         "polynomial": "x^4-1",
@@ -1515,7 +1517,7 @@ def test_the_spot_check_divides_nothing(monkeypatch):
     calls = []
     real = oracle.exact_divide
     monkeypatch.setattr(oracle, "exact_divide", lambda f, g: calls.append(g) or real(f, g))
-    assert _spot_check(f, witness) == []
+    assert _spot_check(f, witness, DEFAULT_BUDGET) == []
     assert calls == []
 
 
@@ -1533,7 +1535,7 @@ def test_the_spot_check_refactors_each_distinct_factor_once(monkeypatch):
     monkeypatch.setattr(
         oracle, "kronecker_factor", lambda g, budget=None: refactored.append(str(g)) or real(g, budget)
     )
-    assert _spot_check(f, witness) == []
+    assert _spot_check(f, witness, DEFAULT_BUDGET) == []
     assert refactored == ["x^2+1", "x^2+2"]
 
 
@@ -1545,7 +1547,7 @@ def test_a_spot_check_out_of_budget_counts_as_a_budget_error(monkeypatch):
     f = _poly("72*x^9-18*x^8+3*x^7-174*x^6+6*x^5+37*x^4+29*x^3+79*x^2-49*x-18")
     assert kronecker_factor(f).factor_degrees == (2, 7)
     summary = SweepSummary(corpus={})
-    _sweep_entry(summary, f, [2, 3], True)
+    _sweep_entry(summary, f, [2, 3], True, criteria.AnalysisMemo(), oracle_budget)
     assert summary.certificates["TB"] == 2
     assert (summary.verified, summary.spot_checks, summary.budget_errors) == (2, 0, 1)
     assert summary.violations == []
@@ -1785,7 +1787,7 @@ _BUNDLE_BASE = {
 
 def _entry_violations():
     summary = SweepSummary(corpus={})
-    _sweep_entry(summary, _poly(_BUNDLE_POLY), [2], True)
+    _sweep_entry(summary, _poly(_BUNDLE_POLY), [2], True, criteria.AnalysisMemo(), oracle_budget)
     assert summary.verified == 1
     return summary.violations
 
@@ -1859,10 +1861,11 @@ def test_sweep_entry_enumerates_the_bipartitions_once(monkeypatch):
             oracle, name, lambda *args, fn=fn, name=name: checks.append(name) or fn(*args)
         )
     summary = SweepSummary(corpus={})
+    memo = criteria.AnalysisMemo()
     # (x^2+30)(x^3+30x+30) and (x^2+30)(x+30): TA at p = 2, 3 and 5
     for text in ("x^5+60*x^3+30*x^2+900*x+900", "x^3+30*x^2+30*x+900"):
         del enumerations[:], checks[:]
-        _sweep_entry(summary, _poly(text), [2, 3, 5], True)
+        _sweep_entry(summary, _poly(text), [2, 3, 5], True, memo, oracle_budget)
         assert len(enumerations) == 1
         assert sorted(checks) == ["check_dumas_consistency"] * 3 + ["verify_certificate"] * 3
     assert summary.verified == 6 and summary.violations == []
@@ -1873,9 +1876,10 @@ def test_sweep_entry_multiplies_each_witness_back_once(monkeypatch):
     real = FactorizationWitness.reconstruct
     monkeypatch.setattr(FactorizationWitness, "reconstruct", lambda w: products.append(w) or real(w))
     summary = SweepSummary(corpus={})
+    memo = criteria.AnalysisMemo()
     for text in ("x^5+60*x^3+30*x^2+900*x+900", "x^3+30*x^2+30*x+900"):
         del products[:]
-        _sweep_entry(summary, _poly(text), [2, 3, 5], True)
+        _sweep_entry(summary, _poly(text), [2, 3, 5], True, memo, oracle_budget)
         assert len(products) == 1
     assert summary.verified == 6 and summary.violations == []
 
@@ -2090,7 +2094,22 @@ def test_sweep_family_refuses_a_value_past_its_bound_before_building(monkeypatch
     assert sweep_family("example1", [142], [2], verify=False).family_rows[0]["instances"] == 1
     assert sweep_family("example2", [999], [2], verify=False).family_rows[0]["instances"] == 1
     assert [f.degree for f in built] == [142, 999_000]
-    assert sweeps.MAX_FAMILY_COEFF_BITS == 20_000
+    assert families.MAX_FAMILY_COEFF_BITS == 20_000
+
+
+@pytest.mark.parametrize(
+    "family, values, primes, name, least",
+    [("example1", [94, 4], [5], "n", 5), ("example2", [3, 1], [2], "d", 2)],
+)
+def test_sweep_family_refuses_a_value_below_the_least_before_sweeping_any(
+    monkeypatch, family, values, primes, name, least
+):
+    entries = []
+    monkeypatch.setattr(sweeps, "_sweep_entry", lambda *args: entries.append(args))
+    with pytest.raises(InvalidInputError, match=f"^{family} needs {name} >= {least}$") as info:
+        sweep_family(family, values, primes, verify=False)
+    assert info.value.arguments == (name,)
+    assert entries == []
 
 
 def test_sweep_family_example2():

@@ -25,6 +25,13 @@ def test_valuation_of_zero_raises():
         p_adic_valuation(0, 97)
 
 
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_a_valuation_below_p_2_raises(p):
+    # p = 1 and p = -1 would divide forever, and p = 0 divide by zero
+    with pytest.raises(ValueError, match=f"^a valuation needs p >= 2, got {p}$"):
+        p_adic_valuation(5, p)
+
+
 def test_format_slope_prints_what_fraction_prints():
     assert (format_slope(3, 2), format_slope(-2, 6), format_slope(8, 2)) == ("3/2", "-1/3", "4")
     assert format_slope(0, 7) == format_slope(0, 1) == "0"
