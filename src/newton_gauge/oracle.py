@@ -22,19 +22,28 @@ from degree 8 on), distinct-degree factorization over F_q gives the
 degrees of f's factors mod q; an integer factor's degree must be a
 subset sum of them for every such q.  Other degrees hold no factor and
 are never searched, so the witness is unchanged; {0, n} proves f
-irreducible.  The Frobenius map h -> h^q mod f is n packed ints, one per
-column x^(iq) mod f, with a 32-bit slot per coefficient, so each step is
-one sum of products and one unpack; at the oracle's limits no slot
-passes n^2 (q - 1)^3 < 2^32.  For odd q the quadratic character of the
-discriminant, +-Res(f, f'), gives the parity of the number of factors
-mod q (Stickelberger 1897; Swan, Pacific J. Math. 1962), which settles
-the last step, where one factor or two are left, without its Frobenius
-step and gcd.
+irreducible.  The first step counts f's roots mod q by evaluating f at
+every residue at once, from a per-prime table of the powers a^i mod q
+packed into 16-bit slots (no slot passes (n + 1)(q - 1)^2 < 2^16).  The
+later steps use the Frobenius map h -> h^q mod f, built only when one of
+them runs: n packed ints, one per column x^(iq) mod f, with a 32-bit
+slot per coefficient, so each step is one sum of products and one
+unpack; at the oracle's limits no slot passes n^2 (q - 1)^3 < 2^32.
+For odd q the quadratic character of the discriminant, +-Res(f, f'),
+gives the parity of the number of factors mod q (Stickelberger 1897;
+Swan, Pacific J. Math. 1962), which settles the last step, where one
+factor or two are left, without its Frobenius step and gcd.  Below
+degree 6 the analysis is skipped, but the degree-2 search of a quartic
+or quintic first asks a few primes for the same root count and parity,
+and returns no factor when they leave no degree set mod q with a subset
+summing to 2.
 
 Work is metered in units: one per rational-root candidate and per
 divisor combination, and in the degree analysis one per product mod f
 and per gcd over F_q: the squarefree resultant costs one unit, as a
-gcd, and a step the parity settles two, as a product and a gcd.  Only
+gcd, and a step the parity settles or the root count takes two, as a
+product and a gcd; the quadratic screen costs nothing, and a search it
+rules out is charged as if its walk had run out of candidates.  Only
 divisor combinations whose interpolated leading coefficient divides
 f's are looked at: the trailing points' combinations are indexed by
 their exact share of that coefficient, each combination of the leading
@@ -481,16 +490,22 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> tuple[Polynomia
     values = [f(x) for x in points]
     if 0 in values:
         raise InternalError(f"the degree-{k} search of {f} met an integer root")
-    probe = 1 + max(*map(abs, f.coeffs), *map(abs, points))
     basis, common = _lagrange_basis(points)
-    leads = [b[k] for b in basis]
-    probes = [sum(c * probe**i for i, c in enumerate(b)) for b in basis]
     flead = f.leading_coefficient
-    scaled_probe_value = common * f(probe)
     scaled_leads = [common * d for d in _candidate_values(flead, positive_only=False)]
     # h and -h divide alike, so pin h(points[0]) > 0: halves the search.
     sets = [_candidate_values(values[0], positive_only=True)]
     sets.extend(_candidate_values(v, positive_only=False) for v in values[1:])
+    room = budget.cap - budget.spent
+    if k == 2 and f.degree < _DEGREE_ANALYSIS_MIN_DEGREE and _no_quadratic_factor(f):
+        # the walk would exhaust every candidate: charge them at once, or
+        # room + 1 past the cap, as its prefixes would
+        budget.spend(min(math.prod(map(len, sets)), room + 1))
+        return None
+    probe = 1 + max(*map(abs, f.coeffs), *map(abs, points))
+    leads = [b[k] for b in basis]
+    probes = [sum(c * probe**i for i, c in enumerate(b)) for b in basis]
+    scaled_probe_value = common * f(probe)
     m = _inner_start([len(s) for s in sets], leads, common, len(scaled_leads))
     terms = [tuple(w * b for w in ws) for ws, b in zip(sets, leads)]
     index = collections.defaultdict(dict)
@@ -499,7 +514,6 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> tuple[Polynomia
     inner_probes = _sumset([tuple(w * e for w in ws) for ws, e in zip(sets[m:], probes[m:])])
     size = len(inner_probes)
     strides = [math.prod(map(len, sets[i + 1:])) for i in range(m, k + 1)]
-    room = budget.cap - budget.spent
     far_probes = scaled_far_value = None
     # the outer prefixes stay lazy: the budget can stop the walk long before
     # their product ends
@@ -545,13 +559,15 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> tuple[Polynomia
 #
 # Over F_q a polynomial is a list of residues, lowest degree first; Euclid's
 # operands have no trailing zeros.  The Frobenius map packs residues into
-# ints, 32 bits a slot.  Every factor of f over Z reduces to a product of
-# factors of f mod q, so when q keeps the degree and f stays squarefree mod
-# q, the degree of any integer factor is a subset sum of the degrees mod q.
+# ints, 32 bits a slot, and the root count 16 bits a slot.  Every factor of
+# f over Z reduces to a product of factors of f mod q, so when q keeps the
+# degree and f stays squarefree mod q, the degree of any integer factor is
+# a subset sum of the degrees mod q.
 
 _DEGREE_ANALYSIS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # Below this degree the search never reaches k = 3 and the analysis costs
-# more than the k = 2 search it could skip.
+# more than the k = 2 search it could skip; that search gets a free screen
+# (_no_quadratic_factor) instead.
 _DEGREE_ANALYSIS_MIN_DEGREE = 6
 # Below this degree five usable primes are enough: a search the analysis
 # fails to rule out costs about as much as a few more primes.  From here on
@@ -621,12 +637,41 @@ def _fq_unpack(slots: struct.Struct, packed: int, q: int) -> list[int]:
     return [c % q for c in slots.unpack(packed.to_bytes(slots.size, "little"))]
 
 
-def _frobenius_matrix(f: list[int], q: int, slots: struct.Struct, meter: _Budget) -> list[int]:
+# The root count packs f(a) for a = 0..q-1 into 16-bit slots.  A residue
+# times a power is at most (q - 1)^2, so a value summed over n + 1
+# coefficients stays within (n + 1)(q - 1)^2 <= 13 * 46^2 < 2^16 at the
+# oracle's limits.
+
+
+@functools.cache
+def _power_table(q: int) -> tuple[struct.Struct, tuple[int, ...]]:
+    """The powers a^i mod q for i <= MAX_ORACLE_DEGREE, one packed int per
+    i with slot a holding a^i mod q; built once per prime, at its first
+    root count, so a cold command that never counts roots never builds it."""
+    slots = struct.Struct(f"<{q}H")
+    row = [1] * q
+    rows = []
+    for _ in range(MAX_ORACLE_DEGREE + 1):
+        rows.append(int.from_bytes(slots.pack(*row), "little"))
+        row = [r * a % q for a, r in enumerate(row)]
+    return slots, tuple(rows)
+
+
+def _root_count(f: list[int], q: int) -> int:
+    """The number of roots in F_q of f, residues lowest degree first, of
+    degree at most MAX_ORACLE_DEGREE: f(a) for every a in one sum of
+    products and one unpack.  For a squarefree f it is deg gcd(f, x^q - x)."""
+    slots, powers = _power_table(q)
+    values = slots.unpack(sum(map(operator.mul, f, powers)).to_bytes(slots.size, "little"))
+    return [v % q for v in values].count(0)
+
+
+def _frobenius_matrix(f: list[int], q: int, slots: struct.Struct) -> list[int]:
     """The columns x^(i*q) mod f, packed, of h -> h^q mod f over F_q for the monic f.
 
     Over F_q the q-th power is additive and fixes constants, so h^q mod f
     is sum(h[i] * column[i]): each Frobenius step of the distinct-degree
-    loop is one sum of products and one unpack.  One unit per column.
+    loop is one sum of products and one unpack.
     """
     n = len(f) - 1
     top = _SLOT_BITS * (n - 1)
@@ -642,12 +687,10 @@ def _frobenius_matrix(f: list[int], q: int, slots: struct.Struct, meter: _Budget
         e += 1
         if e >= q:
             shifted.append(v)
-    meter.spend(2)
     # x^((i + 1) q) = x^q x^(iq): column i + 1 is sum(c_k * shifted[k]) for column i's c_k
     column = _fq_unpack(slots, shifted[0], q)
     columns = [1, int.from_bytes(slots.pack(*column), "little")]
     while len(columns) < n:
-        meter.spend()
         column = _fq_unpack(slots, sum(map(operator.mul, column, shifted)), q)
         columns.append(int.from_bytes(slots.pack(*column), "little"))
     return columns
@@ -659,29 +702,44 @@ def _distinct_degrees(f: list[int], q: int, meter: _Budget, parity: int | None) 
     Distinct-degree factorization: gcd(f, x^(q^d) - x) is the product of
     the factors whose degree divides d, so its degree is the sum of e over
     the factors of each degree e that divides d.  Once no factor of degree
-    up to d is left, what is left of f is irreducible.
+    up to d is left, what is left of f is irreducible.  At d = 1 that gcd's
+    degree is f's number of roots in F_q, which :func:`_root_count` reads
+    off f's values.  The Frobenius matrix is built only when a step d >= 2
+    runs, but its units, one per column, are charged first either way, and
+    the root count is charged as a step: the units are those of a walk
+    that takes every step's product and gcd.
 
-    parity, None for q = 2, is the number of factors mod 2.  At a step d
-    whose `left` is 2d, or 2d + 1 with d > 1, the factors left all have
+    parity, None for q = 2, is the number of factors mod 2.  At a step
+    d >= 2 whose `left` is at most 2d + 1, the factors left all have
     degree at least d, so they are one of degree `left` or two of degrees
     d and left - d, and parity tells which: that last step is charged as
     usual but takes neither its Frobenius product nor its gcd.
     """
-    left = len(f) - 1
-    slots = struct.Struct(f"<{left}I")
-    columns = _frobenius_matrix(f, q, slots, meter)
+    n = left = len(f) - 1
+    # the Frobenius matrix's units: 2 for x^q, then 1 per further column
+    meter.spend(2)
+    for _ in range(n - 2):
+        meter.spend()
     degrees: list[int] = []
-    h = [0, 1]  # x^(q^d) mod f
-    d = 0
+    if left >= 2:
+        meter.spend(2)  # step d = 1, charged as one Frobenius step and one gcd
+        degrees = [1] * _root_count(f, q)
+        left -= len(degrees)
+    columns = None
+    d = 1
     while 2 * (d + 1) <= left:
         d += 1
         meter.spend(2)  # one Frobenius step, one gcd
-        if parity is not None and left <= 2 * d + (d > 1):
+        if parity is not None and left <= 2 * d + 1:
             # an even count of factors left: two, of degrees d and left - d
             if (parity - len(degrees)) % 2 == 0:
                 degrees.append(d)
                 left -= d
             break
+        if columns is None:
+            slots = struct.Struct(f"<{n}I")
+            columns = _frobenius_matrix(f, q, slots)
+            h = _fq_unpack(slots, columns[1], q)  # x^q mod f: step d = 1's product
         h = _fq_unpack(slots, sum(map(operator.mul, h, columns)), q)
         h_minus_x = h.copy()
         h_minus_x[1] = (h_minus_x[1] - 1) % q
@@ -694,17 +752,16 @@ def _distinct_degrees(f: list[int], q: int, meter: _Budget, parity: int | None) 
     return degrees
 
 
-def _modular_factor_degrees(
-    f: Polynomial, meter: _Budget
-) -> Iterator[tuple[int, list[int]]]:
-    """(q, factor degrees of f mod q) for each usable prime in the fixed list.
+def _usable_primes(f: Polynomial, meter: _Budget | None) -> Iterator[tuple[int, list[int], int | None]]:
+    """(q, monic f mod q, parity) for each usable prime in the fixed list.
 
     A prime is usable when it does not divide the leading coefficient and
-    f stays squarefree mod q, i.e. Res(f, f') over F_q is not 0.  For odd
-    q that resultant also gives the parity of the number r of factors mod
-    q (Stickelberger 1897; Swan, Pacific J. Math. 12, 1962): the monic
-    f's discriminant (-1)^(n(n-1)/2) Res(f, f') is a square in F_q
-    exactly when n - r is even.
+    f stays squarefree mod q, i.e. Res(f, f') over F_q is not 0; each
+    resultant costs one unit of meter, when one is given.  For odd q that
+    resultant also gives the parity of the number r of factors mod q
+    (Stickelberger 1897; Swan, Pacific J. Math. 12, 1962): the monic f's
+    discriminant (-1)^(n(n-1)/2) Res(f, f') is a square in F_q exactly
+    when n - r is even.  parity is None for q = 2.
     """
     n = f.degree
     for q in _DEGREE_ANALYSIS_PRIMES:
@@ -713,7 +770,8 @@ def _modular_factor_degrees(
         inv = pow(f.leading_coefficient, -1, q)
         fq = [c * inv % q for c in f.coeffs]
         derivative = [i * c % q for i, c in enumerate(fq)][1:]
-        meter.spend()
+        if meter is not None:
+            meter.spend()
         res = _fq_resultant(list(fq), derivative, q)
         if res == 0:
             continue
@@ -721,7 +779,34 @@ def _modular_factor_degrees(
         if q > 2:
             disc = res if n % 4 < 2 else -res
             parity = (n + (pow(disc, (q - 1) // 2, q) != 1)) % 2
+        yield q, fq, parity
+
+
+def _modular_factor_degrees(
+    f: Polynomial, meter: _Budget
+) -> Iterator[tuple[int, list[int]]]:
+    """(q, factor degrees of f mod q) for each usable prime (:func:`_usable_primes`)."""
+    for q, fq, parity in _usable_primes(f, meter):
         yield q, _distinct_degrees(fq, q, meter, parity)
+
+
+def _no_quadratic_factor(f: Polynomial) -> bool:
+    """True when one of the first few usable primes shows that f, of
+    degree 4 or 5, has no factor of degree 2.  Spends nothing.
+
+    Mod q, f has r roots, and what is left, of degree n - r, has no
+    linear factor.  With r >= 2 two linear factors make degree 2.  Else
+    what is left is one irreducible factor, or two of degrees 2 and
+    n - r - 2; a cubic (n = 4, r = 1) is always one, and for odd q the
+    parity of the number of factors tells which.  One factor leaves
+    degree sets {4}, {1, 3}, {5} or {1, 4}: no subset sums to 2.
+    """
+    n = f.degree
+    for q, fq, parity in itertools.islice(_usable_primes(f, None), _DEGREE_ANALYSIS_FEW_PRIMES):
+        roots = _root_count(fq, q)
+        if roots < 2 and (n - roots == 3 or parity is not None and (parity - roots) % 2):
+            return True
+    return False
 
 
 def _allowed_factor_degrees(f: Polynomial, meter: _Budget) -> frozenset[int]:

@@ -944,6 +944,30 @@ def test_packed_slots_fit_their_width_at_the_oracle_limits():
     full = 2**oracle._SLOT_BITS - 1
     packed = full << oracle._SLOT_BITS | 7
     assert oracle._fq_unpack(struct.Struct("<2I"), packed, 2**40) == [7, full]
+    # the root count's 16-bit slot at a sums n + 1 residues times a^i mod q
+    assert oracle._power_table(q)[0].format == f"<{q}H" and struct.calcsize("<H") == 2
+    assert (MAX_ORACLE_DEGREE + 1) * (q - 1) ** 2 < 2**16
+    top = [q - 1] * (MAX_ORACLE_DEGREE + 1)
+    assert oracle._root_count(top, q) == _evaluated_root_count(top, q)
+
+
+def _evaluated_root_count(f, q):
+    return sum(sum(c * a**i for i, c in enumerate(f)) % q == 0 for a in range(q))
+
+
+def test_the_root_count_matches_evaluation_at_every_residue():
+    rng = random.Random(1962)
+    for q in oracle._DEGREE_ANALYSIS_PRIMES:
+        for n in range(MAX_ORACLE_DEGREE + 1):
+            for _ in range(8):
+                f = [rng.randrange(q) for _ in range(n)] + [rng.randrange(1, q)]
+                assert oracle._root_count(f, q) == _evaluated_root_count(f, q), (f, q)
+        # a product of distinct linear factors has every one of its roots
+        roots = rng.sample(range(q), min(q, MAX_ORACLE_DEGREE))
+        f = [1]
+        for r in roots:
+            f = [(b - r * a) % q for a, b in zip([*f, 0], [0, *f])]
+        assert oracle._root_count(f, q) == len(roots)
 
 
 @pytest.mark.parametrize("residue", [46, 1], ids=["f-all-q-1", "minus-f-all-q-1"])
@@ -1017,7 +1041,10 @@ def test_fq_kernels_run_out_of_budget_at_the_same_spend(monkeypatch):
 def _gcd_walked_distinct_degrees(f, q, meter):
     left = len(f) - 1
     slots = struct.Struct(f"<{left}I")
-    columns = oracle._frobenius_matrix(f, q, slots, meter)
+    meter.spend(2)
+    for _ in range(left - 2):
+        meter.spend()
+    columns = oracle._frobenius_matrix(f, q, slots)
     degrees = []
     h = [0, 1]
     d = 0
@@ -1064,26 +1091,41 @@ def _counting(counts, key, fn):
 
 
 def _euclid_and_frobenius_counts(m):
-    """A dict counting, while the monkeypatch m holds, the F_q gcds and
-    resultants that run and the Frobenius products of the distinct-degree
-    loop (every unpack, less the n - 1 a Frobenius matrix takes)."""
-    counts = {"gcd": 0, "resultant": 0, "frobenius": 0}
+    """A dict counting, while the monkeypatch m holds, the F_q gcds,
+    resultants and root counts that run, the Frobenius matrices built and
+    the Frobenius products (every unpack, less the n - 1 a matrix takes)."""
+    counts = {"gcd": 0, "resultant": 0, "roots": 0, "matrix": 0, "frobenius": 0}
     matrix = oracle._frobenius_matrix
 
-    def counted_matrix(f, q, slots, meter):
+    def counted_matrix(f, q, slots):
+        counts["matrix"] += 1
         counts["frobenius"] -= len(f) - 2
-        return matrix(f, q, slots, meter)
+        return matrix(f, q, slots)
 
     m.setattr(oracle, "_frobenius_matrix", counted_matrix)
-    for key, name in (("frobenius", "_fq_unpack"), ("gcd", "_fq_gcd_degree"), ("resultant", "_fq_resultant")):
+    for key, name in (
+        ("frobenius", "_fq_unpack"),
+        ("gcd", "_fq_gcd_degree"),
+        ("resultant", "_fq_resultant"),
+        ("roots", "_root_count"),
+    ):
         m.setattr(oracle, name, _counting(counts, key, getattr(oracle, name)))
     return counts
 
 
 @pytest.mark.parametrize(
-    "q, degrees, settled", [(3, range(2, 8), 1_710), (5, range(2, 6), 2_214), (7, range(2, 6), 12_138)]
+    "q, degrees, settled, matrices",
+    [
+        (2, range(2, 11), 0, 1_009),
+        (3, range(2, 8), 1_704, 1_420),
+        (5, range(2, 6), 2_194, 0),
+        (7, range(2, 6), 12_096, 0),
+    ],
+    ids=["F2", "F3", "F5", "F7"],
 )
-def test_the_parity_step_matches_the_gcd_walk_on_every_monic_polynomial(monkeypatch, q, degrees, settled):
+def test_the_parity_step_matches_the_gcd_walk_on_every_monic_polynomial(
+    monkeypatch, q, degrees, settled, matrices
+):
     # every monic polynomial of these degrees over F_q, as an integer
     # polynomial with coefficients 0..q-1 analysed at q alone
     monkeypatch.setattr(oracle, "_DEGREE_ANALYSIS_PRIMES", (q,))
@@ -1098,12 +1140,17 @@ def test_the_parity_step_matches_the_gcd_walk_on_every_monic_polynomial(monkeypa
     # q^n - q^(n-1) of the monic polynomials of degree n >= 2 are squarefree
     squarefree = collections.Counter(f.degree for f, (stream, _) in zip(polys, new) if stream)
     assert squarefree == {n: q**n - q ** (n - 1) for n in degrees}
-    # one resultant per input in place of its squarefree gcd, and each run
-    # the parity step settles takes one Frobenius product and one gcd less:
-    # 1,710 of F_3's 2,184 runs, 2,214 of F_5's 3,120 and 12,138 of F_7's 16,800
+    runs = sum(squarefree.values())
+    # one resultant per input in place of its squarefree gcd; one root
+    # count per run in place of step 1's gcd; a matrix only where a step
+    # d >= 2 runs, whose first Frobenius product is step 1's; and each
+    # run the parity step settles takes one product and one gcd less.
+    # q = 2 has no parity step, so every run walks past its root count.
     assert (counts["resultant"], reference_counts["resultant"]) == (len(polys), 0)
-    assert reference_counts["frobenius"] - counts["frobenius"] == settled
-    assert reference_counts["gcd"] - counts["gcd"] == len(polys) + settled
+    assert (counts["roots"], reference_counts["roots"]) == (runs, 0)
+    assert (counts["matrix"], reference_counts["matrix"]) == (matrices, runs)
+    assert reference_counts["frobenius"] - counts["frobenius"] == runs - matrices + settled
+    assert reference_counts["gcd"] - counts["gcd"] == len(polys) + runs + settled
 
 
 def test_the_parity_step_matches_the_gcd_walk_on_seeded_integer_polynomials():
@@ -1121,19 +1168,24 @@ def test_the_parity_step_matches_the_gcd_walk_on_seeded_integer_polynomials():
 
 
 def test_euclid_runs_and_frobenius_products_on_the_seeded_corpus_are_pinned(monkeypatch):
-    # The resultant takes the place of each squarefree gcd, and the parity
-    # step drops the last step's Frobenius product and gcd; the units spent
-    # stay those of the gcd walk.
+    # Against the gcd walk without the quadratic screen: the resultant takes
+    # the place of each squarefree gcd, a root count that of step 1's gcd,
+    # the parity step drops the last step's Frobenius product and gcd, and
+    # 178 of the 557 runs need no step past the root count, so no matrix.
+    # The screen adds 191 resultants and 143 root counts below degree 6.
+    # The units spent stay those of the gcd walk.
     outcomes = []
     for analysis in (_gcd_walked_modular_factor_degrees, _modular_factor_degrees):
         with monkeypatch.context() as m:
             m.setattr(oracle, "_modular_factor_degrees", analysis)
+            if analysis is _gcd_walked_modular_factor_degrees:
+                m.setattr(oracle, "_no_quadratic_factor", lambda f: False)
             counts = _euclid_and_frobenius_counts(m)
             units = sum(_metered_factor(monkeypatch, f, 10**9)[1] for f in _search_corpus())
         outcomes.append((units, counts))
     assert outcomes == [
-        (714_946, {"gcd": 2_088, "resultant": 0, "frobenius": 1_325}),
-        (714_946, {"gcd": 992, "resultant": 763, "frobenius": 992}),
+        (714_946, {"gcd": 2_088, "resultant": 0, "roots": 0, "matrix": 557, "frobenius": 1_325}),
+        (714_946, {"gcd": 435, "resultant": 954, "roots": 700, "matrix": 379, "frobenius": 814}),
     ]
 
 

@@ -14,7 +14,9 @@ caches, as in ``bench/run.py``.
 Prints each side's median CPU seconds per round and its p50, p90 and
 p95 CPU milliseconds per op over every op of every round, so a change to
 the tail shows; then every round's ratio B / A, their median and how
-many ops printed different output on the two sides.  It gates nothing.
+many ops printed different output on the two sides.  It gates no time,
+but exits 1 when any op's output differs between the two sides, so a
+change that alters what an op prints cannot pass for a speed-up.
 On a small shared host, separate benchmark processes can differ by tens
 of percent from run to run; running both sides on each op within
 moments of each other cancels most of that drift.
@@ -154,7 +156,7 @@ def main(argv=None) -> int:
     print("B / A per round: " + " ".join(f"{r:.4f}" for r in ratios))
     print(f"B / A median: {statistics.median(ratios):.4f}, B faster in {sum(r < 1 for r in ratios)} of {len(ratios)}")
     print(f"ops whose output differs: {len(differ)} of {args.ops}")
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
