@@ -17,31 +17,32 @@ Pollard-Brent rho (Brent, BIT 1980) to split it when composite.
 From degree 6 on, a modular degree analysis prunes that search first
 (Knuth, TAOCP Vol. 2, 4.6.2; Musser, JACM 1975).  For small primes q
 that do not divide the leading coefficient and keep f squarefree mod q
-(Res(f, f') over F_q is not 0; five primes below degree 8, up to fifteen
-from degree 8 on), distinct-degree factorization over F_q gives the
-degrees of f's factors mod q; an integer factor's degree must be a
-subset sum of them for every such q.  Other degrees hold no factor and
-are never searched, so the witness is unchanged; {0, n} proves f
-irreducible.  The first step counts f's roots mod q by evaluating f at
-every residue at once, from a per-prime table of the powers a^i mod q
-packed into 16-bit slots (no slot passes (n + 1)(q - 1)^2 < 2^16).  The
+(q does not divide the integer resultant R = Res(f, f'), computed once
+by the subresultant PRS; five primes below degree 8, up to fifteen from
+degree 8 on), distinct-degree factorization over F_q gives the degrees
+of f's factors mod q; an integer factor's degree must be a subset sum
+of them for every such q.  Other degrees hold no factor and are never
+searched, so the witness is unchanged; {0, n} proves f irreducible.
+The first step counts f's roots mod q by evaluating f at every residue
+at once, from a per-prime table of the powers a^i mod q packed into
+16-bit slots (no slot passes (n + 1)(q - 1)^2 < 2^16).  The
 later steps use the Frobenius map h -> h^q mod f, built only when one of
 them runs: n packed ints, one per column x^(iq) mod f, with a 32-bit
 slot per coefficient, so each step is one sum of products and one
 unpack; at the oracle's limits no slot passes n^2 (q - 1)^3 < 2^32.
-For odd q the quadratic character of the discriminant, +-Res(f, f'),
-gives the parity of the number of factors mod q (Stickelberger 1897;
-Swan, Pacific J. Math. 1962), which settles the last step, where one
-factor or two are left, without its Frobenius step and gcd.  Below
-degree 6 the analysis is skipped, but the degree-2 search of a quartic
-or quintic first asks a few primes for the same root count and parity,
-and returns no factor when they leave no degree set mod q with a subset
-summing to 2.
+For odd q the quadratic character of the discriminant mod q, read off
++-lc(f) R, gives the parity of the number of factors mod q
+(Stickelberger 1897; Swan, Pacific J. Math. 1962), which settles the
+last step, where one factor or two are left, without its Frobenius step
+and gcd.  Below degree 6 the analysis is skipped, but the degree-2
+search of a quartic or quintic first asks a few primes for the same root
+count and parity, and returns no factor when they leave no degree set
+mod q with a subset summing to 2.
 
 Work is metered in units: one per rational-root candidate and per
 divisor combination, and in the degree analysis one per product mod f
-and per gcd over F_q: the squarefree resultant costs one unit, as a
-gcd, and a step the parity settles or the root count takes two, as a
+and per gcd over F_q: each prime's squarefree test costs one unit, as
+a gcd, and a step the parity settles or the root count takes two, as a
 product and a gcd; the quadratic screen costs nothing, and a search it
 rules out is charged as if its walk had run out of candidates.  Only
 divisor combinations whose interpolated leading coefficient divides
@@ -611,26 +612,42 @@ def _fq_gcd_degree(a: list[int], b: list[int], q: int) -> int:
     return len(a) - 1
 
 
-def _fq_resultant(a: list[int], b: list[int], q: int) -> int:
-    """Res(a, b) mod q for a nonzero, trimmed a and any b, each of its own degree.
+def _integer_resultant(a: Sequence[int], b: Sequence[int]) -> int:
+    """Res(a, b) over Z for a of degree m >= 1 and b of degree at most m,
+    lowest degree first and without trailing zeros (b = () is 0).
 
-    Consumes both lists.  Euclid's loop, as in :func:`_fq_gcd_degree`, with
-    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for
-    r = a mod b, and Res(a, c) = c^(deg a) for a constant c; zero exactly
-    when a and b have a common factor of positive degree.
+    The subresultant PRS (Collins, J. ACM 14, 1967; Brown and Traub,
+    J. ACM 18, 1971): each pseudo-remainder lc(b)^(delta + 1) a mod b,
+    delta = deg a - deg b, divides exactly by g h^delta, for g = lc(a)
+    and h the last subresultant's leading coefficient (both 1 at the first
+    step), so every remainder is a subresultant, a minor of the Sylvester
+    matrix, and no coefficient outgrows Hadamard's bound.  Zero exactly
+    when a and b have a common factor of positive degree, or b = 0.
     """
-    while b and b[-1] == 0:
-        b.pop()
-    res = 1
+    if not b:
+        return 0
+    sign = g = h = 1
     while len(b) > 1:
         m, k, lead = len(a) - 1, len(b) - 1, b[-1]
-        a, b = b, _fq_rem(a, b, q)
-        if not b:
-            return 0
-        res = res * pow(lead, m - len(b) + 1, q) % q
+        delta = m - k
         if m & k & 1:
-            res = -res
-    return res * pow(b[0], len(a) - 1, q) % q if b else 0
+            sign = -sign
+        r = list(a)
+        for base in range(delta, -1, -1):
+            c = r.pop()
+            r = [lead * x for x in r]
+            for j in range(k):
+                r[base + j] -= c * b[j]
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            return 0
+        divisor = g * h**delta
+        a, b = b, [c // divisor for c in r]
+        g = lead
+        h = g**delta // h ** (delta - 1) if delta else h
+    m = len(a) - 1
+    return sign * b[0] ** m // h ** (m - 1)
 
 
 def _fq_unpack(slots: struct.Struct, packed: int, q: int) -> list[int]:
@@ -659,9 +676,12 @@ def _power_table(q: int) -> tuple[struct.Struct, tuple[int, ...]]:
 
 def _root_count(f: list[int], q: int) -> int:
     """The number of roots in F_q of f, residues lowest degree first, of
-    degree at most MAX_ORACLE_DEGREE: f(a) for every a in one sum of
-    products and one unpack.  For a squarefree f it is deg gcd(f, x^q - x)."""
+    degree at most MAX_ORACLE_DEGREE (InternalError past it): f(a) for
+    every a in one sum of products and one unpack.  For a squarefree f it
+    is deg gcd(f, x^q - x)."""
     slots, powers = _power_table(q)
+    if len(f) > len(powers):
+        raise InternalError(f"a root count mod {q} at degree {len(f) - 1}, past its table")
     values = slots.unpack(sum(map(operator.mul, f, powers)).to_bytes(slots.size, "little"))
     return [v % q for v in values].count(0)
 
@@ -755,31 +775,32 @@ def _distinct_degrees(f: list[int], q: int, meter: _Budget, parity: int | None) 
 def _usable_primes(f: Polynomial, meter: _Budget | None) -> Iterator[tuple[int, list[int], int | None]]:
     """(q, monic f mod q, parity) for each usable prime in the fixed list.
 
-    A prime is usable when it does not divide the leading coefficient and
-    f stays squarefree mod q, i.e. Res(f, f') over F_q is not 0; each
-    resultant costs one unit of meter, when one is given.  For odd q that
-    resultant also gives the parity of the number r of factors mod q
-    (Stickelberger 1897; Swan, Pacific J. Math. 12, 1962): the monic f's
-    discriminant (-1)^(n(n-1)/2) Res(f, f') is a square in F_q exactly
-    when n - r is even.  parity is None for q = 2.
+    One integer resultant R = Res(f, f') (:func:`_integer_resultant`)
+    serves every prime.  Mod a prime q that does not divide f's leading
+    coefficient c, the Sylvester matrix of f and f' is that of f mod q and
+    its derivative, so R = c^(2n-1) Res(g, g') mod q for the monic g = f/c
+    mod q, and g is squarefree exactly when q does not divide R.  A prime
+    is usable when it divides neither c nor R; each prime that does not
+    divide c costs one unit of meter, when one is given.  For odd q, R
+    also gives the parity of the number r of factors mod q (Stickelberger
+    1897; Swan, Pacific J. Math. 12, 1962): g's discriminant
+    (-1)^(n(n-1)/2) Res(g, g') is a square in F_q exactly when n - r is
+    even, and has the square class of (-1)^(n(n-1)/2) c R.  parity is
+    None for q = 2.
     """
-    n = f.degree
+    n, lead = f.degree, f.leading_coefficient
+    res = _integer_resultant(f.coeffs, [i * c for i, c in enumerate(f.coeffs)][1:])
+    disc = lead * res if n % 4 < 2 else -lead * res
     for q in _DEGREE_ANALYSIS_PRIMES:
-        if f.leading_coefficient % q == 0:
+        if lead % q == 0:
             continue
-        inv = pow(f.leading_coefficient, -1, q)
-        fq = [c * inv % q for c in f.coeffs]
-        derivative = [i * c % q for i, c in enumerate(fq)][1:]
         if meter is not None:
             meter.spend()
-        res = _fq_resultant(list(fq), derivative, q)
-        if res == 0:
+        if res % q == 0:
             continue
-        parity = None
-        if q > 2:
-            disc = res if n % 4 < 2 else -res
-            parity = (n + (pow(disc, (q - 1) // 2, q) != 1)) % 2
-        yield q, fq, parity
+        inv = pow(lead, -1, q)
+        parity = None if q == 2 else (n + (pow(disc, (q - 1) // 2, q) != 1)) % 2
+        yield q, [c * inv % q for c in f.coeffs], parity
 
 
 def _modular_factor_degrees(

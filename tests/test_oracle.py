@@ -968,6 +968,10 @@ def test_the_root_count_matches_evaluation_at_every_residue():
         for r in roots:
             f = [(b - r * a) % q for a, b in zip([*f, 0], [0, *f])]
         assert oracle._root_count(f, q) == len(roots)
+    # x^13 - x has 5 roots mod 5, but its power table stops at x^12
+    assert _evaluated_root_count([0, 4] + [0] * 11 + [1], 5) == 5
+    with pytest.raises(InternalError, match="degree 13, past its table"):
+        oracle._root_count([0, 4] + [0] * 11 + [1], 5)
 
 
 @pytest.mark.parametrize("residue", [46, 1], ids=["f-all-q-1", "minus-f-all-q-1"])
@@ -1091,9 +1095,10 @@ def _counting(counts, key, fn):
 
 
 def _euclid_and_frobenius_counts(m):
-    """A dict counting, while the monkeypatch m holds, the F_q gcds,
-    resultants and root counts that run, the Frobenius matrices built and
-    the Frobenius products (every unpack, less the n - 1 a matrix takes)."""
+    """A dict counting, while the monkeypatch m holds, the F_q gcds, the
+    integer resultants and the root counts that run, the Frobenius
+    matrices built and the Frobenius products (every unpack, less the
+    n - 1 a matrix takes)."""
     counts = {"gcd": 0, "resultant": 0, "roots": 0, "matrix": 0, "frobenius": 0}
     matrix = oracle._frobenius_matrix
 
@@ -1106,7 +1111,7 @@ def _euclid_and_frobenius_counts(m):
     for key, name in (
         ("frobenius", "_fq_unpack"),
         ("gcd", "_fq_gcd_degree"),
-        ("resultant", "_fq_resultant"),
+        ("resultant", "_integer_resultant"),
         ("roots", "_root_count"),
     ):
         m.setattr(oracle, name, _counting(counts, key, getattr(oracle, name)))
@@ -1141,7 +1146,7 @@ def test_the_parity_step_matches_the_gcd_walk_on_every_monic_polynomial(
     squarefree = collections.Counter(f.degree for f, (stream, _) in zip(polys, new) if stream)
     assert squarefree == {n: q**n - q ** (n - 1) for n in degrees}
     runs = sum(squarefree.values())
-    # one resultant per input in place of its squarefree gcd; one root
+    # one integer resultant per input in place of its squarefree gcd; one root
     # count per run in place of step 1's gcd; a matrix only where a step
     # d >= 2 runs, whose first Frobenius product is step 1's; and each
     # run the parity step settles takes one product and one gcd less.
@@ -1168,12 +1173,13 @@ def test_the_parity_step_matches_the_gcd_walk_on_seeded_integer_polynomials():
 
 
 def test_euclid_runs_and_frobenius_products_on_the_seeded_corpus_are_pinned(monkeypatch):
-    # Against the gcd walk without the quadratic screen: the resultant takes
-    # the place of each squarefree gcd, a root count that of step 1's gcd,
-    # the parity step drops the last step's Frobenius product and gcd, and
-    # 178 of the 557 runs need no step past the root count, so no matrix.
-    # The screen adds 191 resultants and 143 root counts below degree 6.
-    # The units spent stay those of the gcd walk.
+    # Against the gcd walk without the quadratic screen: one integer
+    # resultant per analysed input (104) takes the place of its squarefree
+    # gcds, a root count that of step 1's gcd, the parity step drops the
+    # last step's Frobenius product and gcd, and 178 of the 557 runs need no
+    # step past the root count, so no matrix.  The screen adds 81 resultants
+    # and 143 root counts below degree 6.  The units spent stay those of
+    # the gcd walk.
     outcomes = []
     for analysis in (_gcd_walked_modular_factor_degrees, _modular_factor_degrees):
         with monkeypatch.context() as m:
@@ -1185,17 +1191,22 @@ def test_euclid_runs_and_frobenius_products_on_the_seeded_corpus_are_pinned(monk
         outcomes.append((units, counts))
     assert outcomes == [
         (714_946, {"gcd": 2_088, "resultant": 0, "roots": 0, "matrix": 557, "frobenius": 1_325}),
-        (714_946, {"gcd": 435, "resultant": 954, "roots": 700, "matrix": 379, "frobenius": 814}),
+        (714_946, {"gcd": 435, "resultant": 185, "roots": 700, "matrix": 379, "frobenius": 814}),
     ]
 
 
-def _sylvester_resultant(a, b, q):
-    """The Sylvester determinant of a and b mod q, lowest degree first, each
-    of the degree its list gives (leading zeros allowed), by elimination."""
+def _sylvester_rows(a, b):
+    """The Sylvester matrix of a and b, lowest degree first, each of the
+    degree its list gives (leading zeros allowed)."""
     m, k = len(a) - 1, len(b) - 1
-    size = m + k
     rows = [[0] * i + a[::-1] + [0] * (k - 1 - i) for i in range(k)]
-    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    return rows + [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
+
+
+def _sylvester_resultant(a, b, q):
+    """The Sylvester determinant of a and b mod q, by elimination over F_q."""
+    rows = _sylvester_rows(a, b)
+    size = len(rows)
     det = 1
     for c in range(size):
         pivot = next((r for r in range(c, size) if rows[r][c] % q), None)
@@ -1212,32 +1223,123 @@ def _sylvester_resultant(a, b, q):
     return det % q
 
 
+def _exact_sylvester_determinant(a, b):
+    """The Sylvester determinant of a and b over Z, by elimination over Q."""
+    rows = [[Fraction(x) for x in row] for row in _sylvester_rows(a, b)]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            factor = rows[r][c] / rows[c][c]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return int(det)
+
+
+def _times_linear(a, root):
+    """a * (x - root), lowest degree first."""
+    return [x - root * y for x, y in zip([0, *a], [*a, 0])]
+
+
 def test_the_resultant_is_the_sylvester_determinant():
     rng = random.Random(1897)
-    derivative_cases = {"full": 0, "q | n": 0, "zero": 0}
-    for q in oracle._DEGREE_ANALYSIS_PRIMES[:6] + (47,):
-        for _ in range(60):
-            # any a and b of their own degrees, b constant or of higher degree too
-            a = [rng.randrange(q) for _ in range(rng.randint(0, 8))] + [rng.randrange(1, q)]
-            b = [rng.randrange(q) for _ in range(rng.randint(0, 8))] + [rng.randrange(1, q)]
-            assert oracle._fq_resultant(list(a), list(b), q) == _sylvester_resultant(a, b, q), (a, b, q)
-            # a monic f against f' of formal degree n - 1, as the analysis
-            # calls it: f' loses its top term when q | n, and is 0 for g(x^q)
-            multiples = range(q, MAX_ORACLE_DEGREE + 1, q)
-            n = rng.choice(multiples) if multiples and rng.random() < 0.5 else rng.randint(2, 12)
-            if n % q or rng.random() < 0.5:
-                f = [rng.randrange(q) for _ in range(n)] + [1]
+    cases = collections.Counter()
+    for _ in range(240):
+        bound = rng.choice((3, 30, 10**9))
+        m = rng.randint(1, 7)
+        k = rng.choice((0, rng.randint(0, m)))
+        a = [rng.randint(-bound, bound) for _ in range(m)] + [rng.choice((-3, -1, 1, 2, bound))]
+        b = [rng.randint(-bound, bound) for _ in range(k)] + [rng.choice((-2, 1, 5, -bound))]
+        if k and rng.random() < 0.3:
+            # a common root, so the resultant is 0
+            root = rng.randint(-3, 3)
+            a, b = _times_linear(a, root), _times_linear(b, root)
+        res = oracle._integer_resultant(tuple(a), b)
+        assert res == _exact_sylvester_determinant(a, b), (a, b)
+        cases["zero" if res == 0 else "constant b" if len(b) == 1 else "full"] += 1
+    assert min(cases.values()) > 20, cases
+    # f against f', as the analysis calls it, at the oracle's limits
+    for n in (2, 5, MAX_ORACLE_DEGREE):
+        f = [rng.randint(-MAX_ORACLE_COEFF, MAX_ORACLE_COEFF) for _ in range(n)] + [MAX_ORACLE_COEFF]
+        derivative = [i * c for i, c in enumerate(f)][1:]
+        assert oracle._integer_resultant(tuple(f), derivative) == _exact_sylvester_determinant(f, derivative)
+    # b = 0 shares every factor of a
+    assert oracle._integer_resultant((1, 1), ()) == 0
+
+
+def _reference_usable_primes(f, meter):
+    """The usable primes, each with its own squarefree test: the Sylvester
+    determinant over F_q of the monic f mod q and its derivative."""
+    n = f.degree
+    for q in oracle._DEGREE_ANALYSIS_PRIMES:
+        if f.leading_coefficient % q == 0:
+            continue
+        inv = pow(f.leading_coefficient, -1, q)
+        fq = [c * inv % q for c in f.coeffs]
+        meter.spend()
+        res = _sylvester_resultant(fq, [i * c % q for i, c in enumerate(fq)][1:], q)
+        if res == 0:
+            continue
+        parity = None
+        if q > 2:
+            disc = res if n % 4 < 2 else -res
+            parity = (n + (pow(disc, (q - 1) // 2, q) != 1)) % 2
+        yield q, fq, parity
+
+
+def _usable_primes_corpus():
+    """Seeded degree 2-12 inputs with |a_i| up to 10^9: random ones, g^2
+    times another factor, g(x^q) for an analysis prime q, and leading
+    coefficients that share the analysis primes."""
+    rng = random.Random(1967)
+    leads = (1, -1, 2, 6, 47, -7 * 11 * 13, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23)
+
+    def draw(degree, bound, lead):
+        return Polynomial([rng.randint(-bound, bound) for _ in range(degree)] + [lead])
+
+    out = []
+    for i in range(240):
+        n = rng.randint(2, 12)
+        bound = rng.choice((3, 30, 10**4, MAX_ORACLE_COEFF))
+        lead = rng.choice((*leads, rng.randint(1, bound)))
+        kind = i % 3
+        if kind == 0:
+            f = draw(n, bound, lead)
+        elif kind == 1:
+            m = rng.randint(1, n // 2)
+            g = draw(m, min(bound, 10**4), rng.choice((1, -1, 2, 3)))
+            f = g * g * draw(n - 2 * m, bound, lead)
+        else:
+            q = rng.choice([q for q in oracle._DEGREE_ANALYSIS_PRIMES if q <= n])
+            g = draw(n // q, bound, lead)
+            f = Polynomial([g.coeffs[i // q] if i % q == 0 else 0 for i in range(q * g.degree + 1)])
+        out.append(f)
+    return out
+
+
+def test_usable_primes_match_a_resultant_per_prime():
+    cases = collections.Counter()
+    for f in _usable_primes_corpus():
+        meter, reference_meter = _SpendLog(10**9), _SpendLog(10**9)
+        stream = list(oracle._usable_primes(f, meter))
+        assert stream == list(_reference_usable_primes(f, reference_meter)), str(f)
+        assert meter.amounts == reference_meter.amounts, str(f)
+        used = {q for q, _, _ in stream}
+        for q in oracle._DEGREE_ANALYSIS_PRIMES:
+            if f.leading_coefficient % q == 0:
+                cases["lead"] += 1
+            elif q in used:
+                # f' mod q loses its top term
+                cases["usable, q | n"] += f.degree % q == 0
             else:
-                f = [rng.randrange(q) if i % q == 0 else 0 for i in range(n)] + [1]
-            derivative = [i * c % q for i, c in enumerate(f)][1:]
-            res = oracle._fq_resultant(list(f), list(derivative), q)
-            assert res == _sylvester_resultant(f, derivative, q), (f, q)
-            kind = "zero" if not any(derivative) else "q | n" if n % q == 0 else "full"
-            derivative_cases[kind] += 1
-            assert (res == 0) == (oracle._fq_gcd_degree(list(f), derivative, q) > 0)
-    assert min(derivative_cases.values()) > 20, derivative_cases
-    # b = 0, trimmed or not: a divides it, so they share a's factors
-    assert oracle._fq_resultant([1, 1], [], 3) == oracle._fq_resultant([1, 1], [0, 0], 3) == 0
+                cases["not squarefree"] += 1
+                cases["f' = 0 mod q"] += not any(i * c % q for i, c in enumerate(f.coeffs))
+    assert min(cases.values()) > 20, cases
 
 
 # ---------------------------------------------------------------------------

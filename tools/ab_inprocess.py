@@ -14,9 +14,13 @@ caches, as in ``bench/run.py``.
 Prints each side's median CPU seconds per round and its p50, p90 and
 p95 CPU milliseconds per op over every op of every round, so a change to
 the tail shows; then every round's ratio B / A, their median and how
-many ops printed different output on the two sides.  It gates no time,
-but exits 1 when any op's output differs between the two sides, so a
-change that alters what an op prints cannot pass for a speed-up.
+many ops printed different output on the two sides.  A sweep report
+holds no witness, so on ``sweep-acceptance`` both sides then factor,
+untimed, the polynomials each op's sweep samples, and an op whose
+witnesses differ, compared as plain tuples, counts as differing output
+too.  It gates no time, but exits 1 when any op's output differs between
+the two sides, so a change that alters what an op prints or factors
+cannot pass for a speed-up.
 On a small shared host, separate benchmark processes can differ by tens
 of percent from run to run; running both sides on each op within
 moments of each other cancels most of that drift.
@@ -112,6 +116,16 @@ def run_op(wl, workload: str, op, package) -> tuple:
     return seconds, raw[0] if workload == "sweep-acceptance" else raw
 
 
+def sweep_witnesses(wl, op, package) -> list:
+    """(sign, content, factor coefficients) of the witness of each
+    polynomial that op's sweep samples, as run_sweep draws them."""
+    out = []
+    for f in package.sweeps.sampled_polynomials(5, 3, wl.SWEEP_SAMPLE, op.argv[1]):
+        witness = package.oracle.kronecker_factor(f)
+        out.append((witness.sign, witness.content, tuple(g.coeffs for g in witness.factors)))
+    return out
+
+
 def main(argv=None) -> int:
     wl = load_workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -147,6 +161,10 @@ def main(argv=None) -> int:
                     differ.add(j)
             for label in cpu:
                 cpu[label].append(seconds[label])
+        if args.workload == "sweep-acceptance":
+            for j, op in enumerate(ops):
+                if sweep_witnesses(wl, op, sides["A"]) != sweep_witnesses(wl, op, sides["B"]):
+                    differ.add(j)
     ratios = [b / a for a, b in zip(cpu["A"], cpu["B"])]
     print(f"workload {args.workload}, {args.ops} ops, {args.rounds} rounds, seed {args.seed}")
     for label, rev in (("A", args.base), ("B", args.change)):
