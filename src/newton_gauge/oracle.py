@@ -23,13 +23,19 @@ degree 8 on), distinct-degree factorization over F_q gives the degrees
 of f's factors mod q; an integer factor's degree must be a subset sum
 of them for every such q.  Other degrees hold no factor and are never
 searched, so the witness is unchanged; {0, n} proves f irreducible.
-The first step counts f's roots mod q by evaluating f at every residue
-at once, from a per-prime table of the powers a^i mod q packed into
-16-bit slots (no slot passes (n + 1)(q - 1)^2 < 2^16).  The
-later steps use the Frobenius map h -> h^q mod f, built only when one of
-them runs: n packed ints, one per column x^(iq) mod f, with a 32-bit
-slot per coefficient, so each step is one sum of products and one
-unpack; at the oracle's limits no slot passes n^2 (q - 1)^3 < 2^32.
+Step d counts f's factors of degree d mod q by evaluating f at one root
+of each monic irreducible g of degree d, that is at one element of each
+Frobenius orbit of F_{q^d} outside F_q (Lidl and Niederreiter, Finite
+Fields, ch. 3): at d = 1 at every residue, and at d = 2 or 3 while
+there are at most 78 such g.  One cached table per (q, d) packs x^i mod
+g for every g into 32-bit slots; f's residues times its rows sum to f
+at every root at once (no slot passes (n + 1)(q - 1)^2 < 2^16), and one
+multiplication by an inverse of q mod 2^16 tests every slot for zero
+without an unpack.
+The other steps use the Frobenius map h -> h^q mod f, built only when
+one of them runs: n packed ints, one per column x^(iq) mod f, with a
+32-bit slot per coefficient, so each step is one sum of products and
+one unpack; at the oracle's limits no slot passes n^2 (q - 1)^3 < 2^32.
 For odd q the quadratic character of the discriminant mod q, read off
 +-lc(f) R, gives the parity of the number of factors mod q
 (Stickelberger 1897; Swan, Pacific J. Math. 1962), which settles the
@@ -42,9 +48,9 @@ mod q with a subset summing to 2.
 Work is metered in units: one per rational-root candidate and per
 divisor combination, and in the degree analysis one per product mod f
 and per gcd over F_q: each prime's squarefree test costs one unit, as
-a gcd, and a step the parity settles or the root count takes two, as a
-product and a gcd; the quadratic screen costs nothing, and a search it
-rules out is charged as if its walk had run out of candidates.  Only
+a gcd, and a step the parity settles or an evaluation counts takes two,
+as a product and a gcd; the quadratic screen costs nothing, and a search
+it rules out is charged as if its walk had run out of candidates.  Only
 divisor combinations whose interpolated leading coefficient divides
 f's are looked at: the trailing points' combinations are indexed by
 their exact share of that coefficient, each combination of the leading
@@ -559,8 +565,8 @@ def _factor_of_degree(f: Polynomial, k: int, budget: _Budget) -> tuple[Polynomia
 # Modular degree analysis
 #
 # Over F_q a polynomial is a list of residues, lowest degree first; Euclid's
-# operands have no trailing zeros.  The Frobenius map packs residues into
-# ints, 32 bits a slot, and the root count 16 bits a slot.  Every factor of
+# operands have no trailing zeros.  The Frobenius map and the evaluation
+# tables pack residues into ints, 32 bits a slot.  Every factor of
 # f over Z reduces to a product of factors of f mod q, so when q keeps the
 # degree and f stays squarefree mod q, the degree of any integer factor is
 # a subset sum of the degrees mod q.
@@ -654,36 +660,100 @@ def _fq_unpack(slots: struct.Struct, packed: int, q: int) -> list[int]:
     return [c % q for c in slots.unpack(packed.to_bytes(slots.size, "little"))]
 
 
-# The root count packs f(a) for a = 0..q-1 into 16-bit slots.  A residue
-# times a power is at most (q - 1)^2, so a value summed over n + 1
-# coefficients stays within (n + 1)(q - 1)^2 <= 13 * 46^2 < 2^16 at the
-# oracle's limits.
+# Step d of the distinct-degree loop reads its number of factors of degree
+# d off f's values at d = 1, and at d = 2 or 3 while F_{q^d} \ F_q has at
+# most this many Frobenius orbits (q <= 13 at d = 2, q <= 5 at d = 3).
+# Measured per step (2 vCPUs, CPython 3.11, n = 7 and 12): up to here an
+# evaluation costs less than the step's gcd alone (78 orbits at q = 13:
+# 4.8 against 8.1 us at n = 7), and far less than the Frobenius matrix,
+# product and gcd a step without a later matrix step saves (29 us).  Past
+# it the gcd is even or cheaper: 136 orbits (17, 2) took 7.2 against
+# 7.7 us, 112 orbits (7, 3) 18.1 against 14.8 us.
+_EVALUATED_ORBITS = 78
+_EVALUATED_STEPS = frozenset(
+    (q, d) for q in _DEGREE_ANALYSIS_PRIMES for d in (2, 3) if q**d - q <= d * _EVALUATED_ORBITS
+)
 
 
 @functools.cache
-def _power_table(q: int) -> tuple[struct.Struct, tuple[int, ...]]:
-    """The powers a^i mod q for i <= MAX_ORACLE_DEGREE, one packed int per
-    i with slot a holding a^i mod q; built once per prime, at its first
-    root count, so a cold command that never counts roots never builds it."""
-    slots = struct.Struct(f"<{q}H")
-    row = [1] * q
-    rows = []
-    for _ in range(MAX_ORACLE_DEGREE + 1):
-        rows.append(int.from_bytes(slots.pack(*row), "little"))
-        row = [r * a % q for a, r in enumerate(row)]
-    return slots, tuple(rows)
+def _evaluation_table(q: int, d: int) -> tuple[tuple[int, ...], int, int, int, int, int]:
+    """(rows, multiplier, low, bias, group, size) for counting the monic
+    irreducible factors of degree d <= 3 over F_q.
+
+    rows[i] packs x^i mod g, for i <= MAX_ORACLE_DEGREE and each of the
+    `size` monic irreducible g of degree d, into d 32-bit slots per g:
+    the coefficients of x^0 .. x^(d-1), so that f's residues times the
+    rows sum to f(alpha) in the basis 1, alpha, .. for a root alpha of
+    each g.  At d = 1 the g are x - a for a = 0 .. q-1 and slot a holds
+    a^i mod q.  From d = 2 on they are the g with no root, since d <= 3:
+    for each choice of g's coefficients past the constant term, one packed
+    evaluation from the d = 1 table gives the constant terms that would
+    give g a root.  Each row comes from the last as x * (x^i mod g) mod g
+    over every g at once.  The other entries test every slot of such a
+    sum for divisibility by q at once (:func:`_factor_count`); `group`
+    holds bit 16 of each g's first slot.  Built once per (q, d) in a
+    process, at its first count, so a cold command that counts nothing
+    builds none.
+    """
+    if d == 1:
+        minus = list(range(q))  # the low coefficient of x - a, negated
+    else:
+        powers = _evaluation_table(q, 1)[0]
+        residues = struct.Struct(f"<{q}I")
+        minus = []
+        for upper in itertools.product(range(q), repeat=d - 1):
+            values = sum(map(operator.mul, (0, *upper, 1), powers)).to_bytes(residues.size, "little")
+            taken = {-v % q for v in residues.unpack(values)}
+            for c in range(q):
+                if c not in taken:
+                    minus.extend(-e % q for e in (c, *upper))
+    size = len(minus) // d
+    slots = struct.Struct(f"<{d * size}I")
+    power = [1, *[0] * (d - 1)] * size  # x^0 mod g, d coefficients a g
+    rows = [int.from_bytes(slots.pack(*power), "little")]
+    for _ in range(MAX_ORACLE_DEGREE):
+        # x * (x^i mod g): shift each g's coefficients up one, and fold
+        # its top one back in as x^d = -(g's low coefficients)
+        top = power[d - 1 :: d]
+        if d == 1:
+            power = [c * t % q for c, t in zip(minus, top)]
+        else:
+            shifted = [0, *power[:-1]]
+            shifted[::d] = [0] * size
+            tops = itertools.chain.from_iterable(zip(*[top] * d))
+            power = [(s + c * t) % q for s, c, t in zip(shifted, minus, tops)]
+        rows.append(int.from_bytes(slots.pack(*power), "little"))
+    ones = int.from_bytes(b"\1\0\0\0" * d * size, "little")
+    group = int.from_bytes((b"\0\0\1\0" + bytes(4 * d - 4)) * size, "little")
+    multiplier, most = (1 << 15, 0) if q == 2 else (pow(q, -1, 1 << 16), 0xFFFF // q)
+    return tuple(rows), multiplier, 0xFFFF * ones, (0xFFFF - most) * ones, group, size
 
 
-def _root_count(f: list[int], q: int) -> int:
-    """The number of roots in F_q of f, residues lowest degree first, of
-    degree at most MAX_ORACLE_DEGREE (InternalError past it): f(a) for
-    every a in one sum of products and one unpack.  For a squarefree f it
-    is deg gcd(f, x^q - x)."""
-    slots, powers = _power_table(q)
-    if len(f) > len(powers):
-        raise InternalError(f"a root count mod {q} at degree {len(f) - 1}, past its table")
-    values = slots.unpack(sum(map(operator.mul, f, powers)).to_bytes(slots.size, "little"))
-    return [v % q for v in values].count(0)
+def _factor_count(f: list[int], q: int, d: int) -> int:
+    """The number of monic irreducible g of degree d <= 3 that divide f
+    over F_q, for f's residues lowest degree first, of degree at most
+    MAX_ORACLE_DEGREE (InternalError past it).  At d = 1 it is f's number
+    of roots in F_q; for a squarefree f it is its number of factors of
+    degree d.
+
+    f(alpha) for a root alpha of every g is one sum of products with
+    _evaluation_table's rows, and no slot of it passes (n + 1)(q - 1)^2,
+    which is at most 13 * 46^2 < 2^16 at the oracle's limits.  For v
+    below 2^16 and an odd q, v times q's inverse mod 2^16 is at most
+    (2^16 - 1) // q exactly when q divides v (Granlund and Montgomery,
+    PLDI 1994, section 9); for q = 2, v * 2^15 mod 2^16 is 0 exactly when
+    v is even.  So one product, one mask and one sum set bit 16 of every
+    slot that q does not divide, with no unpack, and g divides f when
+    none of its d slots has that bit.
+    """
+    rows, multiplier, low, bias, group, size = _evaluation_table(q, d)
+    if len(f) > len(rows):
+        raise InternalError(f"a degree-{d} factor count mod {q} at degree {len(f) - 1}, past its table")
+    nonzero = (sum(map(operator.mul, f, rows)) * multiplier & low) + bias
+    flags = nonzero
+    for j in range(1, d):
+        flags |= nonzero >> 32 * j
+    return size - (flags & group).bit_count()
 
 
 def _frobenius_matrix(f: list[int], q: int, slots: struct.Struct) -> list[int]:
@@ -722,12 +792,15 @@ def _distinct_degrees(f: list[int], q: int, meter: _Budget, parity: int | None) 
     Distinct-degree factorization: gcd(f, x^(q^d) - x) is the product of
     the factors whose degree divides d, so its degree is the sum of e over
     the factors of each degree e that divides d.  Once no factor of degree
-    up to d is left, what is left of f is irreducible.  At d = 1 that gcd's
-    degree is f's number of roots in F_q, which :func:`_root_count` reads
-    off f's values.  The Frobenius matrix is built only when a step d >= 2
-    runs, but its units, one per column, are charged first either way, and
-    the root count is charged as a step: the units are those of a walk
-    that takes every step's product and gcd.
+    up to d is left, what is left of f is irreducible.  Step d = 1, and
+    step d = 2 or 3 where (q, d) is in _EVALUATED_STEPS, reads the number
+    of factors of degree d off f's values at one root of each irreducible
+    g of degree d (:func:`_factor_count`).  The Frobenius matrix is built
+    only when another step runs, and the walk brings h up to x^(q^d) mod
+    f from x^q, one product per degree; the matrix's units, one per
+    column, are charged first either way, and an evaluated step is
+    charged as a step: the units are those of a walk that takes every
+    step's product and gcd.
 
     parity, None for q = 2, is the number of factors mod 2.  At a step
     d >= 2 whose `left` is at most 2d + 1, the factors left all have
@@ -743,7 +816,7 @@ def _distinct_degrees(f: list[int], q: int, meter: _Budget, parity: int | None) 
     degrees: list[int] = []
     if left >= 2:
         meter.spend(2)  # step d = 1, charged as one Frobenius step and one gcd
-        degrees = [1] * _root_count(f, q)
+        degrees = [1] * _factor_count(f, q, 1)
         left -= len(degrees)
     columns = None
     d = 1
@@ -756,15 +829,20 @@ def _distinct_degrees(f: list[int], q: int, meter: _Budget, parity: int | None) 
                 degrees.append(d)
                 left -= d
             break
-        if columns is None:
-            slots = struct.Struct(f"<{n}I")
-            columns = _frobenius_matrix(f, q, slots)
-            h = _fq_unpack(slots, columns[1], q)  # x^q mod f: step d = 1's product
-        h = _fq_unpack(slots, sum(map(operator.mul, h, columns)), q)
-        h_minus_x = h.copy()
-        h_minus_x[1] = (h_minus_x[1] - 1) % q
-        known = sum(e for e in degrees if d % e == 0)
-        count = (_fq_gcd_degree(list(f), h_minus_x, q) - known) // d
+        if (q, d) in _EVALUATED_STEPS:
+            count = _factor_count(f, q, d)
+        else:
+            if columns is None:
+                slots = struct.Struct(f"<{n}I")
+                columns = _frobenius_matrix(f, q, slots)
+                h, reached = _fq_unpack(slots, columns[1], q), 1  # x^q mod f
+            while reached < d:  # up to x^(q^d) mod f
+                h = _fq_unpack(slots, sum(map(operator.mul, h, columns)), q)
+                reached += 1
+            h_minus_x = h.copy()
+            h_minus_x[1] = (h_minus_x[1] - 1) % q
+            known = sum(e for e in degrees if d % e == 0)
+            count = (_fq_gcd_degree(list(f), h_minus_x, q) - known) // d
         degrees.extend([d] * count)
         left -= d * count
     if left:
@@ -824,7 +902,7 @@ def _no_quadratic_factor(f: Polynomial) -> bool:
     """
     n = f.degree
     for q, fq, parity in itertools.islice(_usable_primes(f, None), _DEGREE_ANALYSIS_FEW_PRIMES):
-        roots = _root_count(fq, q)
+        roots = _factor_count(fq, q, 1)
         if roots < 2 and (n - roots == 3 or parity is not None and (parity - roots) % 2):
             return True
     return False

@@ -936,6 +936,11 @@ def _slot_bound(n, q):
     return n * (q - 1) * n * (q - 1) ** 2
 
 
+def _evaluation_tables():
+    """Every (q, d) whose table the distinct-degree loop can build."""
+    return sorted({(q, 1) for q in oracle._DEGREE_ANALYSIS_PRIMES} | oracle._EVALUATED_STEPS)
+
+
 def test_packed_slots_fit_their_width_at_the_oracle_limits():
     q = max(oracle._DEGREE_ANALYSIS_PRIMES)
     assert oracle._SLOT_BITS == 8 * struct.calcsize("<I") == 32
@@ -944,11 +949,50 @@ def test_packed_slots_fit_their_width_at_the_oracle_limits():
     full = 2**oracle._SLOT_BITS - 1
     packed = full << oracle._SLOT_BITS | 7
     assert oracle._fq_unpack(struct.Struct("<2I"), packed, 2**40) == [7, full]
-    # the root count's 16-bit slot at a sums n + 1 residues times a^i mod q
-    assert oracle._power_table(q)[0].format == f"<{q}H" and struct.calcsize("<H") == 2
-    assert (MAX_ORACLE_DEGREE + 1) * (q - 1) ** 2 < 2**16
-    top = [q - 1] * (MAX_ORACLE_DEGREE + 1)
-    assert oracle._root_count(top, q) == _evaluated_root_count(top, q)
+    # a factor count's slot sums n + 1 residues times residues, and its
+    # divisibility test needs that sum below 2^16, in a 32-bit slot that
+    # holds the sum times a 16-bit multiplier
+    assert oracle._EVALUATED_STEPS == {
+        (2, 2), (3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (2, 3), (3, 3), (5, 3)
+    }
+    for q, d in _evaluation_tables():
+        assert (MAX_ORACLE_DEGREE + 1) * (q - 1) ** 2 < 2**16
+        rows, multiplier, low, bias, group, size = oracle._evaluation_table(q, d)
+        assert size == (q if d == 1 else (q**d - q) // d)
+        assert len(rows) == MAX_ORACLE_DEGREE + 1
+        assert multiplier < 2**16 and group.bit_count() == size
+        for row in rows:
+            assert max(struct.unpack(f"<{d * size}I", row.to_bytes(4 * d * size, "little"))) < q
+        # every coefficient at q - 1: the largest sum a slot can hold
+        top = [q - 1] * (MAX_ORACLE_DEGREE + 1)
+        assert oracle._factor_count(top, q, d) == _evaluated_factor_count(top, q, d), (q, d)
+        # a count past the table's rows refuses
+        with pytest.raises(InternalError, match=f"mod {q} at degree 13, past its table"):
+            oracle._factor_count([1] * (MAX_ORACLE_DEGREE + 2), q, d)
+
+
+def _monic_irreducibles(q, d):
+    """The monic irreducible polynomials of degree d <= 3 over F_q, found
+    by evaluation at every residue: of degree 2 or 3, those with no root."""
+    return [
+        [*low, 1]
+        for low in itertools.product(range(q), repeat=d)
+        if d == 1 or all(sum(c * a**i for i, c in enumerate([*low, 1])) % q for a in range(q))
+    ]
+
+
+def _evaluated_factor_count(f, q, d):
+    """How many monic irreducible g of degree d divide f over F_q, by
+    long division."""
+    count = 0
+    for g in _monic_irreducibles(q, d):
+        rem = list(f)
+        for t in range(len(rem) - 1, d - 1, -1):
+            c = rem[t] % q
+            for j in range(d + 1):
+                rem[t - d + j] -= c * g[j]
+        count += not any(c % q for c in rem[:d])
+    return count
 
 
 def _evaluated_root_count(f, q):
@@ -961,17 +1005,84 @@ def test_the_root_count_matches_evaluation_at_every_residue():
         for n in range(MAX_ORACLE_DEGREE + 1):
             for _ in range(8):
                 f = [rng.randrange(q) for _ in range(n)] + [rng.randrange(1, q)]
-                assert oracle._root_count(f, q) == _evaluated_root_count(f, q), (f, q)
+                assert oracle._factor_count(f, q, 1) == _evaluated_root_count(f, q), (f, q)
         # a product of distinct linear factors has every one of its roots
         roots = rng.sample(range(q), min(q, MAX_ORACLE_DEGREE))
         f = [1]
         for r in roots:
             f = [(b - r * a) % q for a, b in zip([*f, 0], [0, *f])]
-        assert oracle._root_count(f, q) == len(roots)
-    # x^13 - x has 5 roots mod 5, but its power table stops at x^12
+        assert oracle._factor_count(f, q, 1) == len(roots)
+    # x^13 - x has 5 roots mod 5, but its table stops at x^12
     assert _evaluated_root_count([0, 4] + [0] * 11 + [1], 5) == 5
     with pytest.raises(InternalError, match="degree 13, past its table"):
-        oracle._root_count([0, 4] + [0] * 11 + [1], 5)
+        oracle._factor_count([0, 4] + [0] * 11 + [1], 5, 1)
+
+
+def test_the_evaluated_counts_match_long_division():
+    rng = random.Random(1970)
+    for q, d in sorted(oracle._EVALUATED_STEPS):
+        irreducibles = _monic_irreducibles(q, d)
+        for n in range(MAX_ORACLE_DEGREE + 1):
+            for _ in range(6):
+                f = [rng.randrange(q) for _ in range(n)] + [rng.randrange(1, q)]
+                assert oracle._factor_count(f, q, d) == _evaluated_factor_count(f, q, d), (f, q, d)
+        # a product of distinct irreducibles of degree d counts each of them
+        chosen = rng.sample(irreducibles, min(len(irreducibles), MAX_ORACLE_DEGREE // d))
+        f = [1]
+        for g in chosen:
+            f = [sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g)) % q for k in range(len(f) + d)]
+        assert oracle._factor_count(f, q, d) == len(chosen), (q, d)
+
+
+def test_analyze_builds_no_table_and_a_quintic_no_table_past_step_1(capsys):
+    # A cold analyze never factors, and a quartic's or quintic's screen
+    # counts roots only: neither pays for a table of degree 2 or 3.
+    from newton_gauge import cli
+
+    oracle._evaluation_table.cache_clear()
+    for text, p in (("x^6+3*x^5-2*x+9", "3"), ("4*x^12-6*x^7+2*x^3+18", "2"), ("x^3+2", "5")):
+        for extra in ([], ["--json"]):
+            assert cli.main(["analyze", "--poly", text, "--prime", p, *extra]) == 0
+    capsys.readouterr()
+    assert oracle._evaluation_table.cache_info().currsize == 0
+    rng = random.Random(1245)
+    for _ in range(200):
+        f = _small_poly(rng, rng.choice((4, 5)))
+        if f.constant_term and f.leading_coefficient > 0:
+            kronecker_factor(f)
+    assert oracle._evaluation_table.cache_info().currsize > 0
+    # had any table past step 1 been built, this would leave more than one
+    # table per prime
+    for q in oracle._DEGREE_ANALYSIS_PRIMES:
+        oracle._evaluation_table(q, 1)
+    assert oracle._evaluation_table.cache_info().currsize == len(oracle._DEGREE_ANALYSIS_PRIMES)
+
+
+@pytest.mark.parametrize("q", [5, 11, 13])
+def test_the_evaluated_steps_match_the_gcd_walk_at_the_largest_primes(monkeypatch, q):
+    # The exhaustive F_2 .. F_7 runs never reach step 2 at q = 11 or 13,
+    # the largest primes it evaluates at (55 and 78 orbits), nor step 3 at
+    # q = 5 (40 orbits): seeded monic squarefree inputs of degree 6-12 do.
+    monkeypatch.setattr(oracle, "_DEGREE_ANALYSIS_PRIMES", (q,))
+    rng = random.Random(1894 + q)
+    polys = []
+    while len(polys) < 300:
+        coeffs = [rng.randrange(q) for _ in range(rng.randint(6, 12))] + [1]
+        derivative = [i * c for i, c in enumerate(coeffs)][1:]
+        if oracle._integer_resultant(coeffs, derivative) % q:
+            polys.append(Polynomial(coeffs))
+    walked = [_analysis_outcome(_gcd_walked_modular_factor_degrees, f) for f in polys]
+    steps = collections.Counter()
+    count = oracle._factor_count
+
+    def counted(f, q, d):
+        steps[d] += 1
+        return count(f, q, d)
+
+    monkeypatch.setattr(oracle, "_factor_count", counted)
+    assert [_analysis_outcome(_modular_factor_degrees, f) for f in polys] == walked
+    assert steps[1] == len(polys) and steps[2] > 100
+    assert steps[3] > 20 if q == 5 else steps[3] == 0
 
 
 @pytest.mark.parametrize("residue", [46, 1], ids=["f-all-q-1", "minus-f-all-q-1"])
@@ -1096,40 +1207,44 @@ def _counting(counts, key, fn):
 
 def _euclid_and_frobenius_counts(m):
     """A dict counting, while the monkeypatch m holds, the F_q gcds, the
-    integer resultants and the root counts that run, the Frobenius
-    matrices built and the Frobenius products (every unpack, less the
-    n - 1 a matrix takes)."""
-    counts = {"gcd": 0, "resultant": 0, "roots": 0, "matrix": 0, "frobenius": 0}
-    matrix = oracle._frobenius_matrix
+    integer resultants, the root counts and the counts of factors of
+    degree 2 or 3 evaluated, the Frobenius matrices built and the
+    Frobenius products (every unpack, less the n - 1 a matrix takes)."""
+    counts = {"gcd": 0, "resultant": 0, "roots": 0, "evaluated": 0, "matrix": 0, "frobenius": 0}
+    matrix, factor_count = oracle._frobenius_matrix, oracle._factor_count
 
     def counted_matrix(f, q, slots):
         counts["matrix"] += 1
         counts["frobenius"] -= len(f) - 2
         return matrix(f, q, slots)
 
+    def counted_factor_count(f, q, d):
+        counts["roots" if d == 1 else "evaluated"] += 1
+        return factor_count(f, q, d)
+
     m.setattr(oracle, "_frobenius_matrix", counted_matrix)
+    m.setattr(oracle, "_factor_count", counted_factor_count)
     for key, name in (
         ("frobenius", "_fq_unpack"),
         ("gcd", "_fq_gcd_degree"),
         ("resultant", "_integer_resultant"),
-        ("roots", "_root_count"),
     ):
         m.setattr(oracle, name, _counting(counts, key, getattr(oracle, name)))
     return counts
 
 
 @pytest.mark.parametrize(
-    "q, degrees, settled, matrices",
+    "q, degrees, settled, evaluated, matrices",
     [
-        (2, range(2, 11), 0, 1_009),
-        (3, range(2, 8), 1_704, 1_420),
-        (5, range(2, 6), 2_194, 0),
-        (7, range(2, 6), 12_096, 0),
+        (2, range(2, 11), 0, 1_938, 528),
+        (3, range(2, 8), 1_704, 1_420, 0),
+        (5, range(2, 6), 2_194, 0, 0),
+        (7, range(2, 6), 12_096, 0, 0),
     ],
     ids=["F2", "F3", "F5", "F7"],
 )
 def test_the_parity_step_matches_the_gcd_walk_on_every_monic_polynomial(
-    monkeypatch, q, degrees, settled, matrices
+    monkeypatch, q, degrees, settled, evaluated, matrices
 ):
     # every monic polynomial of these degrees over F_q, as an integer
     # polynomial with coefficients 0..q-1 analysed at q alone
@@ -1139,23 +1254,34 @@ def test_the_parity_step_matches_the_gcd_walk_on_every_monic_polynomial(
     for analysis in (_modular_factor_degrees, _gcd_walked_modular_factor_degrees):
         with monkeypatch.context() as m:
             counts = _euclid_and_frobenius_counts(m)
-            outcomes[analysis] = [_analysis_outcome(analysis, f) for f in polys], counts
+            runs_counted = []
+            for f in polys:
+                before = dict(counts)
+                runs_counted.append((_analysis_outcome(analysis, f), {k: counts[k] - before[k] for k in counts}))
+            outcomes[analysis] = runs_counted, counts
     (new, counts), (reference, reference_counts) = outcomes.values()
-    assert new == reference
+    assert [outcome for outcome, _ in new] == [outcome for outcome, _ in reference]
     # q^n - q^(n-1) of the monic polynomials of degree n >= 2 are squarefree
-    squarefree = collections.Counter(f.degree for f, (stream, _) in zip(polys, new) if stream)
+    squarefree = collections.Counter(f.degree for f, ((stream, _), _) in zip(polys, new) if stream)
     assert squarefree == {n: q**n - q ** (n - 1) for n in degrees}
     runs = sum(squarefree.values())
     # one integer resultant per input in place of its squarefree gcd; one root
-    # count per run in place of step 1's gcd; a matrix only where a step
-    # d >= 2 runs, whose first Frobenius product is step 1's; and each
-    # run the parity step settles takes one product and one gcd less.
-    # q = 2 has no parity step, so every run walks past its root count.
+    # count per run in place of step 1's gcd; an evaluated count in place of
+    # the gcd of each step d = 2 or 3 in _EVALUATED_STEPS; a matrix only
+    # where another step d >= 2 runs, whose first Frobenius product is step
+    # 1's; and each run the parity step settles takes one product and one
+    # gcd less.  A run that builds a matrix still takes the product of each
+    # step before it, evaluated or not, to bring h up to x^(q^d).  q = 2 has
+    # no parity step, so every run walks past its root count.
     assert (counts["resultant"], reference_counts["resultant"]) == (len(polys), 0)
     assert (counts["roots"], reference_counts["roots"]) == (runs, 0)
+    assert (counts["evaluated"], reference_counts["evaluated"]) == (evaluated, 0)
     assert (counts["matrix"], reference_counts["matrix"]) == (matrices, runs)
-    assert reference_counts["frobenius"] - counts["frobenius"] == runs - matrices + settled
-    assert reference_counts["gcd"] - counts["gcd"] == len(polys) + runs + settled
+    walked = sum(run["evaluated"] for _, run in new if run["matrix"])
+    assert reference_counts["frobenius"] - counts["frobenius"] == (
+        runs - matrices + settled + evaluated - walked
+    )
+    assert reference_counts["gcd"] - counts["gcd"] == len(polys) + runs + settled + evaluated
 
 
 def test_the_parity_step_matches_the_gcd_walk_on_seeded_integer_polynomials():
@@ -1175,11 +1301,11 @@ def test_the_parity_step_matches_the_gcd_walk_on_seeded_integer_polynomials():
 def test_euclid_runs_and_frobenius_products_on_the_seeded_corpus_are_pinned(monkeypatch):
     # Against the gcd walk without the quadratic screen: one integer
     # resultant per analysed input (104) takes the place of its squarefree
-    # gcds, a root count that of step 1's gcd, the parity step drops the
-    # last step's Frobenius product and gcd, and 178 of the 557 runs need no
-    # step past the root count, so no matrix.  The screen adds 81 resultants
-    # and 143 root counts below degree 6.  The units spent stay those of
-    # the gcd walk.
+    # gcds, a root count that of step 1's gcd, 212 evaluated counts those
+    # of steps 2 and 3 in _EVALUATED_STEPS, the parity step drops the last
+    # step's Frobenius product and gcd, and 358 of the 557 runs need no
+    # other step, so no matrix.  The screen adds 81 resultants and 143 root
+    # counts below degree 6.  The units spent stay those of the gcd walk.
     outcomes = []
     for analysis in (_gcd_walked_modular_factor_degrees, _modular_factor_degrees):
         with monkeypatch.context() as m:
@@ -1190,8 +1316,8 @@ def test_euclid_runs_and_frobenius_products_on_the_seeded_corpus_are_pinned(monk
             units = sum(_metered_factor(monkeypatch, f, 10**9)[1] for f in _search_corpus())
         outcomes.append((units, counts))
     assert outcomes == [
-        (714_946, {"gcd": 2_088, "resultant": 0, "roots": 0, "matrix": 557, "frobenius": 1_325}),
-        (714_946, {"gcd": 435, "resultant": 185, "roots": 700, "matrix": 379, "frobenius": 814}),
+        (714_946, {"gcd": 2_088, "resultant": 0, "roots": 0, "evaluated": 0, "matrix": 557, "frobenius": 1_325}),
+        (714_946, {"gcd": 223, "resultant": 185, "roots": 700, "evaluated": 212, "matrix": 199, "frobenius": 444}),
     ]
 
 
