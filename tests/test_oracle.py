@@ -2,7 +2,6 @@ import collections
 import itertools
 import json
 import math
-import operator
 import pickle
 import random
 import struct
@@ -761,10 +760,12 @@ def test_degree_analysis_is_charged_to_the_budget():
         kronecker_factor(_poly("x^6+2x^3+8"), budget=2)
 
 
-# The F_q kernels as they were before the in-place rewrite: every Euclid
+# The one F_q reference of the degree analysis: textbook distinct-degree
+# factorization (Knuth, TAOCP vol. 2, 4.6.2) on dense lists.  Every Euclid
 # step builds the quotient and makes the divisor monic, x^q comes from
-# list concatenation, and each Frobenius row is a product divided through
-# _reference_fq_divmod.  The analysis must give the same (q, degrees)
+# list concatenation, each Frobenius row is a product divided through
+# _reference_fq_divmod, and every step takes its product and its gcd.  It
+# calls no oracle kernel.  The analysis must give the same (q, degrees)
 # stream and charge the same units at the same points.
 
 
@@ -850,15 +851,22 @@ def _reference_distinct_degrees(f, q, meter):
     return degrees
 
 
-def _reference_modular_factor_degrees(f, meter):
+def _reference_usable_primes(f, meter):
+    """(q, monic f mod q) for each prime that keeps f's degree and leaves
+    it squarefree, by gcd(f, f') over F_q; one unit per prime that keeps
+    the degree."""
     for q in oracle._DEGREE_ANALYSIS_PRIMES:
         if f.leading_coefficient % q == 0:
             continue
         fq = _reference_fq_monic([c % q for c in f.coeffs], q)
         derivative = _reference_fq_trim([i * c % q for i, c in enumerate(fq)][1:])
         meter.spend()
-        if len(_reference_fq_gcd(fq, derivative, q)) > 1:
-            continue
+        if len(_reference_fq_gcd(fq, derivative, q)) == 1:
+            yield q, fq
+
+
+def _reference_modular_factor_degrees(f, meter):
+    for q, fq in _reference_usable_primes(f, meter):
         yield q, _reference_distinct_degrees(fq, q, meter)
 
 
@@ -906,23 +914,44 @@ def _degree_analysis_corpus():
     return out
 
 
+def _analysis_outcome(analysis, f, cap=10**9, spent=0):
+    """The (q, degrees) stream of analysis(f), the amount of every spend
+    and the budget message, if the cap stops it."""
+    meter = _SpendLog(cap, spent)
+    stream = []
+    try:
+        for item in analysis(f, meter):
+            stream.append(item)
+    except OracleBudgetError as exc:
+        return stream, meter.amounts, str(exc)
+    return stream, meter.amounts, None
+
+
 def test_fq_kernels_match_the_reference_kernels():
-    skipped_for_the_lead = skipped_as_square = 0
+    # the degree analysis corpus and 400 more seeded integer polynomials of
+    # degree 6-12, at all 15 analysis primes
+    polys = _degree_analysis_corpus()
+    rng = random.Random(2717)
+    for _ in range(400):
+        n = rng.randint(6, 12)
+        lead = rng.choice((1, 1, 1, -1, 2, 6))
+        low = [rng.choice((-3, -1, 1, 2))] + [rng.randint(-30, 30) for _ in range(n - 1)]
+        polys.append(Polynomial(low + [lead]))
+    pairs = skipped_for_the_lead = skipped_as_square = 0
     degrees_seen = set()
-    for f in _degree_analysis_corpus():
-        meter, reference_meter = _SpendLog(10**9), _SpendLog(10**9)
-        stream = list(_modular_factor_degrees(f, meter))
-        reference = list(_reference_modular_factor_degrees(f, reference_meter))
-        assert stream == reference, str(f)
-        assert meter.amounts == reference_meter.amounts, str(f)
-        used = [q for q, _ in stream]
+    for f in polys:
+        outcome = _analysis_outcome(_modular_factor_degrees, f)
+        assert outcome == _analysis_outcome(_reference_modular_factor_degrees, f), str(f)
+        used = [q for q, _ in outcome[0]]
         lead_ok = [q for q in oracle._DEGREE_ANALYSIS_PRIMES if f.leading_coefficient % q]
         skipped_for_the_lead += len(oracle._DEGREE_ANALYSIS_PRIMES) - len(lead_ok)
         skipped_as_square += len(lead_ok) - len(used)
+        pairs += len(used)
         degrees_seen.add(f.degree)
-    # the corpus reaches every branch: primes dividing the lead, primes
-    # mod which f is not squarefree, and every degree from 6 to 12
-    assert skipped_for_the_lead > 0 and skipped_as_square > 0
+    # the corpus reaches every branch and every degree from 6 to 12: of its
+    # 8,400 (prime, input) pairs, 424 drop the degree, 1,219 leave f not
+    # squarefree and 6,757 are usable
+    assert (skipped_for_the_lead, skipped_as_square, pairs) == (424, 1_219, 6_757)
     assert degrees_seen == set(range(6, 13))
 
 
@@ -995,38 +1024,17 @@ def _evaluated_factor_count(f, q, d):
     return count
 
 
-def _evaluated_root_count(f, q):
-    return sum(sum(c * a**i for i, c in enumerate(f)) % q == 0 for a in range(q))
-
-
-def test_the_root_count_matches_evaluation_at_every_residue():
-    rng = random.Random(1962)
-    for q in oracle._DEGREE_ANALYSIS_PRIMES:
-        for n in range(MAX_ORACLE_DEGREE + 1):
-            for _ in range(8):
-                f = [rng.randrange(q) for _ in range(n)] + [rng.randrange(1, q)]
-                assert oracle._factor_count(f, q, 1) == _evaluated_root_count(f, q), (f, q)
-        # a product of distinct linear factors has every one of its roots
-        roots = rng.sample(range(q), min(q, MAX_ORACLE_DEGREE))
-        f = [1]
-        for r in roots:
-            f = [(b - r * a) % q for a, b in zip([*f, 0], [0, *f])]
-        assert oracle._factor_count(f, q, 1) == len(roots)
-    # x^13 - x has 5 roots mod 5, but its table stops at x^12
-    assert _evaluated_root_count([0, 4] + [0] * 11 + [1], 5) == 5
-    with pytest.raises(InternalError, match="degree 13, past its table"):
-        oracle._factor_count([0, 4] + [0] * 11 + [1], 5, 1)
-
-
 def test_the_evaluated_counts_match_long_division():
+    # every table, the root counts at d = 1 included
     rng = random.Random(1970)
-    for q, d in sorted(oracle._EVALUATED_STEPS):
+    for q, d in _evaluation_tables():
         irreducibles = _monic_irreducibles(q, d)
         for n in range(MAX_ORACLE_DEGREE + 1):
             for _ in range(6):
                 f = [rng.randrange(q) for _ in range(n)] + [rng.randrange(1, q)]
                 assert oracle._factor_count(f, q, d) == _evaluated_factor_count(f, q, d), (f, q, d)
-        # a product of distinct irreducibles of degree d counts each of them
+        # a product of distinct irreducibles of degree d counts each of them,
+        # and of linear ones, every one of its roots
         chosen = rng.sample(irreducibles, min(len(irreducibles), MAX_ORACLE_DEGREE // d))
         f = [1]
         for g in chosen:
@@ -1065,13 +1073,13 @@ def test_the_evaluated_steps_match_the_gcd_walk_at_the_largest_primes(monkeypatc
     # q = 5 (40 orbits): seeded monic squarefree inputs of degree 6-12 do.
     monkeypatch.setattr(oracle, "_DEGREE_ANALYSIS_PRIMES", (q,))
     rng = random.Random(1894 + q)
-    polys = []
+    polys, reference = [], []
     while len(polys) < 300:
-        coeffs = [rng.randrange(q) for _ in range(rng.randint(6, 12))] + [1]
-        derivative = [i * c for i, c in enumerate(coeffs)][1:]
-        if oracle._integer_resultant(coeffs, derivative) % q:
-            polys.append(Polynomial(coeffs))
-    walked = [_analysis_outcome(_gcd_walked_modular_factor_degrees, f) for f in polys]
+        f = Polynomial([rng.randrange(q) for _ in range(rng.randint(6, 12))] + [1])
+        outcome = _analysis_outcome(_reference_modular_factor_degrees, f)
+        if outcome[0]:  # f is squarefree mod q
+            polys.append(f)
+            reference.append(outcome)
     steps = collections.Counter()
     count = oracle._factor_count
 
@@ -1080,7 +1088,7 @@ def test_the_evaluated_steps_match_the_gcd_walk_at_the_largest_primes(monkeypatc
         return count(f, q, d)
 
     monkeypatch.setattr(oracle, "_factor_count", counted)
-    assert [_analysis_outcome(_modular_factor_degrees, f) for f in polys] == walked
+    assert [_analysis_outcome(_modular_factor_degrees, f) for f in polys] == reference
     assert steps[1] == len(polys) and steps[2] > 100
     assert steps[3] > 20 if q == 5 else steps[3] == 0
 
@@ -1106,26 +1114,15 @@ def test_packed_kernel_at_its_bound_matches_the_reference(monkeypatch, residue):
     assert q * q < max(largest) <= _slot_bound(n, q)
 
 
-def _budget_outcome(analysis, f, cap, spent):
-    meter = _SpendLog(cap, spent)
-    stream = []
-    try:
-        for item in analysis(f, meter):
-            stream.append(item)
-    except OracleBudgetError as exc:
-        return stream, meter.amounts, str(exc)
-    return stream, meter.amounts, None
-
-
 def test_fq_kernels_run_out_of_budget_at_the_same_spend(monkeypatch):
     rng = random.Random(47)
     for f in _degree_analysis_corpus()[::4]:
-        units = sum(_budget_outcome(_reference_modular_factor_degrees, f, 10**9, 0)[1])
+        units = sum(_analysis_outcome(_reference_modular_factor_degrees, f)[1])
         for cap in {units - 1, rng.randrange(units)}:
             pre = rng.randrange(1000)
-            expected = _budget_outcome(_reference_modular_factor_degrees, f, pre + cap, pre)
+            expected = _analysis_outcome(_reference_modular_factor_degrees, f, pre + cap, pre)
             assert expected[2] is not None
-            assert _budget_outcome(_modular_factor_degrees, f, pre + cap, pre) == expected
+            assert _analysis_outcome(_modular_factor_degrees, f, pre + cap, pre) == expected
     # and through the oracle: a cap inside the analysis of a primitive
     # degree-6+ input gives the same message as the reference kernels
     checked = 0
@@ -1145,56 +1142,6 @@ def test_fq_kernels_run_out_of_budget_at_the_same_spend(monkeypatch):
         assert str(new.value) == str(old.value)
         checked += 1
     assert checked > 20
-
-
-# The distinct-degree loop as it was before the parity step: every step
-# takes its Frobenius product and its gcd, and the squarefree test is a
-# gcd.  The resultant and the parity step must give the same (q, degrees)
-# stream and charge the same units at the same points.
-
-
-def _gcd_walked_distinct_degrees(f, q, meter):
-    left = len(f) - 1
-    slots = struct.Struct(f"<{left}I")
-    meter.spend(2)
-    for _ in range(left - 2):
-        meter.spend()
-    columns = oracle._frobenius_matrix(f, q, slots)
-    degrees = []
-    h = [0, 1]
-    d = 0
-    while 2 * (d + 1) <= left:
-        d += 1
-        meter.spend(2)
-        h = oracle._fq_unpack(slots, sum(map(operator.mul, h, columns)), q)
-        h_minus_x = h.copy()
-        h_minus_x[1] = (h_minus_x[1] - 1) % q
-        known = sum(e for e in degrees if d % e == 0)
-        count = (oracle._fq_gcd_degree(list(f), h_minus_x, q) - known) // d
-        degrees.extend([d] * count)
-        left -= d * count
-    if left:
-        degrees.append(left)
-    return degrees
-
-
-def _gcd_walked_modular_factor_degrees(f, meter):
-    for q in oracle._DEGREE_ANALYSIS_PRIMES:
-        if f.leading_coefficient % q == 0:
-            continue
-        inv = pow(f.leading_coefficient, -1, q)
-        fq = [c * inv % q for c in f.coeffs]
-        derivative = [i * c % q for i, c in enumerate(fq)][1:]
-        meter.spend()
-        if oracle._fq_gcd_degree(list(fq), derivative, q) > 0:
-            continue
-        yield q, _gcd_walked_distinct_degrees(fq, q, meter)
-
-
-def _analysis_outcome(analysis, f):
-    """The (q, degrees) stream of analysis(f) and the amount of every spend."""
-    meter = _SpendLog(10**9)
-    return list(analysis(f, meter)), meter.amounts
 
 
 def _counting(counts, key, fn):
@@ -1233,92 +1180,83 @@ def _euclid_and_frobenius_counts(m):
     return counts
 
 
+def _screen_fires_at(q, degrees):
+    """Whether _no_quadratic_factor fires at q, given f's degrees mod q: where
+    no subset sums to 2, and at q = 2, which has no parity, only at {1, 3}."""
+    return 2 not in _subset_sums(degrees) and (q > 2 or sorted(degrees) == [1, 3])
+
+
 @pytest.mark.parametrize(
-    "q, degrees, settled, evaluated, matrices",
+    "q, degrees, pinned, screened",
     [
-        (2, range(2, 11), 0, 1_938, 528),
-        (3, range(2, 8), 1_704, 1_420, 0),
-        (5, range(2, 6), 2_194, 0, 0),
-        (7, range(2, 6), 12_096, 0, 0),
+        (2, range(2, 11), (642, 2_044, 1_022, 1_938, 528, 2_226), (4, 15)),
+        (3, range(2, 8), (0, 3_276, 2_184, 1_420, 0, 0), (144, 0)),
+        (5, range(2, 6), (0, 3_900, 3_120, 0, 0, 0), (1_724, 0)),
+        (7, range(2, 6), (0, 19_600, 16_800, 0, 0, 0), (8_848, 0)),
     ],
     ids=["F2", "F3", "F5", "F7"],
 )
 def test_the_parity_step_matches_the_gcd_walk_on_every_monic_polynomial(
-    monkeypatch, q, degrees, settled, evaluated, matrices
+    monkeypatch, q, degrees, pinned, screened
 ):
     # every monic polynomial of these degrees over F_q, as an integer
-    # polynomial with coefficients 0..q-1 analysed at q alone
+    # polynomial with coefficients 0..q-1 analysed at q alone, against the
+    # textbook walk that takes every step's product and gcd
     monkeypatch.setattr(oracle, "_DEGREE_ANALYSIS_PRIMES", (q,))
     polys = [Polynomial([*low, 1]) for n in degrees for low in itertools.product(range(q), repeat=n)]
-    outcomes = {}
-    for analysis in (_modular_factor_degrees, _gcd_walked_modular_factor_degrees):
-        with monkeypatch.context() as m:
-            counts = _euclid_and_frobenius_counts(m)
-            runs_counted = []
-            for f in polys:
-                before = dict(counts)
-                runs_counted.append((_analysis_outcome(analysis, f), {k: counts[k] - before[k] for k in counts}))
-            outcomes[analysis] = runs_counted, counts
-    (new, counts), (reference, reference_counts) = outcomes.values()
-    assert [outcome for outcome, _ in new] == [outcome for outcome, _ in reference]
+    reference = [_analysis_outcome(_reference_modular_factor_degrees, f) for f in polys]
+    with monkeypatch.context() as m:
+        counts = _euclid_and_frobenius_counts(m)
+        assert [_analysis_outcome(_modular_factor_degrees, f) for f in polys] == reference
     # q^n - q^(n-1) of the monic polynomials of degree n >= 2 are squarefree
-    squarefree = collections.Counter(f.degree for f, ((stream, _), _) in zip(polys, new) if stream)
+    squarefree = collections.Counter(f.degree for f, (stream, _, _) in zip(polys, reference) if stream)
     assert squarefree == {n: q**n - q ** (n - 1) for n in degrees}
-    runs = sum(squarefree.values())
-    # one integer resultant per input in place of its squarefree gcd; one root
-    # count per run in place of step 1's gcd; an evaluated count in place of
-    # the gcd of each step d = 2 or 3 in _EVALUATED_STEPS; a matrix only
-    # where another step d >= 2 runs, whose first Frobenius product is step
-    # 1's; and each run the parity step settles takes one product and one
-    # gcd less.  A run that builds a matrix still takes the product of each
-    # step before it, evaluated or not, to bring h up to x^(q^d).  q = 2 has
-    # no parity step, so every run walks past its root count.
-    assert (counts["resultant"], reference_counts["resultant"]) == (len(polys), 0)
-    assert (counts["roots"], reference_counts["roots"]) == (runs, 0)
-    assert (counts["evaluated"], reference_counts["evaluated"]) == (evaluated, 0)
-    assert (counts["matrix"], reference_counts["matrix"]) == (matrices, runs)
-    walked = sum(run["evaluated"] for _, run in new if run["matrix"])
-    assert reference_counts["frobenius"] - counts["frobenius"] == (
-        runs - matrices + settled + evaluated - walked
-    )
-    assert reference_counts["gcd"] - counts["gcd"] == len(polys) + runs + settled + evaluated
+    # (gcd, resultant, roots, evaluated, matrix, frobenius): one integer
+    # resultant per input and one root count per squarefree one; only q = 2
+    # and 3 reach a step d = 2 or 3 that no parity settles, evaluated in
+    # _EVALUATED_STEPS, and only q = 2 a later step, with its matrix
+    assert tuple(counts.values()) == pinned
+    # the quadratic screen on every quartic and quintic, from the same
+    # reference degrees: it never fires where a subset sums to 2, and for
+    # odd q it fires wherever none does
+    fired = missed = 0
+    for f, (stream, _, _) in zip(polys, reference):
+        if f.degree in (4, 5):
+            fires = bool(stream) and _screen_fires_at(q, stream[0][1])
+            assert oracle._no_quadratic_factor(f) == fires, str(f)
+            fired += fires
+            missed += bool(stream) and 2 not in _subset_sums(stream[0][1]) and not fires
+    assert (fired, missed) == screened
 
 
-def test_the_parity_step_matches_the_gcd_walk_on_seeded_integer_polynomials():
-    rng = random.Random(2717)
-    pairs = 0
-    for _ in range(400):
-        n = rng.randint(6, 12)
-        lead = rng.choice((1, 1, 1, -1, 2, 6))
-        f = Polynomial([rng.choice((-3, -1, 1, 2))] + [rng.randint(-30, 30) for _ in range(n - 1)] + [lead])
-        outcome = _analysis_outcome(_modular_factor_degrees, f)
-        assert outcome == _analysis_outcome(_gcd_walked_modular_factor_degrees, f), str(f)
-        pairs += len(outcome[0])
-    # 5,317 of the 6,000 (prime, input) pairs keep f squarefree mod q
-    assert pairs == 5_317
+def test_the_quadratic_screen_reads_the_first_five_usable_primes():
+    # seeded integer quartics and quintics at all 15 analysis primes: the
+    # screen fires exactly when one of the first five usable primes rules
+    # out a quadratic factor, some of them only at the fourth or fifth
+    rng = random.Random(1893)
+    first = collections.Counter()
+    for _ in range(600):
+        f = _small_poly(rng, rng.choice((4, 5)))
+        usable = itertools.islice(_reference_modular_factor_degrees(f, _Budget(10**9)), 5)
+        at = next((i for i, (q, degrees) in enumerate(usable) if _screen_fires_at(q, degrees)), None)
+        assert oracle._no_quadratic_factor(f) == (at is not None), str(f)
+        first[at] += 1
+    assert first == {None: 46, 0: 379, 1: 132, 2: 29, 3: 13, 4: 1}
 
 
 def test_euclid_runs_and_frobenius_products_on_the_seeded_corpus_are_pinned(monkeypatch):
-    # Against the gcd walk without the quadratic screen: one integer
-    # resultant per analysed input (104) takes the place of its squarefree
-    # gcds, a root count that of step 1's gcd, 212 evaluated counts those
-    # of steps 2 and 3 in _EVALUATED_STEPS, the parity step drops the last
-    # step's Frobenius product and gcd, and 358 of the 557 runs need no
-    # other step, so no matrix.  The screen adds 81 resultants and 143 root
-    # counts below degree 6.  The units spent stay those of the gcd walk.
-    outcomes = []
-    for analysis in (_gcd_walked_modular_factor_degrees, _modular_factor_degrees):
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "_modular_factor_degrees", analysis)
-            if analysis is _gcd_walked_modular_factor_degrees:
-                m.setattr(oracle, "_no_quadratic_factor", lambda f: False)
-            counts = _euclid_and_frobenius_counts(m)
-            units = sum(_metered_factor(monkeypatch, f, 10**9)[1] for f in _search_corpus())
-        outcomes.append((units, counts))
-    assert outcomes == [
-        (714_946, {"gcd": 2_088, "resultant": 0, "roots": 0, "evaluated": 0, "matrix": 557, "frobenius": 1_325}),
-        (714_946, {"gcd": 223, "resultant": 185, "roots": 700, "evaluated": 212, "matrix": 199, "frobenius": 444}),
-    ]
+    # One integer resultant per analysed input (104) and per quartic or
+    # quintic the quadratic screen reads (81); a root count per run (557)
+    # and per prime the screen reads (143); 212 evaluated counts of steps 2
+    # and 3 in _EVALUATED_STEPS; the parity step settles the last step, and
+    # 199 runs build a matrix for another step.
+    with monkeypatch.context() as m:
+        counts = _euclid_and_frobenius_counts(m)
+        units = sum(_metered_factor(monkeypatch, f, 10**9)[1] for f in _search_corpus())
+    assert (units, counts) == (
+        714_946,
+        {"gcd": 223, "resultant": 185, "roots": 700, "evaluated": 212, "matrix": 199, "frobenius": 444},
+    )
 
 
 def _sylvester_rows(a, b):
@@ -1327,26 +1265,6 @@ def _sylvester_rows(a, b):
     m, k = len(a) - 1, len(b) - 1
     rows = [[0] * i + a[::-1] + [0] * (k - 1 - i) for i in range(k)]
     return rows + [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
-
-
-def _sylvester_resultant(a, b, q):
-    """The Sylvester determinant of a and b mod q, by elimination over F_q."""
-    rows = _sylvester_rows(a, b)
-    size = len(rows)
-    det = 1
-    for c in range(size):
-        pivot = next((r for r in range(c, size) if rows[r][c] % q), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det = det * rows[c][c] % q
-        inv = pow(rows[c][c], -1, q)
-        for r in range(c + 1, size):
-            factor = rows[r][c] * inv % q
-            rows[r] = [(x - factor * y) % q for x, y in zip(rows[r], rows[c])]
-    return det % q
 
 
 def _exact_sylvester_determinant(a, b):
@@ -1367,11 +1285,6 @@ def _exact_sylvester_determinant(a, b):
     return int(det)
 
 
-def _times_linear(a, root):
-    """a * (x - root), lowest degree first."""
-    return [x - root * y for x, y in zip([0, *a], [*a, 0])]
-
-
 def test_the_resultant_is_the_sylvester_determinant():
     rng = random.Random(1897)
     cases = collections.Counter()
@@ -1382,9 +1295,9 @@ def test_the_resultant_is_the_sylvester_determinant():
         a = [rng.randint(-bound, bound) for _ in range(m)] + [rng.choice((-3, -1, 1, 2, bound))]
         b = [rng.randint(-bound, bound) for _ in range(k)] + [rng.choice((-2, 1, 5, -bound))]
         if k and rng.random() < 0.3:
-            # a common root, so the resultant is 0
+            # times x - root: a common root, so the resultant is 0
             root = rng.randint(-3, 3)
-            a, b = _times_linear(a, root), _times_linear(b, root)
+            a, b = ([x - root * y for x, y in zip([0, *c], [*c, 0])] for c in (a, b))
         res = oracle._integer_resultant(tuple(a), b)
         assert res == _exact_sylvester_determinant(a, b), (a, b)
         cases["zero" if res == 0 else "constant b" if len(b) == 1 else "full"] += 1
@@ -1396,26 +1309,6 @@ def test_the_resultant_is_the_sylvester_determinant():
         assert oracle._integer_resultant(tuple(f), derivative) == _exact_sylvester_determinant(f, derivative)
     # b = 0 shares every factor of a
     assert oracle._integer_resultant((1, 1), ()) == 0
-
-
-def _reference_usable_primes(f, meter):
-    """The usable primes, each with its own squarefree test: the Sylvester
-    determinant over F_q of the monic f mod q and its derivative."""
-    n = f.degree
-    for q in oracle._DEGREE_ANALYSIS_PRIMES:
-        if f.leading_coefficient % q == 0:
-            continue
-        inv = pow(f.leading_coefficient, -1, q)
-        fq = [c * inv % q for c in f.coeffs]
-        meter.spend()
-        res = _sylvester_resultant(fq, [i * c % q for i, c in enumerate(fq)][1:], q)
-        if res == 0:
-            continue
-        parity = None
-        if q > 2:
-            disc = res if n % 4 < 2 else -res
-            parity = (n + (pow(disc, (q - 1) // 2, q) != 1)) % 2
-        yield q, fq, parity
 
 
 def _usable_primes_corpus():
@@ -1448,13 +1341,17 @@ def _usable_primes_corpus():
     return out
 
 
-def test_usable_primes_match_a_resultant_per_prime():
+def test_usable_primes_match_a_squarefree_gcd_per_prime():
     cases = collections.Counter()
     for f in _usable_primes_corpus():
-        meter, reference_meter = _SpendLog(10**9), _SpendLog(10**9)
-        stream = list(oracle._usable_primes(f, meter))
-        assert stream == list(_reference_usable_primes(f, reference_meter)), str(f)
-        assert meter.amounts == reference_meter.amounts, str(f)
+        stream, amounts, _ = _analysis_outcome(oracle._usable_primes, f)
+        reference = _analysis_outcome(_reference_usable_primes, f)
+        assert ([(q, fq) for q, fq, _ in stream], amounts, None) == reference, str(f)
+        for q, fq, parity in stream:
+            # Stickelberger: for odd q, the parity of the number of factors
+            factors = len(_reference_distinct_degrees(fq, q, _Budget(10**9)))
+            assert parity == (None if q == 2 else factors % 2), (str(f), q)
+            cases["usable", q > 2] += 1
         used = {q for q, _, _ in stream}
         for q in oracle._DEGREE_ANALYSIS_PRIMES:
             if f.leading_coefficient % q == 0:
@@ -1466,6 +1363,8 @@ def test_usable_primes_match_a_resultant_per_prime():
                 cases["not squarefree"] += 1
                 cases["f' = 0 mod q"] += not any(i * c % q for i, c in enumerate(f.coeffs))
     assert min(cases.values()) > 20, cases
+    # 1,755 usable (prime, input) pairs, 1,720 of them at odd primes
+    assert (cases["usable", False], cases["usable", True]) == (35, 1_720)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,12 @@ after round; each op runs on both sides back to back, and the side that
 goes first alternates from op to op.  While a side runs,
 ``sys.modules["newton_gauge"]`` is that side's package, so the
 benchmark's own op functions (``run_sweep``, ``run_in_process``,
-``clear_caches``) run unchanged.  Each op starts with empty oracle
-caches, as in ``bench/run.py``.
+``clear_caches``) run unchanged.  Before each op it calls
+``clear_caches``, as ``bench/run.py`` does: that empties the oracle's
+``_divisors`` and ``_lagrange_basis`` caches, but leaves its F_q
+evaluation tables (``_evaluation_table``) warm after their first build,
+where a fresh process builds them again; so, as in the benchmark, only
+the first op that needs a table times its construction.
 
 Prints each side's median CPU seconds per round and its p50, p90 and
 p95 CPU milliseconds per op over every op of every round, so a change to
@@ -140,11 +144,11 @@ def main(argv=None) -> int:
     ops = wl.take(wl.STREAMS[args.workload](args.seed), args.ops)
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
+        sys.path.insert(0, str(directory))
         sides = {}
         for label, rev in (("A", args.base), ("B", args.change)):
             name = f"{PACKAGE}_{label.lower()}"
             copy_package(rev, directory / name)
-            sys.path.insert(0, str(directory))
             sides[label] = import_side(name, directory)
         cpu = {"A": [], "B": []}
         per_op = {"A": [], "B": []}

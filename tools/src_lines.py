@@ -1,11 +1,11 @@
-"""Count the plain lines and the code lines of each Python module in a package.
+"""Count the plain lines and the code lines of each Python module in a directory.
 
 A code line is a line that holds a token other than a comment, a
 docstring or whitespace: blank lines, comment-only lines and the lines
 of module, class and function docstrings do not count.  A token that
 spans several lines, such as a multi-line string, counts each of them.
 
-Usage: python tools/src_lines.py [PACKAGE_DIR]   (default: src/newton_gauge)
+Usage: python tools/src_lines.py [a directory of modules]   (default: src/newton_gauge)
 
 Prints one row per module and a total row; it checks nothing.
 """
